@@ -221,7 +221,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_curvature(args) -> int:
-    from .curvature import ricci_frame, riemann_frame, scalar_curvature
+    from .curvature import ricci_from_riemann, riemann_frame, scalar_from_ricci
     from .published_tables import sectional_table_values
 
     params = ModelParams(args.m, args.l)
@@ -229,20 +229,22 @@ def cmd_curvature(args) -> int:
     K = float(k_factor(q, params))
     if K <= 0.0:
         raise DomainViolation(f"point outside the chart: K = {K:g}")
+    riem = riemann_frame(q, params)
+    ric = ricci_from_riemann(riem)
     doc = {
         "m": args.m,
         "l": args.l,
         "point": [float(v) for v in q],
         "K": K,
-        "scalar": float(scalar_curvature(q, params)),
-        "ricci": [[float(v) for v in row] for row in ricci_frame(q, params)],
+        "scalar": float(scalar_from_ricci(ric)),
+        "ricci": [[float(v) for v in row] for row in ric],
         "sectional": {
             f"{a},{b}": float(v)
             for (a, b), v in sorted(sectional_table_values(q, params).items())
         },
     }
     if args.full:
-        doc["riemann"] = riemann_frame(q, params).tolist()
+        doc["riemann"] = riem.tolist()
     if args.format == "text":
         lines = [
             f"(m, l) = ({args.m:g}, {args.l:g}) at point {doc['point']}",

@@ -5,7 +5,9 @@ conformal factor K, so degree-3 Taylor jets deliver the exact first, second
 and third partials of G in one pass (`metric_taylor`).  On top of that the
 module evaluates coordinate Christoffel symbols, the fully lowered curvature
 tensor converted to the orthonormal frame, Ricci, scalar curvature, and the
-frame covariant derivative of the curvature.
+frame covariant derivative of the curvature.  R needs the partials of G up to
+second order only; the third partials enter through nabla R alone, which
+`curvature_bundle` adds on top of the R computation.
 
 Sign/index conventions (fixed across the package):
 
@@ -111,23 +113,17 @@ def metric_taylor(q, params: ModelParams) -> MetricTaylor:
     return MetricTaylor(g, dg, d2g, d3g)
 
 
-def _christoffel_layers(mt: MetricTaylor, F: np.ndarray, dF: np.ndarray,
-                        d2F: np.ndarray):
-    """Gamma, dGamma, d2Gamma in coordinates from exact metric Taylor data.
+def _christoffel_layers(mt: MetricTaylor, F: np.ndarray, dF: np.ndarray):
+    """Gamma and dGamma in coordinates from exact metric Taylor data.
 
     The inverse metric and its partials come from the frame closed form
-    G^-1 = F F^T (no linear solves anywhere).
+    G^-1 = F F^T (no linear solves anywhere).  Also returns the pieces that
+    `_christoffel_second` reuses: (G^-1, dG^-1, t0, t1).
     """
-    g, dg, d2g, d3g = mt.g, mt.dg, mt.d2g, mt.d3g
+    dg, d2g = mt.dg, mt.d2g
     ginv = np.einsum("...ma,...na->...mn", F, F)
     dginv = np.einsum("...ema,...na->...emn", dF, F) + np.einsum(
         "...ma,...ena->...emn", F, dF
-    )
-    d2ginv = (
-        np.einsum("...efma,...na->...efmn", d2F, F)
-        + np.einsum("...ema,...fna->...efmn", dF, dF)
-        + np.einsum("...fma,...ena->...efmn", dF, dF)
-        + np.einsum("...ma,...efna->...efmn", F, d2F)
     )
 
     t0 = (
@@ -140,23 +136,36 @@ def _christoffel_layers(mt: MetricTaylor, F: np.ndarray, dF: np.ndarray,
         + np.einsum("...enrm->...ermn", d2g)
         - d2g
     )
-    t2 = (
-        np.einsum("...efmrn->...efrmn", d3g)
-        + np.einsum("...efnrm->...efrmn", d3g)
-        - d3g
-    )
     gam = 0.5 * np.einsum("...lr,...rmn->...lmn", ginv, t0)
     dgam = 0.5 * (
         np.einsum("...elr,...rmn->...elmn", dginv, t0)
         + np.einsum("...lr,...ermn->...elmn", ginv, t1)
     )
-    d2gam = 0.5 * (
+    return gam, dgam, (ginv, dginv, t0, t1)
+
+
+def _christoffel_second(mt: MetricTaylor, F: np.ndarray, dF: np.ndarray,
+                        d2F: np.ndarray, parts) -> np.ndarray:
+    """d2Gamma in coordinates; `parts` is the tail of `_christoffel_layers`."""
+    ginv, dginv, t0, t1 = parts
+    d3g = mt.d3g
+    d2ginv = (
+        np.einsum("...efma,...na->...efmn", d2F, F)
+        + np.einsum("...ema,...fna->...efmn", dF, dF)
+        + np.einsum("...fma,...ena->...efmn", dF, dF)
+        + np.einsum("...ma,...efna->...efmn", F, d2F)
+    )
+    t2 = (
+        np.einsum("...efmrn->...efrmn", d3g)
+        + np.einsum("...efnrm->...efrmn", d3g)
+        - d3g
+    )
+    return 0.5 * (
         np.einsum("...eflr,...rmn->...eflmn", d2ginv, t0)
         + np.einsum("...elr,...frmn->...eflmn", dginv, t1)
         + np.einsum("...flr,...ermn->...eflmn", dginv, t1)
         + np.einsum("...lr,...efrmn->...eflmn", ginv, t2)
     )
-    return gam, dgam, d2gam
 
 
 def christoffel(q, params: ModelParams) -> np.ndarray:
@@ -164,8 +173,7 @@ def christoffel(q, params: ModelParams) -> np.ndarray:
     mt = metric_taylor(q, params)
     F = frame_matrix(q, params)
     dF = frame_derivs(q, params)
-    d2F = frame_second_derivs(q, params)
-    gam, _, _ = _christoffel_layers(mt, F, dF, d2F)
+    gam, _, _ = _christoffel_layers(mt, F, dF)
     return gam
 
 
@@ -180,22 +188,34 @@ class CurvatureBundle:
     nabla_riemann: np.ndarray   # (nabla_{X_e} R)[..., e, a, b, c, d]
 
 
-def curvature_bundle(q, params: ModelParams) -> CurvatureBundle:
-    """Compute frame curvature and its frame covariant derivative at q."""
-    q = _as_points(q)
-    mt = metric_taylor(q, params)
-    F = frame_matrix(q, params)
-    dF = frame_derivs(q, params)
-    d2F = frame_second_derivs(q, params)
-    Om = coframe_matrix(q, params)
-    gam, dgam, d2gam = _christoffel_layers(mt, F, dF, d2F)
-
+def _frame_riemann(mt: MetricTaylor, F: np.ndarray, gam: np.ndarray,
+                   dgam: np.ndarray):
+    """(R^rho_{sigma mu nu}, R_{rho sigma mu nu}, frame R[..., a, b, c, d])."""
     rup = (
         np.einsum("...mrns->...rsmn", dgam)
         - np.einsum("...nrms->...rsmn", dgam)
         + np.einsum("...rml,...lns->...rsmn", gam, gam)
         - np.einsum("...rnl,...lms->...rsmn", gam, gam)
     )
+    rlow = np.einsum("...pr,...rsmn->...psmn", mt.g, rup)
+    riem = np.einsum(
+        "...psmn,...pc,...sd,...ma,...nb->...abcd", rlow, F, F, F, F,
+        optimize=True,
+    )
+    return rup, rlow, riem
+
+
+def curvature_bundle(q, params: ModelParams) -> CurvatureBundle:
+    """Compute frame curvature and its frame covariant derivative at q."""
+    q = _as_points(q)
+    mt = metric_taylor(q, params)
+    F = frame_matrix(q, params)
+    dF = frame_derivs(q, params)
+    gam, dgam, parts = _christoffel_layers(mt, F, dF)
+    rup, rlow, riem = _frame_riemann(mt, F, gam, dgam)
+    d2F = frame_second_derivs(q, params)
+    d2gam = _christoffel_second(mt, F, dF, d2F, parts)
+
     drup = (
         np.einsum("...emrns->...ersmn", d2gam)
         - np.einsum("...enrms->...ersmn", d2gam)
@@ -204,14 +224,8 @@ def curvature_bundle(q, params: ModelParams) -> CurvatureBundle:
         - np.einsum("...ernl,...lms->...ersmn", dgam, gam)
         - np.einsum("...rnl,...elms->...ersmn", gam, dgam)
     )
-    rlow = np.einsum("...pr,...rsmn->...psmn", mt.g, rup)
     drlow = np.einsum("...epr,...rsmn->...epsmn", mt.dg, rup) + np.einsum(
         "...pr,...ersmn->...epsmn", mt.g, drup
-    )
-
-    riem = np.einsum(
-        "...psmn,...pc,...sd,...ma,...nb->...abcd", rlow, F, F, F, F,
-        optimize=True,
     )
     driem = (
         np.einsum("...epsmn,...pc,...sd,...ma,...nb->...eabcd",
@@ -234,24 +248,40 @@ def curvature_bundle(q, params: ModelParams) -> CurvatureBundle:
         - np.einsum("...ecf,...abfd->...eabcd", gfr, riem)
         - np.einsum("...edf,...abcf->...eabcd", gfr, riem)
     )
-    return CurvatureBundle(F, Om, gfr, riem, nabla)
+    return CurvatureBundle(F, coframe_matrix(q, params), gfr, riem, nabla)
 
 
 def riemann_frame(q, params: ModelParams) -> np.ndarray:
-    """Fully lowered frame curvature R[..., a, b, c, d] (0-based indices)."""
-    return curvature_bundle(q, params).riemann
+    """Fully lowered frame curvature R[..., a, b, c, d] (0-based indices).
+
+    The same values as `curvature_bundle(q, params).riemann`, without the
+    third partials and nabla R.
+    """
+    q = _as_points(q)
+    mt = metric_taylor(q, params)
+    F = frame_matrix(q, params)
+    gam, dgam, _ = _christoffel_layers(mt, F, frame_derivs(q, params))
+    return _frame_riemann(mt, F, gam, dgam)[2]
+
+
+def ricci_from_riemann(riem: np.ndarray) -> np.ndarray:
+    """Ric[a,b] = sum_c R[c,a,c,b] of a frame curvature tensor."""
+    return np.einsum("...cacb->...ab", riem)
+
+
+def scalar_from_ricci(ric: np.ndarray) -> np.ndarray:
+    """Scalar curvature: the trace of a frame Ricci matrix."""
+    return np.einsum("...aa->...", ric)
 
 
 def ricci_frame(q, params: ModelParams) -> np.ndarray:
     """Ricci tensor in the frame: Ric[a,b] = sum_c R[c,a,c,b]."""
-    riem = riemann_frame(q, params)
-    return np.einsum("...cacb->...ab", riem)
+    return ricci_from_riemann(riemann_frame(q, params))
 
 
 def scalar_curvature(q, params: ModelParams) -> np.ndarray:
     """Scalar curvature: trace of ricci_frame (same computation path)."""
-    ric = ricci_frame(q, params)
-    return np.einsum("...aa->...", ric)
+    return scalar_from_ricci(ricci_frame(q, params))
 
 
 def nabla_riemann_frame(q, params: ModelParams) -> np.ndarray:

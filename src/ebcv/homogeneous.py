@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import curvature_bundle
+from .curvature import CurvatureBundle, curvature_bundle
 from .errors import InconclusiveClassification
 from .frames import (
     HORIZONTAL_IDX,
@@ -61,7 +61,6 @@ from .frames import (
     _as_points,
     frame_matrix,
     levi_civita_tensor,
-    levi_civita_tensor_derivs,
     structure_constant_derivs,
     structure_constants,
 )
@@ -266,7 +265,13 @@ def ambrose_singer_check(q, params: ModelParams) -> np.ndarray:
     metric is not homogeneous.
     """
     q = _as_points(q)
-    bundle = curvature_bundle(q, params)
+    return ambrose_singer_residuals(q, params, curvature_bundle(q, params))
+
+
+def ambrose_singer_residuals(q, params: ModelParams,
+                             bundle: CurvatureBundle) -> np.ndarray:
+    """`ambrose_singer_check` with the curvature bundle of q given."""
+    q = _as_points(q)
     R = bundle.riemann
     nabR = bundle.nabla_riemann
     S, nabS = _candidate_and_nabla(q, params)

@@ -26,11 +26,10 @@ import numpy as np
 
 from . import published_tables as pt
 from .curvature import (
+    curvature_bundle,
     gamma_frame_coordinate,
-    nabla_riemann_frame,
-    ricci_frame,
-    riemann_frame,
-    scalar_curvature,
+    ricci_from_riemann,
+    scalar_from_ricci,
 )
 from .frames import (
     ModelParams,
@@ -39,6 +38,7 @@ from .frames import (
     coframe_matrix,
     frame_matrix,
     k_factor,
+    levi_civita_frame,
     levi_civita_tensor,
     metric_matrix,
     sample_domain_points,
@@ -57,13 +57,14 @@ from .geodesics import (
     printed_heisenberg_rhs,
 )
 from .homogeneous import (
-    ambrose_singer_check,
+    ambrose_singer_residuals,
     c12_trace,
     candidate_structure_tensor,
     char_connection_tensor,
     classify_structure,
     cyclic_sum,
     faithful_torsion_tensor,
+    torsion_D,
     torsion_D_tensor,
     torsion_parallelism_residual,
 )
@@ -74,16 +75,12 @@ from .killing import (
     killing_residual,
     pde_residuals,
 )
+from .tolerances import TOL_EXACT, TOL_FD, TOL_RICCI, TOL_TABLE
 
 __all__ = ["CheckResult", "VerifyReport", "run_verify"]
 
 DEFAULT_BOX = 0.5
 DEFAULT_K_MIN = 0.1
-
-TOL_EXACT = 1e-12
-TOL_TABLE = 1e-9
-TOL_RICCI = 1e-8
-TOL_FD = 1e-6
 
 HEIS = ModelParams(0.0, 1.0)
 
@@ -205,14 +202,30 @@ class _Ctx:
             self._cache[key] = fn()
         return self._cache[key]
 
+    def bundle(self):
+        """Curvature bundle of the sample; every curvature check reads it."""
+        return self.cached("bundle", lambda: curvature_bundle(self.pts, self.params))
+
+    def bundle0(self):
+        """Curvature bundle of the first 20 m = 0 points.
+
+        At m = 0 the two samples coincide and this is `bundle()`, so callers
+        take the first 20 (or fewer) points of whichever they get.
+        """
+        if self.params == self.params0:
+            return self.bundle()
+        return self.cached(
+            "bundle0", lambda: curvature_bundle(self.pts0[:20], self.params0)
+        )
+
     def riemann(self):
-        return self.cached("R", lambda: riemann_frame(self.pts, self.params))
+        return self.bundle().riemann
 
     def ricci(self):
-        return self.cached("ric", lambda: ricci_frame(self.pts, self.params))
+        return self.cached("ric", lambda: ricci_from_riemann(self.riemann()))
 
-    def ricci0(self):
-        return self.cached("ric0", lambda: ricci_frame(self.pts0, self.params0))
+    def scalar(self):
+        return self.cached("scal", lambda: scalar_from_ricci(self.ricci()))
 
 
 def _summary(res, pts):
@@ -344,7 +357,7 @@ def _chk_curvature_internal(ctx):
         )
     ]
     n2 = min(ctx.samples, 8)
-    nab = nabla_riemann_frame(ctx.pts[:n2], ctx.params)
+    nab = ctx.bundle().nabla_riemann[:n2]
     cyc = (
         nab
         + np.einsum("...abecd->...eabcd", nab)
@@ -367,7 +380,7 @@ def _chk_curvature_internal(ctx):
     trace = np.einsum("...aa->...", ric)
     out.append(
         _passfail(
-            "scalar-vs-ricci-trace", trace - scalar_curvature(ctx.pts, ctx.params),
+            "scalar-vs-ricci-trace", trace - ctx.scalar(),
             ctx.tol(TOL_TABLE),
             "scalar curvature equals the trace of the Ricci matrix", ctx.pts,
         )
@@ -467,27 +480,18 @@ def _chk_connection_tables(ctx):
     return [
         _table_check(
             "m0-connection-table", doc["m0_connection"],
-            lambda i, j: np.asarray(
-                # reuse the frame-component helper of the connection
-                _lc_frame(i, j, ctx.pts0, ctx.params0)
-            ),
+            lambda i, j: levi_civita_frame(i, j, ctx.pts0, ctx.params0),
             ctx.pts0, ctx.params0, ctx.tol(TOL_EXACT),
             "printed connection table at m = 0",
             details=f"evaluated at (m, l) = (0, {ctx.params.l:g})",
         ),
         _table_check(
             "general-connection-table", doc["general_connection"],
-            lambda i, j: _lc_frame(i, j, ctx.pts, ctx.params),
+            lambda i, j: levi_civita_frame(i, j, ctx.pts, ctx.params),
             ctx.pts, ctx.params, ctx.tol(TOL_TABLE),
             "printed general connection table",
         ),
     ]
-
-
-def _lc_frame(i, j, q, params):
-    from .frames import levi_civita_frame
-
-    return levi_civita_frame(i, j, q, params)
 
 
 def _chk_curvature_tables(ctx):
@@ -505,10 +509,10 @@ def _chk_curvature_tables(ctx):
         )
     )
 
-    R0 = riemann_frame(ctx.pts0[:20], ctx.params0)
+    R0 = ctx.bundle0().riemann[:20]
     env0 = pt.point_env(ctx.pts0[:20], ctx.params0)
     ex = ctx.doc["curvature_tables"]["m0_examples"]["entries"]
-    ric0 = ricci_frame(ctx.pts0[:20], ctx.params0)
+    ric0 = ricci_from_riemann(R0)
     diag = ctx.doc["curvature_tables"]["ricci_m0_diagonal"]["entries"]
     res0 = [
         R0[..., 0, 3, 0, 3] - pt.safe_eval(ex["1,4"], env0),
@@ -535,7 +539,7 @@ def _chk_curvature_tables(ctx):
         )
     )
 
-    sc = scalar_curvature(ctx.pts, ctx.params)
+    sc = ctx.scalar()
     out.append(
         _passfail(
             "scalar-vs-proposition-trace",
@@ -581,7 +585,7 @@ def _chk_torsion_tables(ctx):
     out = [
         _table_check(
             "torsion-table", ctx.doc["torsion_table"],
-            lambda a, b: _torsion(a, b, ctx.pts, ctx.params),
+            lambda a, b: torsion_D(a, b, ctx.pts, ctx.params),
             ctx.pts, ctx.params, ctx.tol(TOL_TABLE),
             "printed reduced-torsion values on horizontal pairs",
         )
@@ -659,18 +663,12 @@ def _chk_torsion_tables(ctx):
     return out
 
 
-def _torsion(a, b, q, params):
-    from .homogeneous import torsion_D
-
-    return torsion_D(a, b, q, params)
-
-
 def _chk_structure_claims(ctx):
     claims = ctx.doc["structure_claims"]
     out = []
 
     info = claims["as_equations"]
-    res = ambrose_singer_check(ctx.pts, ctx.params)
+    res = ambrose_singer_residuals(ctx.pts, ctx.params, ctx.bundle())
     worst, witness = _summary(res, ctx.pts)
     if worst <= ctx.tol(1e-7):
         out.append(
@@ -698,7 +696,7 @@ def _chk_structure_claims(ctx):
     resT = torsion_parallelism_residual(sub, ctx.params,
                                         connection="characteristic")
     resR = _curvature_parallelism_residual(
-        sub, ctx.params, char_connection_tensor(sub, ctx.params)
+        ctx.bundle(), char_connection_tensor(sub, ctx.params)
     )
     worst = max(float(np.abs(resT).max()), float(np.abs(resR).max()))
     if worst <= ctx.tol(1e-7):
@@ -730,7 +728,7 @@ def _chk_structure_claims(ctx):
     S0 = candidate_structure_tensor(sub0, ctx.params0)
     resT0 = torsion_parallelism_residual(sub0, ctx.params0,
                                          connection="canonical")
-    resR0 = _curvature_parallelism_residual(sub0, ctx.params0, lam0 - S0)
+    resR0 = _curvature_parallelism_residual(ctx.bundle0(), lam0 - S0)
     out.append(
         _passfail(
             "torsion-parallelism-canonical",
@@ -747,12 +745,14 @@ def _chk_structure_claims(ctx):
     return out
 
 
-def _curvature_parallelism_residual(q, params, conn):
+def _curvature_parallelism_residual(bundle, conn):
     """Frame components of the curvature derivative for a metric connection
-    given by <nabla_e X_a, X_b> = conn[e, a, b]."""
-    R = riemann_frame(q, params)
-    nabR = nabla_riemann_frame(q, params)
-    lam = levi_civita_tensor(q, params)
+    given by <nabla_e X_a, X_b> = conn[e, a, b], over the first len(conn)
+    points of the curvature bundle."""
+    n = len(conn)
+    R = bundle.riemann[:n]
+    nabR = bundle.nabla_riemann[:n]
+    lam = bundle.gamma_frame[:n]
     A = conn - lam
     corr = (
         np.einsum("...eag,...gbcd->...eabcd", A, R)

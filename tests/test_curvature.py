@@ -7,6 +7,7 @@ import oracles
 from ebcv.frames import ModelParams, levi_civita_tensor, sample_domain_points
 from ebcv.curvature import (
     christoffel,
+    curvature_bundle,
     gamma_frame_coordinate,
     metric_taylor,
     nabla_riemann_frame,
@@ -88,6 +89,15 @@ def test_riemann_examples():
     assert R[5, 6, 5, 6] == pytest.approx(-3.0, abs=1e-9)
     R = riemann_frame(_pt(y=1), ModelParams(1.0, 1.0))
     assert R[0, 3, 0, 3] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("m,l", [(0.0, 1.0), (1.0, 1.0), (1.0, 0.0), (-0.5, 1.0)])
+def test_riemann_frame_equals_bundle_riemann_exactly(m, l):
+    # riemann_frame stops before the third partials; its R must be the
+    # bundle's R bit for bit, since verify reads R from the bundle
+    p = ModelParams(m, l)
+    pts = sample_domain_points(p, 6, seed=21)
+    assert np.array_equal(riemann_frame(pts, p), curvature_bundle(pts, p).riemann)
 
 
 def test_riemann_symmetries_and_first_bianchi():

@@ -27,7 +27,7 @@ from ebcv.geodesics import (
     sdot_mismatch,
 )
 from ebcv.quaternions import Quaternion, as_quaternion_array, exp_imaginary, qconj, qmul, qnorm
-from ebcv.tolerances import TOL_DERIV, TOL_EXACT, TOL_FD
+from ebcv.tolerances import TOL_EXACT, TOL_FD
 
 HEIS = ModelParams(0.0, 1.0)
 

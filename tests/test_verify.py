@@ -5,6 +5,9 @@ import json
 import numpy as np
 import pytest
 
+import ebcv.curvature
+import ebcv.homogeneous
+import ebcv.verify
 from ebcv.errors import DomainViolation
 from ebcv.verify import CheckResult, VerifyReport, run_verify
 
@@ -100,6 +103,32 @@ def test_byte_determinism_given_seed():
     da["summary"].pop("elapsed")
     db["summary"].pop("elapsed")
     assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
+
+
+def _count_bundle_builds(monkeypatch, m, l):
+    """Point count of each curvature_bundle call in one 20-sample run."""
+    calls = []
+    original = ebcv.curvature.curvature_bundle
+
+    def counting(q, params):
+        calls.append(len(np.atleast_2d(q)))
+        return original(q, params)
+
+    for mod in (ebcv.curvature, ebcv.homogeneous, ebcv.verify):
+        monkeypatch.setattr(mod, "curvature_bundle", counting)
+    rep = run_verify(m, l, samples=20, seed=0)
+    assert rep.counts["fail"] == 0
+    return calls
+
+
+def test_general_run_builds_curvature_at_most_twice(monkeypatch):
+    # one bundle for the sample, one for the first 20 m = 0 points
+    assert len(_count_bundle_builds(monkeypatch, 1.0, 1.0)) <= 2
+
+
+def test_m0_run_builds_curvature_once(monkeypatch):
+    # at m = 0 the m = 0 sample is the sample itself
+    assert _count_bundle_builds(monkeypatch, 0.0, 1.0) == [20]
 
 
 def test_seed_changes_the_witnesses():
