@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from ebcv.cli import CSV_HEADER
+from ebcv.cli import trajectory_csv
 from ebcv.frames import ModelParams
 from ebcv.geodesics import (
     CotangentState,
@@ -31,13 +31,6 @@ GALLERY = {
     "line-w": (0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0),
     "line-diag": (0.0, 0.0, 0.0, 0.5, 0.5, 0.5, 0.5),
 }
-
-
-def write_csv(path: pathlib.Path, traj) -> None:
-    lines = [CSV_HEADER]
-    for row in traj.to_rows():
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    path.write_text("\n".join(lines) + "\n")
 
 
 def main(argv=None) -> int:
@@ -59,7 +52,7 @@ def main(argv=None) -> int:
     for name, momenta in GALLERY.items():
         state = CotangentState(np.zeros(7), np.array(momenta))
         traj = integrate(state, HEISENBERG, mode=args.mode, h=args.h, n=args.n)
-        write_csv(out_dir / f"{name}.csv", traj)
+        (out_dir / f"{name}.csv").write_text(trajectory_csv(traj))
         verdict = circle_check(traj)
         drift = float(np.abs(traj.H - traj.H[0]).max())
         if verdict.kind == "circle":

@@ -20,7 +20,6 @@ from .errors import (
     InsufficientSamples,
     MalformedFieldInput,
     ModeMismatch,
-    SingularFrame,
     TooFewSamples,
 )
 from .frames import (
@@ -73,7 +72,6 @@ __all__ = [
     "tolerances",
     "EbcvError",
     "DomainViolation",
-    "SingularFrame",
     "InconclusiveClassification",
     "ModeMismatch",
     "TooFewSamples",

@@ -80,7 +80,8 @@ def cmd_verify(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _trajectory_csv(traj) -> str:
+def trajectory_csv(traj) -> str:
+    """The trajectory as CSV text: a header line, then one row per sample."""
     lines = [CSV_HEADER]
     for row in traj.to_rows():
         lines.append(",".join(f"{v:.17g}" for v in row))
@@ -107,7 +108,7 @@ def cmd_geodesic(args) -> int:
     state = CotangentState(init[:7], init[7:])
     traj = integrate(state, params, mode=args.mode, h=args.h, n=args.n)
 
-    text = _trajectory_csv(traj) if args.format == "csv" else _trajectory_json(traj)
+    text = trajectory_csv(traj) if args.format == "csv" else _trajectory_json(traj)
     if args.out:
         _write_output(text, args.out)
     else:
@@ -264,6 +265,27 @@ def cmd_curvature(args) -> int:
 # --------------------------------------------------------------------------
 
 
+def _checked(convert, ok, requirement):
+    """An argparse ``type=`` that rejects values failing ``ok``."""
+
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r}: {requirement}")
+        return value
+
+    # argparse names the type in its "invalid int value" message
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "must be at least 1")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "must be at least 0")
+_positive_float = _checked(
+    float, lambda v: np.isfinite(v) and v > 0.0, "must be positive and finite"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ebcv",
@@ -276,11 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the verification registry")
     v.add_argument("--m", type=float, required=True)
     v.add_argument("--l", type=float, required=True)
-    v.add_argument("--samples", type=int, default=100)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--samples", type=_positive_int, default=100)
+    v.add_argument("--seed", type=_nonnegative_int, default=0)
     v.add_argument("--format", choices=("text", "json"), default="text")
     v.add_argument("--out", default=None)
-    v.add_argument("--tol-scale", type=float, default=1.0)
+    v.add_argument("--tol-scale", type=_positive_float, default=1.0)
     v.set_defaults(func=cmd_verify)
 
     g = sub.add_parser("geodesic", help="integrate and export a trajectory")
@@ -296,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
                  "PR", "PS", "PT", "PW", "PX", "PY", "PZ"),
         help="initial point and momentum (14 reals)",
     )
-    g.add_argument("--h", type=float, default=1e-3)
-    g.add_argument("--n", type=int, default=1000)
+    g.add_argument("--h", type=_positive_float, default=1e-3)
+    g.add_argument("--n", type=_positive_int, default=1000)
     g.add_argument("--format", choices=("csv", "json"), default="csv")
     g.add_argument("--out", default=None)
     g.set_defaults(func=cmd_geodesic)

@@ -9,10 +9,6 @@ class DomainViolation(EbcvError):
     """A point (or parameter pair) left the chart where K > 0."""
 
 
-class SingularFrame(EbcvError):
-    """The frame matrix could not be inverted (only possible as K -> 0)."""
-
-
 class InconclusiveClassification(EbcvError):
     """Witness data contradicts the structure invariants."""
 

@@ -199,16 +199,6 @@ def structure_constant_derivs(q, params: ModelParams) -> np.ndarray:
     )
 
 
-def levi_civita_tensor_derivs(q, params: ModelParams) -> np.ndarray:
-    """Exact partials dGfr[..., e, a, b, c] of the Koszul frame connection."""
-    dbeta = structure_constant_derivs(q, params)
-    return 0.5 * (
-        dbeta
-        - np.einsum("...ebca->...eabc", dbeta)
-        + np.einsum("...ecab->...eabc", dbeta)
-    )
-
-
 def _check_frame_index(a: int) -> None:
     if not isinstance(a, (int, np.integer)) or not 1 <= int(a) <= 7:
         raise ValueError("frame indices are integers in 1..7")

@@ -72,7 +72,6 @@ P_SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
 #: mask[b, c] = 1 where b and c have the same type (both vertical or both
 #: horizontal), else 0.
 SAME_TYPE = 0.5 * (1.0 + np.outer(P_SIGNS, P_SIGNS))
-MIXED_TYPE = 1.0 - SAME_TYPE
 
 #: mask for pairs (a, b) both horizontal (used by the reduced torsion).
 _HH = np.zeros((7, 7))
@@ -85,16 +84,6 @@ _VERT_OUT = np.array([1.0 if i in VERTICAL_IDX else 0.0 for i in range(7)])
 def char_connection_tensor(q, params: ModelParams) -> np.ndarray:
     """D[..., a, b, c] = <D_{X_a} X_b, X_c>: Levi-Civita masked to same type."""
     return levi_civita_tensor(q, params) * SAME_TYPE
-
-
-def char_connection(a: int, b: int, q, params: ModelParams) -> np.ndarray:
-    """Frame components of D_{X_a} X_b (1-based indices)."""
-    return char_connection_tensor(q, params)[..., a - 1, b - 1, :]
-
-
-def difference_tensor(q, params: ModelParams) -> np.ndarray:
-    """S = nabla - D: Levi-Civita coefficients on mixed-type (b, c) pairs."""
-    return levi_civita_tensor(q, params) * MIXED_TYPE
 
 
 def faithful_torsion_tensor(q, params: ModelParams) -> np.ndarray:

@@ -1,10 +1,9 @@
-"""Quaternion arithmetic for the closed-form horizontal geodesics.
+"""Arithmetic on quaternion arrays for the closed-form horizontal geodesics.
 
 The closed-form geodesic solver works in the quaternion model of the
 horizontal plane: a point (w, x, y, z) is packed as w + i x + j y + k z.
-This module provides a small immutable ``Quaternion`` value type for the
-public API plus vectorized helpers operating on ``(..., 4)`` float arrays
-(component order w, x, y, z) used by the quadrature loops.
+This module provides vectorized helpers operating on ``(..., 4)`` float
+arrays (component order w, x, y, z) used by the quadrature loops.
 
 The only transcendental needed is the exponential of an *imaginary*
 quaternion v, computed as ``exp(v) = cos|v| + (v/|v|) sin|v|`` with a power
@@ -14,12 +13,9 @@ through v = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "Quaternion",
     "as_quaternion_array",
     "qmul",
     "qconj",
@@ -53,7 +49,7 @@ def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def qconj(a: np.ndarray) -> np.ndarray:
-    """Quaternion conjugate: flips the sign of the i, j, k components."""
+    """The quaternion conjugate: flips the sign of the i, j, k components."""
     a = np.asarray(a, dtype=float)
     return a * np.array([1.0, -1.0, -1.0, -1.0])
 
@@ -85,86 +81,14 @@ def exp_imaginary(vec: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Quaternion:
-    """Immutable quaternion w + i x + j y + k z with exact float components."""
-
-    w: float
-    x: float
-    y: float
-    z: float
-
-    @classmethod
-    def from_array(cls, a) -> "Quaternion":
-        a = np.asarray(a, dtype=float)
-        if a.shape != (4,):
-            raise ValueError("quaternion array must have exactly 4 components")
-        return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z])
-
-    @property
-    def vector(self) -> np.ndarray:
-        """The (i, j, k) vector part as a 3-array."""
-        return np.array([self.x, self.y, self.z])
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2))
-
-    def inverse(self) -> "Quaternion":
-        n2 = self.w**2 + self.x**2 + self.y**2 + self.z**2
-        if n2 == 0.0:
-            raise ZeroDivisionError("zero quaternion has no inverse")
-        return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
-
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        if not isinstance(other, Quaternion):
-            return NotImplemented
-        return Quaternion(
-            self.w + other.w, self.x + other.x, self.y + other.y, self.z + other.z
-        )
-
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        if not isinstance(other, Quaternion):
-            return NotImplemented
-        return Quaternion(
-            self.w - other.w, self.x - other.x, self.y - other.y, self.z - other.z
-        )
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
-
-    def __mul__(self, other):
-        if isinstance(other, Quaternion):
-            return Quaternion.from_array(qmul(self.to_array(), other.to_array()))
-        if isinstance(other, (int, float)):
-            return Quaternion(
-                self.w * other, self.x * other, self.y * other, self.z * other
-            )
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return Quaternion(
-                self.w * other, self.x * other, self.y * other, self.z * other
-            )
-        return NotImplemented
-
-
 def as_quaternion_array(value) -> np.ndarray:
-    """Coerce a Quaternion, scalar, or 4-sequence to a (4,) float array.
+    """Coerce a real number or 4-sequence to a (4,) float array.
 
     A plain real number embeds as w + 0i + 0j + 0k.
     """
-    if isinstance(value, Quaternion):
-        return value.to_array()
     if isinstance(value, (int, float)):
         return np.array([float(value), 0.0, 0.0, 0.0])
     a = np.asarray(value, dtype=float)
     if a.shape != (4,):
-        raise ValueError("expected a Quaternion, real number, or 4-sequence")
+        raise ValueError("expected a real number or 4-sequence")
     return a

@@ -244,6 +244,17 @@ def _passfail(cid, res, tol, reference, pts=None, details=""):
     return CheckResult(cid, status, worst, witness, reference, details)
 
 
+def _claim(cid, worst, witness, tol, reference, holds, info, printed, oracle):
+    """A printed claim: ``pass`` with details ``holds`` within tolerance,
+    else a ``paper-discrepancy`` quoting the printed and oracle strings."""
+    if worst <= tol:
+        return CheckResult(cid, "pass", worst, witness, reference, holds)
+    return CheckResult(
+        cid, "paper-discrepancy", worst, witness, reference, info["note"],
+        printed=printed, oracle=oracle,
+    )
+
+
 # --------------------------------------------------------------------------
 # frame / bracket / connection internals (oracle vs oracle)
 # --------------------------------------------------------------------------
@@ -451,27 +462,18 @@ def _chk_bracket_tables(ctx):
         oracle_vals = bracket_frame(a, b, ctx.pts, ctx.params)[..., comp]
         gap = np.abs(oracle_vals - printed_vals)
         worst, witness = _summary(gap, ctx.pts)
-        if worst <= ctx.tol(TOL_TABLE):
-            out.append(
-                CheckResult(
-                    cid, "pass", worst, witness,
-                    f"printed bracket coefficient for pair ({key})",
-                    details="printed and exact coefficients coincide at "
-                    "these parameters; " + info["note"],
-                )
+        k = int(np.argmax(gap))
+        out.append(
+            _claim(
+                cid, worst, witness, ctx.tol(TOL_TABLE),
+                f"printed bracket coefficient for pair ({key})",
+                "printed and exact coefficients coincide at these "
+                "parameters; " + info["note"],
+                info, info["printed"],
+                f"{info['derived']} = {oracle_vals[k]:.12g} at the witness "
+                "point",
             )
-        else:
-            k = int(np.argmax(gap))
-            out.append(
-                CheckResult(
-                    cid, "paper-discrepancy", worst, witness,
-                    f"printed bracket coefficient for pair ({key})",
-                    details=info["note"],
-                    printed=info["printed"],
-                    oracle=f"{info['derived']} = {oracle_vals[k]:.12g} at the "
-                    "witness point",
-                )
-            )
+        )
     return out
 
 
@@ -553,26 +555,16 @@ def _chk_curvature_tables(ctx):
     info = ctx.doc["curvature_tables"]["scalar"]
     gap = np.abs(sc - pt.scalar_values(ctx.pts, ctx.params, "printed"))
     worst, witness = _summary(gap, ctx.pts)
-    if worst <= ctx.tol(TOL_TABLE):
-        out.append(
-            CheckResult(
-                "scalar-vs-corollary", "pass", worst, witness,
-                "printed constant-scalar-curvature value",
-                details="printed and exact values coincide at these "
-                "parameters (l = 0)",
-            )
+    k = int(np.argmax(gap))
+    out.append(
+        _claim(
+            "scalar-vs-corollary", worst, witness, ctx.tol(TOL_TABLE),
+            "printed constant-scalar-curvature value",
+            "printed and exact values coincide at these parameters (l = 0)",
+            info, info["printed"],
+            f"{info['derived']} = {sc[k]:.12g} at the witness point",
         )
-    else:
-        k = int(np.argmax(gap))
-        out.append(
-            CheckResult(
-                "scalar-vs-corollary", "paper-discrepancy", worst, witness,
-                "printed constant-scalar-curvature value",
-                details=info["note"],
-                printed=info["printed"],
-                oracle=f"{info['derived']} = {sc[k]:.12g} at the witness point",
-            )
-        )
+    )
     return out
 
 
@@ -639,27 +631,16 @@ def _chk_torsion_tables(ctx):
     # ... while the operator definition of the same torsion does not
     info = claims["mixed_torsion"]
     faithful = faithful_torsion_tensor(ctx.pts, ctx.params)
-    gap = (faithful - T).copy()
-    worst, witness = _summary(gap, ctx.pts)
-    if worst <= ctx.tol(TOL_TABLE):
-        out.append(
-            CheckResult(
-                "torsion-definitions-agreement", "pass", worst, witness,
-                "the two printed definitions of the connection torsion agree",
-                details="both definitions coincide at these parameters (l = 0)",
-            )
+    worst, witness = _summary(faithful - T, ctx.pts)
+    out.append(
+        _claim(
+            "torsion-definitions-agreement", worst, witness,
+            ctx.tol(TOL_TABLE),
+            "the two printed definitions of the connection torsion agree",
+            "both definitions coincide at these parameters (l = 0)",
+            info, info["claim"], info["operator_value"],
         )
-    else:
-        out.append(
-            CheckResult(
-                "torsion-definitions-agreement", "paper-discrepancy",
-                worst, witness,
-                "the two printed definitions of the connection torsion agree",
-                details=info["note"],
-                printed=info["claim"],
-                oracle=info["operator_value"],
-            )
-        )
+    )
     return out
 
 
@@ -670,26 +651,16 @@ def _chk_structure_claims(ctx):
     info = claims["as_equations"]
     res = ambrose_singer_residuals(ctx.pts, ctx.params, ctx.bundle())
     worst, witness = _summary(res, ctx.pts)
-    if worst <= ctx.tol(1e-7):
-        out.append(
-            CheckResult(
-                "as-equations", "pass", worst, witness,
-                "printed claim: the candidate tensor satisfies the "
-                "Ambrose-Singer equations",
-                details=f"holds ({info['holds_when']})",
-            )
+    out.append(
+        _claim(
+            "as-equations", worst, witness, ctx.tol(1e-7),
+            "printed claim: the candidate tensor satisfies the "
+            "Ambrose-Singer equations",
+            f"holds ({info['holds_when']})",
+            info, info["claim"],
+            f"max equation residual {worst:.6e} at the witness point",
         )
-    else:
-        out.append(
-            CheckResult(
-                "as-equations", "paper-discrepancy", worst, witness,
-                "printed claim: the candidate tensor satisfies the "
-                "Ambrose-Singer equations",
-                details=info["note"],
-                printed=info["claim"],
-                oracle=f"max equation residual {worst:.6e} at the witness point",
-            )
-        )
+    )
 
     info = claims["characteristic_parallelism"]
     sub = ctx.pts[:12]
@@ -699,28 +670,17 @@ def _chk_structure_claims(ctx):
         ctx.bundle(), char_connection_tensor(sub, ctx.params)
     )
     worst = max(float(np.abs(resT).max()), float(np.abs(resR).max()))
-    if worst <= ctx.tol(1e-7):
-        out.append(
-            CheckResult(
-                "torsion-parallelism-characteristic", "pass", worst, None,
-                "printed claim: the characteristic connection parallelizes "
-                "curvature and torsion",
-                details="holds trivially (l = 0)",
-            )
+    out.append(
+        _claim(
+            "torsion-parallelism-characteristic", worst, None, ctx.tol(1e-7),
+            "printed claim: the characteristic connection parallelizes "
+            "curvature and torsion",
+            "holds trivially (l = 0)",
+            info, info["claim"],
+            f"{info['witness_torsion']}; {info['witness_curvature']}; "
+            f"measured max residual {worst:.6e}",
         )
-    else:
-        out.append(
-            CheckResult(
-                "torsion-parallelism-characteristic", "paper-discrepancy",
-                worst, None,
-                "printed claim: the characteristic connection parallelizes "
-                "curvature and torsion",
-                details=info["note"],
-                printed=info["claim"],
-                oracle=f"{info['witness_torsion']}; {info['witness_curvature']}; "
-                f"measured max residual {worst:.6e}",
-            )
-        )
+    )
 
     # the connection that does the job at m = 0 (internal oracle check)
     sub0 = ctx.pts0[:12]
@@ -800,7 +760,6 @@ def _chk_killing(ctx):
         )
     )
 
-    worst_ok = 0.0
     min_bad = np.inf
     for a in (4, 5, 6, 7):
         r = float(np.abs(killing_residual(frame_unit_field(a), pts, params)).max())
@@ -844,27 +803,18 @@ def _chk_killing(ctx):
     printed13 = eq13 - params.l * pts[..., 6] * d[..., 0, 1]
     worst, witness = _summary(printed13, pts)
     corrected = float(np.abs(eq13).max())
-    if worst <= ctx.tol(TOL_TABLE):
-        out.append(
-            CheckResult(
-                "killing-eq13-sign", "pass", worst, witness,
-                "printed sign of the d(f2)/dr term in equation 13",
-                details="printed and corrected variants coincide on the "
-                "sampled fields" + (f"; {note}" if note else ""),
-            )
+    out.append(
+        _claim(
+            "killing-eq13-sign", worst, witness, ctx.tol(TOL_TABLE),
+            "printed sign of the d(f2)/dr term in equation 13",
+            "printed and corrected variants coincide on the sampled fields"
+            + (f"; {note}" if note else ""),
+            info, info["printed_term"],
+            f"{info['derived_term']}; corrected residual {corrected:.3e}, "
+            f"printed-variant residual {worst:.3e} on a closed-form basis "
+            "field",
         )
-    else:
-        out.append(
-            CheckResult(
-                "killing-eq13-sign", "paper-discrepancy", worst, witness,
-                "printed sign of the d(f2)/dr term in equation 13",
-                details=info["note"],
-                printed=info["printed_term"],
-                oracle=f"{info['derived_term']}; corrected residual "
-                f"{corrected:.3e}, printed-variant residual {worst:.3e} on a "
-                "closed-form basis field",
-            )
-        )
+    )
     return out
 
 
@@ -913,23 +863,13 @@ def _chk_geodesic_tables(ctx):
 
     info = ctx.doc["geodesic_tables"]["sdot_line"]
     worst, witness = _summary(gap[:, 1], qs[:n_states])
-    if worst <= ctx.tol(TOL_EXACT):
-        out.append(
-            CheckResult(
-                "geodesic-sdot-line", "pass", worst, witness,
-                "printed flow equation for the second vertical coordinate",
-            )
+    out.append(
+        _claim(
+            "geodesic-sdot-line", worst, witness, ctx.tol(TOL_EXACT),
+            "printed flow equation for the second vertical coordinate", "",
+            info, info["printed"], info["derived"],
         )
-    else:
-        out.append(
-            CheckResult(
-                "geodesic-sdot-line", "paper-discrepancy", worst, witness,
-                "printed flow equation for the second vertical coordinate",
-                details=info["note"],
-                printed=info["printed"],
-                oracle=info["derived"],
-            )
-        )
+    )
 
     info = ctx.doc["geodesic_tables"]["prose_bracket_yz"]
     oracle_vec = bracket_frame(6, 7, np.zeros(7), HEIS)
@@ -939,15 +879,12 @@ def _chk_geodesic_tables(ctx):
     )
     worst = float(np.abs(oracle_vec - printed_vec).max())
     out.append(
-        CheckResult(
-            "heisenberg-bracket-yz",
-            "pass" if worst <= ctx.tol(TOL_EXACT) else "paper-discrepancy",
-            worst, None,
+        _claim(
+            "heisenberg-bracket-yz", worst, None, ctx.tol(TOL_EXACT),
             "printed prose value of the bracket of the last two horizontal "
             "fields",
-            details=info["note"],
-            printed=json.dumps(info["printed_component"]),
-            oracle=json.dumps(info["derived_component"])
+            info["note"], info, json.dumps(info["printed_component"]),
+            json.dumps(info["derived_component"])
             + f"; computed coefficients {oracle_vec.tolist()}",
         )
     )

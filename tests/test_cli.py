@@ -65,6 +65,36 @@ def test_verify_byte_determinism(tmp_path):
     assert outs[0] == outs[1]
 
 
+BASE_ARGV = {
+    "verify": ["verify", "--m", "0", "--l", "1"],
+    "geodesic": ["geodesic", "--init", *ORIGIN14],
+}
+
+
+@pytest.mark.parametrize(
+    "command, bad",
+    [
+        ("verify", "--samples=0"),
+        ("verify", "--seed=-1"),
+        ("verify", "--tol-scale=-1"),
+        ("verify", "--tol-scale=0"),
+        ("verify", "--tol-scale=nan"),
+        ("verify", "--tol-scale=inf"),
+        ("geodesic", "--h=0"),
+        ("geodesic", "--h=-1e-3"),
+        ("geodesic", "--h=nan"),
+        ("geodesic", "--n=0"),
+    ],
+)
+def test_invalid_usage_exits_2_naming_the_flag(command, bad, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(BASE_ARGV[command] + [bad])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {bad.split('=')[0]}" in err
+    assert "Traceback" not in err
+
+
 def test_verify_pathological_exit_2(capsys):
     code = main(["verify", "--m=-1e9", "--l", "1", "--samples", "10",
                  "--seed", "1"])

@@ -26,7 +26,7 @@ from ebcv.geodesics import (
     printed_heisenberg_rhs,
     sdot_mismatch,
 )
-from ebcv.quaternions import Quaternion, as_quaternion_array, exp_imaginary, qconj, qmul, qnorm
+from ebcv.quaternions import as_quaternion_array, exp_imaginary, qconj, qmul, qnorm
 from ebcv.tolerances import TOL_EXACT, TOL_FD
 
 HEIS = ModelParams(0.0, 1.0)
@@ -51,11 +51,11 @@ def _random_state(rng, scale_q=0.5, scale_p=1.0):
 
 def test_quaternion_norm_multiplicative():
     rng = np.random.default_rng(0)
-    for _ in range(300):
-        a = Quaternion(*rng.normal(size=4))
-        b = Quaternion(*rng.normal(size=4))
-        scale = max(1.0, a.norm() * b.norm())
-        assert abs((a * b).norm() - a.norm() * b.norm()) <= 1e-14 * scale
+    a = rng.normal(size=(300, 4))
+    b = rng.normal(size=(300, 4))
+    expect = qnorm(a) * qnorm(b)
+    scale = np.maximum(1.0, expect)
+    assert np.all(np.abs(qnorm(qmul(a, b)) - expect) <= 1e-14 * scale)
 
 
 def test_quaternion_product_algebra():
@@ -73,15 +73,11 @@ def test_quaternion_product_algebra():
 
 
 def test_quaternion_inverse_and_coercion():
-    a = Quaternion(1.0, -2.0, 0.5, 3.0)
-    assert_allclose((a * a.inverse()).to_array(), [1, 0, 0, 0], atol=1e-15)
-    with pytest.raises(ZeroDivisionError):
-        Quaternion(0, 0, 0, 0).inverse()
     assert_allclose(as_quaternion_array(2.5), [2.5, 0, 0, 0], atol=0)
-    assert_allclose(as_quaternion_array(a), a.to_array(), atol=0)
     assert_allclose(as_quaternion_array([1, 2, 3, 4]), [1, 2, 3, 4], atol=0)
-    with pytest.raises(ValueError):
-        as_quaternion_array([1, 2, 3])
+    for bad in ([1, 2, 3], [[1, 2, 3, 4]], np.zeros((2, 4))):
+        with pytest.raises(ValueError):
+            as_quaternion_array(bad)
 
 
 def test_exp_imaginary_unit_modulus_and_values():

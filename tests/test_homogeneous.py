@@ -13,11 +13,9 @@ from ebcv.homogeneous import (
     ambrose_singer_check,
     c12_trace,
     candidate_structure_tensor,
-    char_connection,
     char_connection_tensor,
     classify_structure,
     cyclic_sum,
-    difference_tensor,
     faithful_torsion_tensor,
     nabla_p_torsion_tensor,
     torsion_D,
@@ -35,7 +33,6 @@ PARAM_GRID = [
 
 ORIGIN = np.zeros(7)
 
-
 def _pts(params, n=15, seed=11):
     return sample_domain_points(params, n, seed=seed)
 
@@ -48,19 +45,19 @@ def _pts(params, n=15, seed=11):
 def test_char_connection_vertical_pair_vanishes():
     # D_{X_1}X_2 = V(nabla_{X_1}X_2) = 0 for every parameter choice.
     for p in PARAM_GRID:
-        got = char_connection(1, 2, _pts(p), p)
+        got = char_connection_tensor(_pts(p), p)[..., 0, 1, :]
         assert_allclose(got, np.zeros_like(got), atol=1e-14)
 
 
 def test_char_connection_projection_examples():
     p = ModelParams(0.0, 2.0)
     # nabla_{X_1}X_4 = (l/2) X_5 is horizontal, so H keeps it: coefficient 1.
-    got = char_connection(1, 4, ORIGIN, p)
+    got = char_connection_tensor(ORIGIN, p)[..., 0, 3, :]
     expect = np.zeros(7)
     expect[4] = 1.0
     assert_allclose(got, expect, atol=1e-14)
     # nabla_{X_4}X_5 = -(l/2) X_1 is vertical, so H kills it.
-    got = char_connection(4, 5, ORIGIN, p)
+    got = char_connection_tensor(ORIGIN, p)[..., 3, 4, :]
     assert_allclose(got, np.zeros(7), atol=1e-14)
 
 
@@ -84,13 +81,6 @@ def test_char_connection_metric_compatible():
         D = char_connection_tensor(_pts(p), p)
         residual = D + np.einsum("...abc->...acb", D)
         assert np.abs(residual).max() < 1e-10
-
-
-def test_difference_tensor_complements_connection():
-    for p in PARAM_GRID:
-        pts = _pts(p)
-        total = char_connection_tensor(pts, p) + difference_tensor(pts, p)
-        assert_allclose(total, levi_civita_tensor(pts, p), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

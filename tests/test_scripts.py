@@ -1,0 +1,41 @@
+"""Smoke tests for the command-line scripts in ``scripts/``."""
+
+import importlib.util
+import pathlib
+
+from ebcv.cli import main as ebcv_main
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_gallery_csv_matches_the_cli(tmp_path, capsys):
+    gallery = _load_script("geodesic_gallery")
+    out_dir = tmp_path / "gallery"
+    assert gallery.main(["--out-dir", str(out_dir), "--n", "200"]) == 0
+    assert f"wrote {len(gallery.GALLERY)} trajectories" in capsys.readouterr().out
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+        f"{name}.csv" for name in gallery.GALLERY
+    )
+    for name, momenta in gallery.GALLERY.items():
+        cli_csv = tmp_path / f"{name}-cli.csv"
+        init = ["0"] * 7 + [repr(float(v)) for v in momenta]
+        code = ebcv_main([
+            "geodesic", "--format", "csv", "--h", "1e-3", "--n", "200",
+            "--init", *init, "--out", str(cli_csv),
+        ])
+        assert code == 0
+        assert (out_dir / f"{name}.csv").read_bytes() == cli_csv.read_bytes(), name
+
+
+def test_convergence_study_reports_the_ratio_range(capsys):
+    study = _load_script("convergence_study")
+    code = study.main(["--states", "2", "--levels", "2", "--span", "0.5"])
+    assert code == 0
+    assert "observed ratio range" in capsys.readouterr().out

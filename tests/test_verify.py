@@ -159,6 +159,9 @@ def test_tol_scale_loosens_every_threshold():
     rep = run_verify(1.0, 1.0, samples=20, seed=4, tol_scale=1e12)
     assert rep.counts["fail"] == 0
     assert rep.counts["paper-discrepancy"] == 0
+    # a claim that holds quotes neither the printed nor the oracle string
+    for c in rep.checks:
+        assert c.printed is None and c.oracle is None, c.id
 
 
 def test_report_shape(report_01):
