@@ -8,6 +8,7 @@ fourth-order integrator shows an error ratio near 16 per halving.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -49,6 +50,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.levels < 2:
         parser.error("--levels must be at least 2")
+    if args.states < 1:
+        parser.error("--states must be at least 1")
+    for flag, value in (("--span", args.span), ("--h0", args.h0)):
+        if not (math.isfinite(value) and value > 0.0):
+            parser.error(f"{flag} must be positive and finite")
+    if args.span < args.h0:
+        parser.error("--span must be at least --h0")
 
     hs = [args.h0 / 2**k for k in range(args.levels)]
     header = "state " + " ".join(f"{f'err(h/{2**k})':>12s}" for k in range(args.levels))

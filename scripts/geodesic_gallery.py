@@ -7,6 +7,7 @@ predicted |P(0)| / |Lambda|, and the energy drift of the integrator.
 """
 
 import argparse
+import math
 import pathlib
 import sys
 
@@ -43,6 +44,10 @@ def main(argv=None) -> int:
         choices=("heisenberg", "subriemannian", "riemannian"),
     )
     args = parser.parse_args(argv)
+    if not (math.isfinite(args.h) and args.h > 0.0):
+        parser.error("--h must be positive and finite")
+    if args.n < 1:
+        parser.error("--n must be at least 1")
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -29,17 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import (
-    J_TWIST,
-    ModelParams,
-    _as_points,
-    coframe_matrix,
-    frame_derivs,
-    frame_matrix,
-    frame_second_derivs,
-    k_factor,
-    levi_civita_tensor,
-)
+from .frames import J_TWIST, ModelParams, _as_points, frame_jet, k_factor
 from .jets import Jet
 
 
@@ -170,10 +160,8 @@ def _christoffel_second(mt: MetricTaylor, F: np.ndarray, dF: np.ndarray,
 
 def christoffel(q, params: ModelParams) -> np.ndarray:
     """Coordinate Christoffel symbols Gamma[..., lam, mu, nu]."""
-    mt = metric_taylor(q, params)
-    F = frame_matrix(q, params)
-    dF = frame_derivs(q, params)
-    gam, _, _ = _christoffel_layers(mt, F, dF)
+    fr = frame_jet(q, params)
+    gam, _, _ = _christoffel_layers(metric_taylor(fr.q, params), fr.F, fr.dF)
     return gam
 
 
@@ -181,8 +169,6 @@ def christoffel(q, params: ModelParams) -> np.ndarray:
 class CurvatureBundle:
     """Shared intermediate tensors for curvature-level computations."""
 
-    frame: np.ndarray           # F[..., mu, a]
-    coframe: np.ndarray         # Om[..., a, mu]
     gamma_frame: np.ndarray     # Koszul <nabla_a X_b, X_c>  [..., a, b, c]
     riemann: np.ndarray         # R[..., a, b, c, d]
     nabla_riemann: np.ndarray   # (nabla_{X_e} R)[..., e, a, b, c, d]
@@ -207,14 +193,12 @@ def _frame_riemann(mt: MetricTaylor, F: np.ndarray, gam: np.ndarray,
 
 def curvature_bundle(q, params: ModelParams) -> CurvatureBundle:
     """Compute frame curvature and its frame covariant derivative at q."""
-    q = _as_points(q)
-    mt = metric_taylor(q, params)
-    F = frame_matrix(q, params)
-    dF = frame_derivs(q, params)
+    fr = frame_jet(q, params)
+    mt = metric_taylor(fr.q, params)
+    F, dF = fr.F, fr.dF
     gam, dgam, parts = _christoffel_layers(mt, F, dF)
     rup, rlow, riem = _frame_riemann(mt, F, gam, dgam)
-    d2F = frame_second_derivs(q, params)
-    d2gam = _christoffel_second(mt, F, dF, d2F, parts)
+    d2gam = _christoffel_second(mt, F, dF, fr.d2F, parts)
 
     drup = (
         np.einsum("...emrns->...ersmn", d2gam)
@@ -239,7 +223,7 @@ def curvature_bundle(q, params: ModelParams) -> CurvatureBundle:
         + np.einsum("...psmn,...pc,...sd,...ma,...enb->...eabcd",
                     rlow, F, F, F, dF, optimize=True)
     )
-    gfr = levi_civita_tensor(q, params)
+    gfr = fr.gamma
     frame_deriv = np.einsum("...me,...mabcd->...eabcd", F, driem)
     nabla = (
         frame_deriv
@@ -248,7 +232,7 @@ def curvature_bundle(q, params: ModelParams) -> CurvatureBundle:
         - np.einsum("...ecf,...abfd->...eabcd", gfr, riem)
         - np.einsum("...edf,...abcf->...eabcd", gfr, riem)
     )
-    return CurvatureBundle(F, coframe_matrix(q, params), gfr, riem, nabla)
+    return CurvatureBundle(gfr, riem, nabla)
 
 
 def riemann_frame(q, params: ModelParams) -> np.ndarray:
@@ -257,11 +241,10 @@ def riemann_frame(q, params: ModelParams) -> np.ndarray:
     The same values as `curvature_bundle(q, params).riemann`, without the
     third partials and nabla R.
     """
-    q = _as_points(q)
-    mt = metric_taylor(q, params)
-    F = frame_matrix(q, params)
-    gam, dgam, _ = _christoffel_layers(mt, F, frame_derivs(q, params))
-    return _frame_riemann(mt, F, gam, dgam)[2]
+    fr = frame_jet(q, params)
+    mt = metric_taylor(fr.q, params)
+    gam, dgam, _ = _christoffel_layers(mt, fr.F, fr.dF)
+    return _frame_riemann(mt, fr.F, gam, dgam)[2]
 
 
 def ricci_from_riemann(riem: np.ndarray) -> np.ndarray:
@@ -296,9 +279,7 @@ def gamma_frame_coordinate(q, params: ModelParams) -> np.ndarray:
     F^lam_b) g_{nu sigma} F^sigma_c, with g_{nu sigma} F^sigma_c = Om_{c nu}.
     Cross-check for the Koszul route in `frames.levi_civita_tensor`.
     """
-    F = frame_matrix(q, params)
-    dF = frame_derivs(q, params)
-    Om = coframe_matrix(q, params)
-    gam = christoffel(q, params)
-    covd = dF + np.einsum("...nml,...lb->...mnb", gam, F)
-    return np.einsum("...ma,...mnb,...cn->...abc", F, covd, Om, optimize=True)
+    fr = frame_jet(q, params)
+    F = fr.F
+    covd = fr.dF + np.einsum("...nml,...lb->...mnb", christoffel(fr, params), F)
+    return np.einsum("...ma,...mnb,...cn->...abc", F, covd, fr.Om, optimize=True)

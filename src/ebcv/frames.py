@@ -17,13 +17,17 @@ The three twist blocks are encoded by the matrices ``J_TWIST[i]`` acting on
 imaginary quaternion units on the horizontal coordinates.
 
 All functions accept a single point of shape ``(7,)`` or a batch ``(..., 7)``
-and broadcast accordingly.  Derivatives of the frame coefficients are exact
-closed forms (every entry is polynomial in the coordinates), so downstream
-bracket and connection values carry no finite-difference error.
+and broadcast accordingly.  They also accept a `FrameJet` of the points,
+which builds F, its coframe, the structure constants and the Koszul
+connection once and shares them between calls.  Derivatives of the frame
+coefficients are exact closed forms (every entry is polynomial in the
+coordinates), so downstream bracket and connection values carry no
+finite-difference error.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,33 +75,151 @@ def k_factor(q, params: ModelParams) -> np.ndarray:
     return K
 
 
+def _kept(build):
+    """A jet tensor built on first read, then kept read-only."""
+
+    @functools.wraps(build)
+    def once(self):
+        out = build(self)
+        out.flags.writeable = False
+        return out
+
+    return functools.cached_property(once)
+
+
 def _twist_block(q: np.ndarray, params: ModelParams) -> np.ndarray:
     """B[..., i, a] = (l/2) * (J_i u)_a — vertical components of X_{4+a}."""
     u = q[..., 3:]
     return 0.5 * params.l * np.einsum("iab,...b->...ia", J_TWIST, u)
 
 
+class FrameJet:
+    """The frame layer at a point set, each tensor built once.
+
+    The domain is checked once, on construction (K > 0).  ``F``, ``Om``,
+    ``dF``, ``C`` and ``gamma`` are built on first use and then kept,
+    read-only; ``dC`` and ``d2F`` are built on every read, so the large
+    derivative tensors are not held.  ``q``, ``params`` and ``K`` hold the
+    points, the parameters and the conformal factor.  Pass a jet wherever a
+    function takes points ``q`` to share these tensors between calls (see
+    `frame_jet`).
+    """
+
+    def __init__(self, q, params: ModelParams):
+        self.q = _as_points(q)
+        self.params = params
+        self.K = k_factor(self.q, params)
+
+    @_kept
+    def F(self) -> np.ndarray:
+        """Frame matrix: column a holds the coordinate components of X_{a+1}."""
+        F = np.zeros(self.q.shape[:-1] + (7, 7))
+        F[..., :3, :3] = np.eye(3)
+        F[..., :3, 3:] = _twist_block(self.q, self.params)
+        F[..., 3:, 3:] = self.K[..., None, None] * np.eye(4)
+        return F
+
+    @_kept
+    def Om(self) -> np.ndarray:
+        """Coframe matrix: row a holds the components of omega^{a+1}; F^-1."""
+        inv_k = 1.0 / self.K
+        Om = np.zeros(self.q.shape[:-1] + (7, 7))
+        Om[..., :3, :3] = np.eye(3)
+        Om[..., :3, 3:] = (
+            -_twist_block(self.q, self.params) * inv_k[..., None, None]
+        )
+        Om[..., 3:, 3:] = inv_k[..., None, None] * np.eye(4)
+        return Om
+
+    @_kept
+    def dF(self) -> np.ndarray:
+        """Exact partials dF[..., e, mu, a] = d F[mu, a] / d coordinate_e."""
+        dF = np.zeros(self.q.shape[:-1] + (7, 7, 7))
+        eye4 = np.eye(4)
+        for b in range(4):
+            dF[..., 3 + b, :3, 3:] = 0.5 * self.params.l * J_TWIST[:, :, b]
+            dF[..., 3 + b, 3:, 3:] = (
+                2.0 * self.params.m * self.q[..., 3 + b][..., None, None] * eye4
+            )
+        return dF
+
+    @property
+    def d2F(self) -> np.ndarray:
+        """Exact second partials d2F[e, f, mu, a].
+
+        Only K contributes, with the constant 2m, so the array has no batch
+        axes; it broadcasts against batched operands.
+        """
+        d2F = np.zeros((7, 7, 7, 7))
+        for b in range(4):
+            for a in range(4):
+                d2F[3 + b, 3 + b, 3 + a, 3 + a] = 2.0 * self.params.m
+        return d2F
+
+    @_kept
+    def C(self) -> np.ndarray:
+        """C[..., a, b, c] with [X_{a+1}, X_{b+1}] = sum_c C[a,b,c] X_{c+1}.
+
+        Computed from exact frame derivatives:
+        [X_a, X_b]^mu = X_a^nu d_nu X_b^mu - X_b^nu d_nu X_a^mu,
+        then converted to frame components with the coframe.
+        """
+        V = np.einsum("...na,...nmb->...mab", self.F, self.dF)
+        brk = V - np.swapaxes(V, -1, -2)
+        return np.einsum("...cm,...mab->...abc", self.Om, brk)
+
+    @property
+    def dC(self) -> np.ndarray:
+        """Exact partials dC[..., e, a, b, c] of the structure constants."""
+        F, dF, Om = self.F, self.dF, self.Om
+        dOm = -np.einsum("...an,...enm,...mu->...eau", Om, dF, Om)
+        V = np.einsum("...na,...nmb->...mab", F, dF)
+        brk = V - np.swapaxes(V, -1, -2)
+        dV = np.einsum("...ena,...nmb->...emab", dF, dF) + np.einsum(
+            "...na,...enmb->...emab", F, self.d2F
+        )
+        dbrk = dV - np.swapaxes(dV, -1, -2)
+        return np.einsum("...ecm,...mab->...eabc", dOm, brk) + np.einsum(
+            "...cm,...emab->...eabc", Om, dbrk
+        )
+
+    @_kept
+    def gamma(self) -> np.ndarray:
+        """gamma[..., a, b, c] = <nabla_{X_{a+1}} X_{b+1}, X_{c+1}> via Koszul.
+
+        For an orthonormal frame the Koszul formula reduces to
+        2<nabla_a b, c> = <[X_a,X_b],X_c> - <[X_b,X_c],X_a> + <[X_c,X_a],X_b>.
+        """
+        C = self.C
+        return 0.5 * (
+            C
+            - np.einsum("...bca->...abc", C)
+            + np.einsum("...cab->...abc", C)
+        )
+
+
+def frame_jet(q, params: ModelParams) -> FrameJet:
+    """The frame jet of q: q itself when it is a jet for params, else a new one.
+
+    Raises ValueError for a jet built for other parameters.
+    """
+    if isinstance(q, FrameJet):
+        if q.params != params:
+            raise ValueError(
+                f"frame jet built for {q.params}, not for {params}"
+            )
+        return q
+    return FrameJet(q, params)
+
+
 def frame_matrix(q, params: ModelParams) -> np.ndarray:
-    """Frame matrix F: column a holds the coordinate components of X_{a+1}."""
-    q = _as_points(q)
-    K = k_factor(q, params)
-    F = np.zeros(q.shape[:-1] + (7, 7))
-    F[..., :3, :3] = np.eye(3)
-    F[..., :3, 3:] = _twist_block(q, params)
-    F[..., 3:, 3:] = K[..., None, None] * np.eye(4)
-    return F
+    """Frame matrix F: `FrameJet.F` of the points q."""
+    return frame_jet(q, params).F
 
 
 def coframe_matrix(q, params: ModelParams) -> np.ndarray:
-    """Coframe matrix: row a holds the components of omega^{a+1}; equals F^-1."""
-    q = _as_points(q)
-    K = k_factor(q, params)
-    inv_k = 1.0 / K
-    Om = np.zeros(q.shape[:-1] + (7, 7))
-    Om[..., :3, :3] = np.eye(3)
-    Om[..., :3, 3:] = -_twist_block(q, params) * inv_k[..., None, None]
-    Om[..., 3:, 3:] = inv_k[..., None, None] * np.eye(4)
-    return Om
+    """Coframe matrix: `FrameJet.Om` of the points q."""
+    return frame_jet(q, params).Om
 
 
 def metric_matrix(q, params: ModelParams) -> np.ndarray:
@@ -106,44 +228,9 @@ def metric_matrix(q, params: ModelParams) -> np.ndarray:
     return np.einsum("...am,...an->...mn", Om, Om)
 
 
-def frame_derivs(q, params: ModelParams) -> np.ndarray:
-    """Exact partials dF[..., e, mu, a] = d F[mu, a] / d coordinate_e."""
-    q = _as_points(q)
-    k_factor(q, params)  # domain check
-    dF = np.zeros(q.shape[:-1] + (7, 7, 7))
-    eye4 = np.eye(4)
-    for b in range(4):
-        dF[..., 3 + b, :3, 3:] = 0.5 * params.l * J_TWIST[:, :, b]
-        dF[..., 3 + b, 3:, 3:] = (
-            2.0 * params.m * q[..., 3 + b][..., None, None] * eye4
-        )
-    return dF
-
-
-def frame_second_derivs(q, params: ModelParams) -> np.ndarray:
-    """Exact second partials d2F[..., e, f, mu, a]; only K contributes."""
-    q = _as_points(q)
-    k_factor(q, params)
-    d2F = np.zeros(q.shape[:-1] + (7, 7, 7, 7))
-    for b in range(4):
-        for a in range(4):
-            d2F[..., 3 + b, 3 + b, 3 + a, 3 + a] = 2.0 * params.m
-    return d2F
-
-
 def structure_constants(q, params: ModelParams) -> np.ndarray:
-    """c[..., a, b, c] with [X_{a+1}, X_{b+1}] = sum_c c[a,b,c] X_{c+1}.
-
-    Computed from exact frame derivatives:
-    [X_a, X_b]^mu = X_a^nu d_nu X_b^mu - X_b^nu d_nu X_a^mu,
-    then converted to frame components with the coframe.
-    """
-    F = frame_matrix(q, params)
-    dF = frame_derivs(q, params)
-    Om = coframe_matrix(q, params)
-    V = np.einsum("...na,...nmb->...mab", F, dF)
-    brk = V - np.swapaxes(V, -1, -2)
-    return np.einsum("...cm,...mab->...abc", Om, brk)
+    """Structure constants: `FrameJet.C` of the points q."""
+    return frame_jet(q, params).C
 
 
 def bracket_frame(a: int, b: int, q, params: ModelParams) -> np.ndarray:
@@ -154,17 +241,8 @@ def bracket_frame(a: int, b: int, q, params: ModelParams) -> np.ndarray:
 
 
 def levi_civita_tensor(q, params: ModelParams) -> np.ndarray:
-    """Gfr[..., a, b, c] = <nabla_{X_{a+1}} X_{b+1}, X_{c+1}> via Koszul.
-
-    For an orthonormal frame the Koszul formula reduces to
-    2<nabla_a b, c> = <[X_a,X_b],X_c> - <[X_b,X_c],X_a> + <[X_c,X_a],X_b>.
-    """
-    beta = structure_constants(q, params)
-    return 0.5 * (
-        beta
-        - np.einsum("...bca->...abc", beta)
-        + np.einsum("...cab->...abc", beta)
-    )
+    """Levi-Civita connection in the frame: `FrameJet.gamma` of the points q."""
+    return frame_jet(q, params).gamma
 
 
 def levi_civita_frame(a: int, b: int, q, params: ModelParams) -> np.ndarray:
@@ -172,31 +250,6 @@ def levi_civita_frame(a: int, b: int, q, params: ModelParams) -> np.ndarray:
     _check_frame_index(a)
     _check_frame_index(b)
     return levi_civita_tensor(q, params)[..., a - 1, b - 1, :]
-
-
-def coframe_derivs(q, params: ModelParams) -> np.ndarray:
-    """Exact partials dOm[..., e, a, mu] of the coframe, from dOm = -Om dF Om."""
-    Om = coframe_matrix(q, params)
-    dF = frame_derivs(q, params)
-    return -np.einsum("...an,...enm,...mu->...eau", Om, dF, Om)
-
-
-def structure_constant_derivs(q, params: ModelParams) -> np.ndarray:
-    """Exact partials dc[..., e, a, b, c] of the structure constants."""
-    F = frame_matrix(q, params)
-    dF = frame_derivs(q, params)
-    d2F = frame_second_derivs(q, params)
-    Om = coframe_matrix(q, params)
-    dOm = coframe_derivs(q, params)
-    V = np.einsum("...na,...nmb->...mab", F, dF)
-    brk = V - np.swapaxes(V, -1, -2)
-    dV = np.einsum("...ena,...nmb->...emab", dF, dF) + np.einsum(
-        "...na,...enmb->...emab", F, d2F
-    )
-    dbrk = dV - np.swapaxes(dV, -1, -2)
-    return np.einsum("...ecm,...mab->...eabc", dOm, brk) + np.einsum(
-        "...cm,...emab->...eabc", Om, dbrk
-    )
 
 
 def _check_frame_index(a: int) -> None:

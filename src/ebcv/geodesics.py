@@ -39,13 +39,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DomainViolation, ModeMismatch, TooFewSamples
-from .frames import (
-    J_TWIST,
-    ModelParams,
-    frame_derivs,
-    frame_matrix,
-    structure_constants,
-)
+from .frames import J_TWIST, ModelParams, frame_jet, frame_matrix
 from .quaternions import as_quaternion_array, exp_imaginary, qconj, qmul
 
 __all__ = [
@@ -205,9 +199,6 @@ def hamiltonian(state: CotangentState, params: ModelParams, mode) -> float:
     """Kinetic energy H = (1/2) sum of squared active frame momenta."""
     mode = _coerce_mode(mode)
     _check_mode_params(mode, params)
-    K = _k_of(state.q, params)
-    if not np.isfinite(K) or K <= 0.0:
-        raise DomainViolation("conformal factor K <= 0: point outside the chart")
     P = frame_momenta(state.q, state.p, params)
     H = 0.5 * float(P[3:] @ P[3:])
     if mode is GeodesicMode.RIEMANNIAN:
@@ -282,11 +273,10 @@ def generic_rhs_momentum_chart(state: CotangentState) -> np.ndarray:
     """
     hp = ModelParams(0.0, 1.0)
     qdot, pdot = hamilton_rhs(state, hp, GeodesicMode.HEISENBERG)
-    F = frame_matrix(state.q, hp)
-    dF = frame_derivs(state.q, hp)
+    fr = frame_jet(state.q, hp)
     # d/du of P_a = F[mu, a] p_mu along the flow
-    Pdot = np.einsum("emn,e,m->n", dF, qdot, state.p) + np.einsum(
-        "mn,m->n", F, pdot
+    Pdot = np.einsum("emn,e,m->n", fr.dF, qdot, state.p) + np.einsum(
+        "mn,m->n", fr.F, pdot
     )
     return np.concatenate([qdot, pdot[:3], Pdot[3:]])
 
@@ -582,10 +572,9 @@ def poisson_bracket_values(state: CotangentState) -> np.ndarray:
     Exact differentiation of the momentum functions: with P_A = F[mu,A] p_mu,
     {P_A, P_B} = sum_i (d_i P_A F[i,B] - d_i P_B F[i,A]).
     """
-    hp = ModelParams(0.0, 1.0)
-    F = frame_matrix(state.q, hp)
-    dF = frame_derivs(state.q, hp)
-    dP = np.einsum("ima,m->ia", dF, state.p)  # d P_a / d x^i
+    fr = frame_jet(state.q, ModelParams(0.0, 1.0))
+    F = fr.F
+    dP = np.einsum("ima,m->ia", fr.dF, state.p)  # d P_a / d x^i
     vals = np.empty(len(POISSON_PAIRS))
     for k, (a1, b1) in enumerate(POISSON_PAIRS):
         a, b = a1 - 1, b1 - 1
@@ -602,8 +591,9 @@ def poisson_check(state: CotangentState) -> np.ndarray:
     """
     hp = ModelParams(0.0, 1.0)
     vals = poisson_bracket_values(state)
-    c = structure_constants(state.q, hp)
-    P = frame_momenta(state.q, state.p, hp)
+    fr = frame_jet(state.q, hp)
+    c = fr.C
+    P = frame_momenta(fr, state.p, hp)
     res = np.empty(len(POISSON_PAIRS))
     for k, (a1, b1) in enumerate(POISSON_PAIRS):
         expected = -float(c[a1 - 1, b1 - 1, :] @ P)

@@ -58,10 +58,8 @@ from .frames import (
     HORIZONTAL_IDX,
     ModelParams,
     VERTICAL_IDX,
-    _as_points,
-    frame_matrix,
+    frame_jet,
     levi_civita_tensor,
-    structure_constant_derivs,
     structure_constants,
 )
 from .tolerances import TOL_EXACT
@@ -79,6 +77,11 @@ for _a in HORIZONTAL_IDX:
     for _b in HORIZONTAL_IDX:
         _HH[_a, _b] = 1.0
 _VERT_OUT = np.array([1.0 if i in VERTICAL_IDX else 0.0 for i in range(7)])
+#: _HH and _VERT_OUT as one (7, 7, 7) array.  `torsion_D_tensor` keeps the
+#: broadcast product instead: the two give arrays of different memory
+#: layout, which sets the summation order of later einsums, and the verify
+#: reports are pinned to the last bit.
+_TORSION_MASK = _HH[:, :, None] * _VERT_OUT[None, None, :]
 
 
 def char_connection_tensor(q, params: ModelParams) -> np.ndarray:
@@ -88,9 +91,9 @@ def char_connection_tensor(q, params: ModelParams) -> np.ndarray:
 
 def faithful_torsion_tensor(q, params: ModelParams) -> np.ndarray:
     """T[..., a, b, c] of D from the difference-of-connections definition."""
-    D = char_connection_tensor(q, params)
-    beta = structure_constants(q, params)
-    return D - np.einsum("...abc->...bac", D) - beta
+    fr = frame_jet(q, params)
+    D = char_connection_tensor(fr, params)
+    return D - np.einsum("...abc->...bac", D) - fr.C
 
 
 def nabla_p_torsion_tensor(q, params: ModelParams) -> np.ndarray:
@@ -151,8 +154,9 @@ def classify_structure(params: ModelParams, points) -> StructureClass:
     "T2+T3" when only the c12 trace vanishes; a tensor that is numerically
     zero everywhere sampled is reported as "trivial".
     """
-    pts = _as_points(np.atleast_2d(np.asarray(points, dtype=float)))
-    T = torsion_D_tensor(pts, params)
+    fr = frame_jet(points, params)
+    pts = fr.q.reshape(-1, 7)
+    T = torsion_D_tensor(fr, params).reshape(-1, 7, 7, 7)
     if np.abs(T).max() < TOL_EXACT:
         return StructureClass("trivial", None, None, None)
 
@@ -211,37 +215,19 @@ def candidate_structure_tensor(q, params: ModelParams) -> np.ndarray:
     return _skew_completion(torsion_D_tensor(q, params))
 
 
-def _candidate_and_nabla(q, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """(S, nabla S) for the candidate tensor; nablaS[..., e, a, b, c]."""
-    gfr = levi_civita_tensor(q, params)
-    dgfr = _candidate_derivs(q, params)
-    S = candidate_structure_tensor(q, params)
-    F = frame_matrix(q, params)
-    frame_dir = np.einsum("...me,...mabc->...eabc", F, dgfr)
+def _covariant_derivative(F, conn, A, dA) -> np.ndarray:
+    """(D_{X_e} A)[..., e, a, b, c] of a frame 3-tensor A.
+
+    dA[..., mu, a, b, c] holds the coordinate partials of A and
+    conn[..., e, a, f] = <D_{X_e} X_a, X_f> the metric connection D.
+    """
+    frame_dir = np.einsum("...me,...mabc->...eabc", F, dA)
     corr = (
-        np.einsum("...eaf,...fbc->...eabc", gfr, S)
-        + np.einsum("...ebf,...afc->...eabc", gfr, S)
-        + np.einsum("...ecf,...abf->...eabc", gfr, S)
+        np.einsum("...eaf,...fbc->...eabc", conn, A)
+        + np.einsum("...ebf,...afc->...eabc", conn, A)
+        + np.einsum("...ecf,...abf->...eabc", conn, A)
     )
-    return S, frame_dir - corr
-
-
-def _torsion_and_derivs(q, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced torsion and its coordinate partials dT[..., mu, a, b, c]."""
-    mask = _HH[:, :, None] * _VERT_OUT[None, None, :]
-    T = -structure_constants(q, params) * mask
-    dT = -structure_constant_derivs(q, params) * mask
-    return T, dT
-
-
-def _candidate_derivs(q, params: ModelParams) -> np.ndarray:
-    """Coordinate partials of the candidate tensor, [..., mu, a, b, c]."""
-    _, dT = _torsion_and_derivs(q, params)
-    return 0.5 * (
-        -dT
-        + np.einsum("...ebca->...eabc", dT)
-        - np.einsum("...ecab->...eabc", dT)
-    )
+    return frame_dir - corr
 
 
 def ambrose_singer_check(q, params: ModelParams) -> np.ndarray:
@@ -253,17 +239,19 @@ def ambrose_singer_check(q, params: ModelParams) -> np.ndarray:
     (ii) and (iii) vanish at m = 0 and are O(1) for m != 0, l != 0 where the
     metric is not homogeneous.
     """
-    q = _as_points(q)
-    return ambrose_singer_residuals(q, params, curvature_bundle(q, params))
+    fr = frame_jet(q, params)
+    return ambrose_singer_residuals(fr, params, curvature_bundle(fr.q, params))
 
 
 def ambrose_singer_residuals(q, params: ModelParams,
                              bundle: CurvatureBundle) -> np.ndarray:
     """`ambrose_singer_check` with the curvature bundle of q given."""
-    q = _as_points(q)
+    fr = frame_jet(q, params)
     R = bundle.riemann
     nabR = bundle.nabla_riemann
-    S, nabS = _candidate_and_nabla(q, params)
+    S = candidate_structure_tensor(fr, params)
+    dS = _skew_completion(-fr.dC * _TORSION_MASK)
+    nabS = _covariant_derivative(fr.F, fr.gamma, S, dS)
 
     res_i = np.abs(S + np.einsum("...abc->...acb", S)).max(axis=(-3, -2, -1))
 
@@ -298,23 +286,16 @@ def torsion_parallelism_residual(
     connection; its residual is O(l^2) even at m = 0, so D does not
     parallelize the reduced torsion.
     """
-    q = _as_points(q)
-    T, dT = _torsion_and_derivs(q, params)
-    F = frame_matrix(q, params)
+    fr = frame_jet(q, params)
     if connection == "canonical":
-        conn = levi_civita_tensor(q, params) - candidate_structure_tensor(
-            q, params
-        )
+        conn = fr.gamma - candidate_structure_tensor(fr, params)
     elif connection == "characteristic":
-        conn = char_connection_tensor(q, params)
+        conn = char_connection_tensor(fr, params)
     else:
         raise ValueError(
             f"connection must be 'canonical' or 'characteristic', got {connection!r}"
         )
-    frame_dir = np.einsum("...me,...mabc->...eabc", F, dT)
-    corr = (
-        np.einsum("...eaf,...fbc->...eabc", conn, T)
-        + np.einsum("...ebf,...afc->...eabc", conn, T)
-        + np.einsum("...ecf,...abf->...eabc", conn, T)
-    )
-    return np.abs(frame_dir - corr).max(axis=(-4, -3, -2, -1))
+    T = -fr.C * _TORSION_MASK
+    dT = -fr.dC * _TORSION_MASK
+    nabT = _covariant_derivative(fr.F, conn, T, dT)
+    return np.abs(nabT).max(axis=(-4, -3, -2, -1))

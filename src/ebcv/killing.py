@@ -26,13 +26,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import InsufficientSamples, MalformedFieldInput
-from .frames import (
-    ModelParams,
-    _as_points,
-    frame_matrix,
-    k_factor,
-    levi_civita_tensor,
-)
+from .frames import ModelParams, _as_points, frame_jet
 
 __all__ = [
     "Poly",
@@ -308,13 +302,11 @@ def killing_residual(
     Returns the symmetric matrix A[a, b] = <nabla_{X_a} X, X_b> +
     <nabla_{X_b} X, X_a>; identically zero iff the field is Killing.
     """
-    q = _as_points(q)
-    fvals = field.coeff_values(q)
-    dvals = field.coeff_partials(q)  # (..., mu, a)
-    F = frame_matrix(q, params)
-    gfr = levi_civita_tensor(q, params)
-    directional = np.einsum("...ma,...mb->...ab", F, dvals)
-    algebraic = np.einsum("...agb,...g->...ab", gfr, fvals)
+    fr = frame_jet(q, params)
+    fvals = field.coeff_values(fr.q)
+    dvals = field.coeff_partials(fr.q)  # (..., mu, a)
+    directional = np.einsum("...ma,...mb->...ab", fr.F, dvals)
+    algebraic = np.einsum("...agb,...g->...ab", fr.gamma, fvals)
     half = directional + algebraic
     return half + np.einsum("...ab->...ba", half)
 
@@ -330,9 +322,9 @@ def pde_residuals(field: PolyVectorField, q, params: ModelParams) -> np.ndarray:
     is positive, as required by the frame expansion of X_6, by the m = 0
     specialization, and by the closed-form m = 0 solution.
     """
-    q = _as_points(q)
+    fr = frame_jet(q, params)
+    q, K = fr.q, fr.K
     m, l = params.m, params.l
-    K = k_factor(q, params)
     w, x, y, z = q[..., 3], q[..., 4], q[..., 5], q[..., 6]
     f = field.coeff_values(q)
     d = field.coeff_partials(q)  # (..., mu, a)

@@ -32,17 +32,16 @@ from .curvature import (
     scalar_from_ricci,
 )
 from .frames import (
+    FrameJet,
     ModelParams,
     bcv_classify,
     bracket_frame,
     coframe_matrix,
     frame_matrix,
-    k_factor,
     levi_civita_frame,
     levi_civita_tensor,
     metric_matrix,
     sample_domain_points,
-    structure_constant_derivs,
     structure_constants,
 )
 from .geodesics import (
@@ -193,14 +192,25 @@ class _Ctx:
         )
         self.doc = pt.load_tables()
         self._cache = {}
+        self.jet = self.frame_jet(self.pts, self.params)
+        self.jet0 = self.frame_jet(self.pts0, self.params0)
+        self.jet_kill = self.frame_jet(self.pts_kill, self.params_kill)
 
     def tol(self, base: float) -> float:
         return base * self.scale
 
-    def cached(self, key: str, fn):
+    def cached(self, key, fn):
         if key not in self._cache:
             self._cache[key] = fn()
         return self._cache[key]
+
+    def frame_jet(self, pts, params):
+        """The one frame jet of a point set; equal sets share it (at m = 0
+        the two samples, and often the Killing sample, coincide)."""
+        return self.cached(
+            ("jet", pts.shape, pts.tobytes(), params),
+            lambda: FrameJet(pts, params),
+        )
 
     def bundle(self):
         """Curvature bundle of the sample; every curvature check reads it."""
@@ -261,8 +271,8 @@ def _claim(cid, worst, witness, tol, reference, holds, info, printed, oracle):
 
 
 def _chk_frame(ctx):
-    F = frame_matrix(ctx.pts, ctx.params)
-    g = metric_matrix(ctx.pts, ctx.params)
+    F = frame_matrix(ctx.jet, ctx.params)
+    g = metric_matrix(ctx.jet, ctx.params)
     G = np.einsum("...ma,...mn,...nb->...ab", F, g, F)
     eye = np.eye(7)
     out = [
@@ -272,7 +282,7 @@ def _chk_frame(ctx):
             ctx.pts,
         )
     ]
-    om = coframe_matrix(ctx.pts, ctx.params)
+    om = coframe_matrix(ctx.jet, ctx.params)
     out.append(
         _passfail(
             "frame-coframe-inverse", np.einsum("...am,...mb->...ab", om, F) - eye,
@@ -283,7 +293,7 @@ def _chk_frame(ctx):
 
 
 def _chk_brackets(ctx):
-    C = structure_constants(ctx.pts, ctx.params)
+    C = structure_constants(ctx.jet, ctx.params)
     out = [
         _passfail(
             "bracket-antisymmetry", C + np.einsum("...abc->...bac", C),
@@ -300,8 +310,8 @@ def _chk_brackets(ctx):
             frame_matrix(ctx.pts + dq, ctx.params)
             - frame_matrix(ctx.pts - dq, ctx.params)
         ) / (2 * h)
-    F = frame_matrix(ctx.pts, ctx.params)
-    om = coframe_matrix(ctx.pts, ctx.params)
+    F = frame_matrix(ctx.jet, ctx.params)
+    om = coframe_matrix(ctx.jet, ctx.params)
     vec = np.einsum("...ma,...mnb->...nab", F, dF) - np.einsum(
         "...mb,...mna->...nab", F, dF
     )
@@ -313,8 +323,7 @@ def _chk_brackets(ctx):
             "central-difference recomputation", ctx.pts,
         )
     )
-    dC = structure_constant_derivs(ctx.pts, ctx.params)
-    T1 = np.einsum("...ma,...mbcd->...abcd", F, dC)
+    T1 = np.einsum("...ma,...mbcd->...abcd", F, ctx.jet.dC)
     T2 = np.einsum("...bce,...aed->...abcd", C, C)
     J = T1 + T2
     jac = J + np.einsum("...bcad->...abcd", J) + np.einsum("...cabd->...abcd", J)
@@ -328,8 +337,8 @@ def _chk_brackets(ctx):
 
 
 def _chk_connection(ctx):
-    lam = levi_civita_tensor(ctx.pts, ctx.params)
-    C = structure_constants(ctx.pts, ctx.params)
+    lam = levi_civita_tensor(ctx.jet, ctx.params)
+    C = structure_constants(ctx.jet, ctx.params)
     out = [
         _passfail(
             "connection-metric-compatibility",
@@ -343,7 +352,7 @@ def _chk_connection(ctx):
         ),
         _passfail(
             "connection-vs-coordinate-route",
-            lam - gamma_frame_coordinate(ctx.pts, ctx.params),
+            lam - gamma_frame_coordinate(ctx.jet, ctx.params),
             ctx.tol(TOL_EXACT),
             "Koszul frame computation matches the coordinate-Christoffel "
             "route", ctx.pts,
@@ -439,14 +448,14 @@ def _chk_bracket_tables(ctx):
     out = [
         _table_check(
             "m0-bracket-table", doc["m0_brackets"],
-            lambda a, b: bracket_frame(a, b, ctx.pts0, ctx.params0),
+            lambda a, b: bracket_frame(a, b, ctx.jet0, ctx.params0),
             ctx.pts0, ctx.params0, ctx.tol(TOL_EXACT),
             "printed bracket table at m = 0",
             details=f"evaluated at (m, l) = (0, {ctx.params.l:g})",
         ),
         _table_check(
             "general-bracket-table", doc["general_brackets"],
-            lambda a, b: bracket_frame(a, b, ctx.pts, ctx.params),
+            lambda a, b: bracket_frame(a, b, ctx.jet, ctx.params),
             ctx.pts, ctx.params, ctx.tol(TOL_TABLE),
             "printed general bracket table outside annotated components",
         ),
@@ -459,7 +468,7 @@ def _chk_bracket_tables(ctx):
         comp = int(info["component"]) - 1
         env = pt.point_env(ctx.pts, ctx.params)
         printed_vals = pt.safe_eval(info["printed"], env) * np.ones(len(ctx.pts))
-        oracle_vals = bracket_frame(a, b, ctx.pts, ctx.params)[..., comp]
+        oracle_vals = bracket_frame(a, b, ctx.jet, ctx.params)[..., comp]
         gap = np.abs(oracle_vals - printed_vals)
         worst, witness = _summary(gap, ctx.pts)
         k = int(np.argmax(gap))
@@ -482,14 +491,14 @@ def _chk_connection_tables(ctx):
     return [
         _table_check(
             "m0-connection-table", doc["m0_connection"],
-            lambda i, j: levi_civita_frame(i, j, ctx.pts0, ctx.params0),
+            lambda i, j: levi_civita_frame(i, j, ctx.jet0, ctx.params0),
             ctx.pts0, ctx.params0, ctx.tol(TOL_EXACT),
             "printed connection table at m = 0",
             details=f"evaluated at (m, l) = (0, {ctx.params.l:g})",
         ),
         _table_check(
             "general-connection-table", doc["general_connection"],
-            lambda i, j: levi_civita_frame(i, j, ctx.pts, ctx.params),
+            lambda i, j: levi_civita_frame(i, j, ctx.jet, ctx.params),
             ctx.pts, ctx.params, ctx.tol(TOL_TABLE),
             "printed general connection table",
         ),
@@ -577,14 +586,14 @@ def _chk_torsion_tables(ctx):
     out = [
         _table_check(
             "torsion-table", ctx.doc["torsion_table"],
-            lambda a, b: torsion_D(a, b, ctx.pts, ctx.params),
+            lambda a, b: torsion_D(a, b, ctx.jet, ctx.params),
             ctx.pts, ctx.params, ctx.tol(TOL_TABLE),
             "printed reduced-torsion values on horizontal pairs",
         )
     ]
     claims = ctx.doc["structure_claims"]
 
-    c12 = c12_trace(ctx.pts, ctx.params)
+    c12 = c12_trace(ctx.jet, ctx.params)
     out.append(
         _passfail(
             "torsion-c12-trace", c12, ctx.tol(TOL_EXACT),
@@ -594,7 +603,7 @@ def _chk_torsion_tables(ctx):
 
     wit = claims["class_membership"]["t2_exclusion_witness"]
     env = pt.point_env(ctx.pts, ctx.params)
-    res = cyclic_sum(1, 4, 5, ctx.pts, ctx.params) - pt.safe_eval(wit["value"], env)
+    res = cyclic_sum(1, 4, 5, ctx.jet, ctx.params) - pt.safe_eval(wit["value"], env)
     out.append(
         _passfail(
             "torsion-cyclic-witness", res, ctx.tol(TOL_TABLE),
@@ -603,8 +612,8 @@ def _chk_torsion_tables(ctx):
         )
     )
 
-    cls = classify_structure(ctx.params, ctx.pts)
-    again = classify_structure(ctx.params, ctx.pts)
+    cls = classify_structure(ctx.params, ctx.jet)
+    again = classify_structure(ctx.params, ctx.jet)
     expected = "trivial" if ctx.params.l == 0.0 else "T3"
     ok = cls.label == again.label == expected
     out.append(
@@ -618,7 +627,7 @@ def _chk_torsion_tables(ctx):
     )
 
     # reduced tensor vanishes on vertical-vertical and mixed pairs ...
-    T = torsion_D_tensor(ctx.pts, ctx.params)
+    T = torsion_D_tensor(ctx.jet, ctx.params)
     mixed = T.copy()
     mixed[..., 3:, 3:, :] = 0.0  # keep only slots involving a vertical leg
     out.append(
@@ -630,7 +639,7 @@ def _chk_torsion_tables(ctx):
     )
     # ... while the operator definition of the same torsion does not
     info = claims["mixed_torsion"]
-    faithful = faithful_torsion_tensor(ctx.pts, ctx.params)
+    faithful = faithful_torsion_tensor(ctx.jet, ctx.params)
     worst, witness = _summary(faithful - T, ctx.pts)
     out.append(
         _claim(
@@ -649,7 +658,7 @@ def _chk_structure_claims(ctx):
     out = []
 
     info = claims["as_equations"]
-    res = ambrose_singer_residuals(ctx.pts, ctx.params, ctx.bundle())
+    res = ambrose_singer_residuals(ctx.jet, ctx.params, ctx.bundle())
     worst, witness = _summary(res, ctx.pts)
     out.append(
         _claim(
@@ -663,7 +672,7 @@ def _chk_structure_claims(ctx):
     )
 
     info = claims["characteristic_parallelism"]
-    sub = ctx.pts[:12]
+    sub = ctx.frame_jet(ctx.pts[:12], ctx.params)
     resT = torsion_parallelism_residual(sub, ctx.params,
                                         connection="characteristic")
     resR = _curvature_parallelism_residual(
@@ -683,7 +692,7 @@ def _chk_structure_claims(ctx):
     )
 
     # the connection that does the job at m = 0 (internal oracle check)
-    sub0 = ctx.pts0[:12]
+    sub0 = ctx.frame_jet(ctx.pts0[:12], ctx.params0)
     lam0 = levi_civita_tensor(sub0, ctx.params0)
     S0 = candidate_structure_tensor(sub0, ctx.params0)
     resT0 = torsion_parallelism_residual(sub0, ctx.params0,
@@ -693,12 +702,12 @@ def _chk_structure_claims(ctx):
         _passfail(
             "torsion-parallelism-canonical",
             np.concatenate(
-                [np.abs(resT0).reshape(len(sub0), -1),
-                 np.abs(resR0).reshape(len(sub0), -1)], axis=1
+                [np.abs(resT0).reshape(len(sub0.q), -1),
+                 np.abs(resR0).reshape(len(sub0.q), -1)], axis=1
             ),
             ctx.tol(TOL_TABLE),
             "the canonical connection parallelizes curvature and torsion "
-            "at m = 0", sub0,
+            "at m = 0", sub0.q,
             details=f"evaluated at (m, l) = (0, {ctx.params.l:g})",
         )
     )
@@ -730,7 +739,7 @@ def _curvature_parallelism_residual(bundle, conn):
 
 def _chk_killing(ctx):
     out = []
-    params, pts = ctx.params_kill, ctx.pts_kill
+    params, pts, jet = ctx.params_kill, ctx.pts_kill, ctx.jet_kill
     note = (
         "" if ctx.params.l != 0.0
         else "the family degenerates at l = 0; evaluated at l = 1 instead"
@@ -738,7 +747,7 @@ def _chk_killing(ctx):
     basis = killing_basis_m0(params.l)
 
     res = np.stack(
-        [np.abs(killing_residual(f, pts, params)).reshape(len(pts), -1).max(axis=1)
+        [np.abs(killing_residual(f, jet, params)).reshape(len(pts), -1).max(axis=1)
          for f in basis],
         axis=-1,
     )
@@ -762,7 +771,7 @@ def _chk_killing(ctx):
 
     min_bad = np.inf
     for a in (4, 5, 6, 7):
-        r = float(np.abs(killing_residual(frame_unit_field(a), pts, params)).max())
+        r = float(np.abs(killing_residual(frame_unit_field(a), jet, params)).max())
         min_bad = min(min_bad, r)
     out.append(
         CheckResult(
@@ -778,8 +787,8 @@ def _chk_killing(ctx):
 
     agree = True
     for fld in list(basis) + [frame_unit_field(a) for a in (4, 5, 6, 7)]:
-        pde = float(np.abs(pde_residuals(fld, pts, params)).max())
-        kil = float(np.abs(killing_residual(fld, pts, params)).max())
+        pde = float(np.abs(pde_residuals(fld, jet, params)).max())
+        kil = float(np.abs(killing_residual(fld, jet, params)).max())
         # verdict-level equivalence with fixed thresholds (not tolerances)
         if (pde < TOL_EXACT) != (kil < 1e-10):
             agree = False
@@ -799,7 +808,7 @@ def _chk_killing(ctx):
         key=lambda i: float(np.abs(basis[i].coeff_partials(pts)[..., 0, 1]).max()),
     )
     d = basis[best].coeff_partials(pts)
-    eq13 = pde_residuals(basis[best], pts, params)[..., 12]
+    eq13 = pde_residuals(basis[best], jet, params)[..., 12]
     printed13 = eq13 - params.l * pts[..., 6] * d[..., 0, 1]
     worst, witness = _summary(printed13, pts)
     corrected = float(np.abs(eq13).max())
@@ -1033,7 +1042,7 @@ def _chk_classification(ctx):
 
 def _chk_sampling(ctx):
     inside = np.abs(ctx.pts).max() <= DEFAULT_BOX
-    kvals = k_factor(ctx.pts, ctx.params)
+    kvals = ctx.jet.K
     again = sample_domain_points(ctx.params, ctx.samples, seed=ctx.seed)
     deterministic = np.array_equal(again, ctx.pts)
     ok = bool(inside and kvals.min() > DEFAULT_K_MIN and deterministic)
@@ -1076,10 +1085,13 @@ def run_verify(
     """Run the whole registry and return the assembled report.
 
     Raises DomainViolation when no acceptable sample points exist for the
-    requested parameters.
+    requested parameters, and ValueError for samples < 1 or a tol_scale
+    that is not positive and finite.
     """
     if samples < 1:
         raise ValueError("need samples >= 1")
+    if not (np.isfinite(tol_scale) and tol_scale > 0.0):
+        raise ValueError(f"tol_scale must be positive and finite, got {tol_scale!r}")
     start = time.perf_counter()
     ctx = _Ctx(m, l, samples, seed, tol_scale)
     checks = []

@@ -7,12 +7,13 @@ import oracles
 from ebcv.errors import DomainViolation
 from ebcv.frames import (
     BCVClassification,
+    FrameJet,
     ModelParams,
     bcv_classify,
     bcv_frame,
     bracket_frame,
     coframe_matrix,
-    frame_derivs,
+    frame_jet,
     frame_matrix,
     k_factor,
     levi_civita_frame,
@@ -127,11 +128,25 @@ def test_orthonormality():
 def test_frame_derivs_match_fd():
     p = ModelParams(0.8, -1.1)
     pts = sample_domain_points(p, 5, seed=9)
-    dF = frame_derivs(pts, p)
+    jet = FrameJet(pts, p)
+    dF, dC = jet.dF, jet.dC
     for k in range(pts.shape[0]):
         fd = oracles.fd_gradient(lambda qq: oracles.frame_oracle(qq, p.m, p.l),
                                  pts[k])
         np.testing.assert_allclose(dF[k], fd, atol=1e-9)
+        fd = oracles.fd_gradient(lambda qq: structure_constants(qq, p), pts[k])
+        np.testing.assert_allclose(dC[k], fd, atol=1e-9)
+
+
+def test_frame_jet_is_shared_only_for_its_own_params():
+    p = ModelParams(0.8, -1.1)
+    jet = frame_jet(sample_domain_points(p, 3, seed=2), p)
+    assert frame_jet(jet, ModelParams(0.8, -1.1)) is jet
+    assert structure_constants(jet, p) is jet.C
+    with pytest.raises(ValueError):
+        frame_jet(jet, ModelParams(0.8, 1.1))
+    with pytest.raises(ValueError):
+        levi_civita_tensor(jet, ModelParams(0.0, -1.1))
 
 
 # --- brackets ----------------------------------------------------------------

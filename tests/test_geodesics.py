@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ebcv.errors import DomainViolation, ModeMismatch, TooFewSamples
-from ebcv.frames import ModelParams, coframe_matrix, frame_derivs, frame_matrix
+from ebcv.frames import FrameJet, ModelParams, coframe_matrix, frame_matrix
 from ebcv.geodesics import (
     POISSON_PAIRS,
     CircleVerdict,
@@ -193,7 +193,7 @@ def test_hamilton_rhs_matches_frame_matrix_assembly():
         for _ in range(5):
             s = _random_state(rng)
             F = frame_matrix(s.q, params)
-            dF = frame_derivs(s.q, params)
+            dF = FrameJet(s.q, params).dF
             P = F.T @ s.p
             qdot_ref = F[:, active] @ P[active]
             pdot_ref = -np.einsum(

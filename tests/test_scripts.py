@@ -3,6 +3,8 @@
 import importlib.util
 import pathlib
 
+import pytest
+
 from ebcv.cli import main as ebcv_main
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
@@ -39,3 +41,21 @@ def test_convergence_study_reports_the_ratio_range(capsys):
     code = study.main(["--states", "2", "--levels", "2", "--span", "0.5"])
     assert code == 0
     assert "observed ratio range" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("script, argv", [
+    ("geodesic_gallery", ["--n", "0"]),
+    ("geodesic_gallery", ["--h", "0"]),
+    ("geodesic_gallery", ["--h", "nan"]),
+    ("convergence_study", ["--span", "0"]),
+    ("convergence_study", ["--h0", "-1"]),
+    ("convergence_study", ["--states", "0"]),
+    ("convergence_study", ["--span", "0.001"]),
+])
+def test_invalid_arguments_exit_2(script, argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the gallery writes to ./gallery by default
+    module = _load_script(script)
+    with pytest.raises(SystemExit) as exc:
+        module.main(argv)
+    assert exc.value.code == 2
+    assert argv[0] in capsys.readouterr().err

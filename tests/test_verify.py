@@ -1,11 +1,13 @@
 """The verification registry: statuses, pinned records, and determinism."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import ebcv.curvature
+import ebcv.frames
 import ebcv.homogeneous
 import ebcv.verify
 from ebcv.errors import DomainViolation
@@ -131,6 +133,36 @@ def test_m0_run_builds_curvature_once(monkeypatch):
     assert _count_bundle_builds(monkeypatch, 0.0, 1.0) == [20]
 
 
+def test_each_point_set_gets_one_frame_jet(monkeypatch):
+    # a curvature bundle takes points and builds its own jet, so a set may
+    # have one jet more than the bundles built on it, and no more
+    jets, bundles = Counter(), Counter()
+    init = ebcv.frames.FrameJet.__init__
+    bundle = ebcv.curvature.curvature_bundle
+
+    def key(q, params):
+        q = np.asarray(q, dtype=float)
+        return q.shape, q.tobytes(), params
+
+    def counting_init(self, q, params):
+        if np.ndim(q) > 1:
+            jets[key(q, params)] += 1
+        init(self, q, params)
+
+    def counting_bundle(q, params):
+        bundles[key(q, params)] += 1
+        return bundle(q, params)
+
+    monkeypatch.setattr(ebcv.frames.FrameJet, "__init__", counting_init)
+    for mod in (ebcv.curvature, ebcv.homogeneous, ebcv.verify):
+        monkeypatch.setattr(mod, "curvature_bundle", counting_bundle)
+    rep = run_verify(1.0, 1.0, samples=20, seed=0)
+    assert rep.counts["fail"] == 0
+    assert sum(bundles.values()) == 2
+    extra = {k[:1] + k[2:]: n for k, n in jets.items() if n > 1 + bundles[k]}
+    assert not extra
+
+
 def test_seed_changes_the_witnesses():
     a = run_verify(1.0, 1.0, samples=20, seed=1)
     b = run_verify(1.0, 1.0, samples=20, seed=2)
@@ -147,6 +179,13 @@ def test_pathological_parameters_raise():
 def test_samples_validation():
     with pytest.raises(ValueError):
         run_verify(0.0, 1.0, samples=0, seed=0)
+
+
+@pytest.mark.parametrize("tol_scale", [float("nan"), -1.0, 0.0, float("inf")])
+def test_tol_scale_validation(tol_scale):
+    # nan, -1 and 0 would fail correct checks; inf would hide every erratum
+    with pytest.raises(ValueError):
+        run_verify(0.0, 1.0, samples=3, seed=0, tol_scale=tol_scale)
 
 
 def test_tiny_sample_counts_still_run_clean():
