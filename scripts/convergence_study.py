@@ -14,12 +14,7 @@ import sys
 import numpy as np
 
 from ebcv.frames import ModelParams
-from ebcv.geodesics import (
-    CotangentState,
-    closed_form_geodesic,
-    heisenberg_closed_form_inputs,
-    integrate,
-)
+from ebcv.geodesics import CotangentState, closed_form_trajectory, integrate
 
 HEISENBERG = ModelParams(0.0, 1.0)
 
@@ -66,8 +61,7 @@ def main(argv=None) -> int:
 
     worst = (np.inf, -np.inf)
     for idx, state in enumerate(seeded_states(args.seed, args.states)):
-        inputs = heisenberg_closed_form_inputs(state)
-        reference = closed_form_geodesic(*inputs, u=args.span, panels=4096)
+        reference = closed_form_trajectory(state, h=args.span, n=1).q[-1]
         errs = []
         for h in hs:
             n = int(round(args.span / h))

@@ -16,6 +16,7 @@ import numpy as np
 from ebcv.cli import trajectory_csv
 from ebcv.frames import ModelParams
 from ebcv.geodesics import (
+    MAX_STEPS,
     CotangentState,
     circle_check,
     frame_momenta,
@@ -46,8 +47,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not (math.isfinite(args.h) and args.h > 0.0):
         parser.error("--h must be positive and finite")
-    if args.n < 1:
-        parser.error("--n must be at least 1")
+    if not 1 <= args.n <= MAX_STEPS:
+        parser.error(f"--n must be between 1 and {MAX_STEPS}")
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import DomainViolation, MalformedFieldInput, ModeMismatch
 from .frames import ModelParams, bcv_classify, k_factor, sample_domain_points
 from .geodesics import (
+    MAX_STEPS,
     CotangentState,
     circle_check,
     closed_form_trajectory,
@@ -281,6 +282,9 @@ def _checked(convert, ok, requirement):
 
 _positive_int = _checked(int, lambda v: v >= 1, "must be at least 1")
 _nonnegative_int = _checked(int, lambda v: v >= 0, "must be at least 0")
+_step_count = _checked(
+    int, lambda v: 1 <= v <= MAX_STEPS, f"must be between 1 and {MAX_STEPS}"
+)
 _positive_float = _checked(
     float, lambda v: np.isfinite(v) and v > 0.0, "must be positive and finite"
 )
@@ -319,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="initial point and momentum (14 reals)",
     )
     g.add_argument("--h", type=_positive_float, default=1e-3)
-    g.add_argument("--n", type=_positive_int, default=1000)
+    g.add_argument("--n", type=_step_count, default=1000)
     g.add_argument("--format", choices=("csv", "json"), default="csv")
     g.add_argument("--out", default=None)
     g.set_defaults(func=cmd_geodesic)

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DomainViolation, ModeMismatch, TooFewSamples
 from .frames import J_TWIST, ModelParams, frame_jet, frame_matrix
-from .quaternions import as_quaternion_array, exp_imaginary, qconj, qmul
+from .quaternions import exp_imaginary, qconj, qmul
 
 __all__ = [
     "GeodesicMode",
@@ -54,7 +54,6 @@ __all__ = [
     "generic_rhs_momentum_chart",
     "sdot_mismatch",
     "integrate",
-    "closed_form_geodesic",
     "closed_form_trajectory",
     "POISSON_PAIRS",
     "poisson_bracket_values",
@@ -70,6 +69,12 @@ MIN_SIMPSON_PANELS = 10_000
 
 #: relative residual threshold for the circle / line verdicts
 CIRCLE_RESIDUAL_TOL = 1e-4
+
+#: the most steps `integrate` and `closed_form_trajectory` accept; both
+#: allocate their samples up front (the closed form ~0.5 GB at this count)
+MAX_STEPS = 1_000_000
+
+_HEIS = ModelParams(0.0, 1.0)
 
 #: the six horizontal frame pairs, 1-based (X_4..X_7)
 POISSON_PAIRS: Tuple[Tuple[int, int], ...] = (
@@ -138,20 +143,6 @@ class CotangentState:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
 
-    @classmethod
-    def from_components(cls, *values) -> "CotangentState":
-        """Build from 14 reals ordered r,s,t,w,x,y,z,pr,ps,pt,pw,px,py,pz."""
-        if len(values) == 1:
-            values = tuple(values[0])
-        flat = np.asarray(values, dtype=float)
-        if flat.shape != (14,):
-            raise ValueError("expected 14 reals (7 coordinates + 7 momenta)")
-        return cls(flat[:7], flat[7:])
-
-    def as_vector(self) -> np.ndarray:
-        """The flat 14-vector (q, p)."""
-        return np.concatenate([self.q, self.p])
-
 
 def frame_momenta(q, p, params: ModelParams) -> np.ndarray:
     """Frame momentum functions P_a = p(X_a), i.e. (F^T p)_a, a = 1..7."""
@@ -163,12 +154,13 @@ def frame_momenta(q, p, params: ModelParams) -> np.ndarray:
 # --- generic Hamiltonian right-hand side -----------------------------------
 
 
-def _rhs_arrays(
+def _flow(
     q: np.ndarray, p: np.ndarray, params: ModelParams, riemannian: bool
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact (q-dot, p-dot) of the kinetic Hamiltonian, no domain checks.
+) -> Tuple[float, float, np.ndarray, np.ndarray]:
+    """K, the energy H and the exact (q-dot, p-dot) at (q, p), no domain checks.
 
-    Uses the block structure of the frame: columns 4..7 have vertical part
+    K and the horizontal momenta are computed once and serve all four.  Uses
+    the block structure of the frame: columns 4..7 have vertical part
     B[i, b] = (l/2) (J_i u)_b and horizontal part K*I; only the u-derivatives
     of F are nonzero, so p_r, p_s, p_t are conserved identically.
     """
@@ -176,6 +168,7 @@ def _rhs_arrays(
     K = 1.0 + params.m * float(u @ u)
     B = 0.5 * params.l * (J_TWIST @ u)  # (3, 4): rows i, columns b
     Ph = B.T @ p[:3] + K * p[3:]  # horizontal frame momenta P_{4..7}
+    H = 0.5 * float(Ph @ Ph)
     qdot = np.empty(7)
     qdot[:3] = B @ Ph
     qdot[3:] = K * Ph
@@ -186,13 +179,9 @@ def _rhs_arrays(
     pdot = np.zeros(7)
     pdot[3:] = -(Ph @ M)
     if riemannian:
+        H += 0.5 * float(p[:3] @ p[:3])
         qdot[:3] += p[:3]  # vertical frame fields are the coordinate fields
-    return qdot, pdot
-
-
-def _k_of(q: np.ndarray, params: ModelParams) -> float:
-    u = q[3:]
-    return 1.0 + params.m * float(u @ u)
+    return K, H, qdot, pdot
 
 
 def hamiltonian(state: CotangentState, params: ModelParams, mode) -> float:
@@ -217,12 +206,12 @@ def hamilton_rhs(
     """
     mode = _coerce_mode(mode)
     _check_mode_params(mode, params)
-    K = _k_of(state.q, params)
-    if not np.isfinite(K) or K <= 0.0:
-        raise DomainViolation("conformal factor K <= 0: point outside the chart")
-    return _rhs_arrays(
+    K, _, qdot, pdot = _flow(
         state.q, state.p, params, riemannian=(mode is GeodesicMode.RIEMANNIAN)
     )
+    if not np.isfinite(K) or K <= 0.0:
+        raise DomainViolation("conformal factor K <= 0: point outside the chart")
+    return qdot, pdot
 
 
 # --- the published first-order system (fixture) ----------------------------
@@ -271,9 +260,8 @@ def generic_rhs_momentum_chart(state: CotangentState) -> np.ndarray:
     (r, s, t, w, x, y, z, p_r, p_s, p_t, P_W, P_X, P_Y, P_Z) by the chain
     rule, for line-by-line comparison with `printed_heisenberg_rhs`.
     """
-    hp = ModelParams(0.0, 1.0)
-    qdot, pdot = hamilton_rhs(state, hp, GeodesicMode.HEISENBERG)
-    fr = frame_jet(state.q, hp)
+    qdot, pdot = hamilton_rhs(state, _HEIS, GeodesicMode.HEISENBERG)
+    fr = frame_jet(state.q, _HEIS)
     # d/du of P_a = F[mu, a] p_mu along the flow
     Pdot = np.einsum("emn,e,m->n", fr.dF, qdot, state.p) + np.einsum(
         "mn,m->n", fr.F, pdot
@@ -331,15 +319,13 @@ class Trajectory:
         return np.column_stack([self.u, self.q, self.p, self.H])
 
 
-def _energy(q: np.ndarray, p: np.ndarray, params: ModelParams, riem: bool) -> float:
-    u = q[3:]
-    K = 1.0 + params.m * float(u @ u)
-    B = 0.5 * params.l * (J_TWIST @ u)
-    Ph = B.T @ p[:3] + K * p[3:]
-    H = 0.5 * float(Ph @ Ph)
-    if riem:
-        H += 0.5 * float(p[:3] @ p[:3])
-    return H
+def _check_grid(h: float, n: int) -> None:
+    if not (h > 0.0) or not math.isfinite(h):
+        raise ValueError("step size h must be positive and finite")
+    if n < 1:
+        raise ValueError("need at least one step")
+    if n > MAX_STEPS:
+        raise ValueError(f"{n} steps exceed MAX_STEPS = {MAX_STEPS}")
 
 
 def integrate(s0: CotangentState, params: ModelParams, mode, h: float, n: int) -> Trajectory:
@@ -348,74 +334,64 @@ def integrate(s0: CotangentState, params: ModelParams, mode, h: float, n: int) -
     The chart condition K > 0 is checked at every stage point; if it fails
     the partial trajectory is returned with status ``domain-exit``.  If a
     step produces non-finite values the status is ``step-rejected``.  The
-    energy H is recorded at every retained sample.
+    energy H is recorded at every retained sample.  The samples are
+    allocated up front, so n may not exceed MAX_STEPS.
     """
     mode = _coerce_mode(mode)
     _check_mode_params(mode, params)
-    if not (h > 0.0) or not math.isfinite(h):
-        raise ValueError("step size h must be positive and finite")
-    if n < 1:
-        raise ValueError("need at least one step")
+    _check_grid(h, n)
     riem = mode is GeodesicMode.RIEMANNIAN
-    K0 = _k_of(s0.q, params)
-    if not np.isfinite(K0) or K0 <= 0.0:
-        raise DomainViolation("initial point outside the chart (K <= 0)")
-
-    qs = [s0.q.copy()]
-    ps = [s0.p.copy()]
-    Hs = [_energy(s0.q, s0.p, params, riem)]
+    qs = np.empty((n + 1, 7))
+    ps = np.empty((n + 1, 7))
+    Hs = np.empty(n + 1)
     status = "complete"
     exit_step: Optional[int] = None
+    kept = n + 1
 
-    q = s0.q.copy()
-    p = s0.p.copy()
+    q, p = s0.q, s0.p
     with np.errstate(over="ignore", invalid="ignore"):
+        # the flow at each accepted sample gives its energy, its chart check
+        # and stage 1 of the next step
+        K, H, dq, dp = _flow(q, p, params, riem)
+        if not math.isfinite(K) or K <= 0.0:
+            raise DomainViolation("initial point outside the chart (K <= 0)")
+        qs[0], ps[0], Hs[0] = q, p, H
         for k in range(1, n + 1):
-            failed = None
-            stages_q = []
-            stages_p = []
-            qa, pa = q, p
-            for coeff in (0.5, 0.5, 1.0, None):
-                Kst = _k_of(qa, params)
-                if not np.isfinite(Kst) or not (
-                    np.all(np.isfinite(qa)) and np.all(np.isfinite(pa))
-                ):
-                    failed = "step-rejected"
+            # an accepted sample has finite q, p and K > 0 unless K overflowed
+            fault = None if math.isfinite(K) else "step-rejected"
+            dqs, dps = [dq], [dp]
+            for coeff in (0.5, 0.5, 1.0):
+                if fault:
                     break
-                if Kst <= 0.0:
-                    failed = "domain-exit"
-                    break
-                dq, dp = _rhs_arrays(qa, pa, params, riem)
-                stages_q.append(dq)
-                stages_p.append(dp)
-                if coeff is not None:
-                    qa = q + coeff * h * dq
-                    pa = p + coeff * h * dp
-            if failed is None:
-                q = q + (h / 6.0) * (
-                    stages_q[0] + 2.0 * stages_q[1] + 2.0 * stages_q[2] + stages_q[3]
-                )
-                p = p + (h / 6.0) * (
-                    stages_p[0] + 2.0 * stages_p[1] + 2.0 * stages_p[2] + stages_p[3]
-                )
-                if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-                    failed = "step-rejected"
-                elif _k_of(q, params) <= 0.0:
-                    failed = "domain-exit"
-            if failed is not None:
-                status = failed
-                exit_step = k
+                qa = q + coeff * h * dqs[-1]
+                pa = p + coeff * h * dps[-1]
+                Ka, _, dqa, dpa = _flow(qa, pa, params, riem)
+                finite = np.isfinite(qa).all() and np.isfinite(pa).all()
+                if not (finite and math.isfinite(Ka)):
+                    fault = "step-rejected"
+                elif Ka <= 0.0:
+                    fault = "domain-exit"
+                dqs.append(dqa)
+                dps.append(dpa)
+            if not fault:
+                q = q + (h / 6.0) * (dqs[0] + 2.0 * dqs[1] + 2.0 * dqs[2] + dqs[3])
+                p = p + (h / 6.0) * (dps[0] + 2.0 * dps[1] + 2.0 * dps[2] + dps[3])
+                if not (np.isfinite(q).all() and np.isfinite(p).all()):
+                    fault = "step-rejected"
+                else:
+                    K, H, dq, dp = _flow(q, p, params, riem)
+                    if K <= 0.0:
+                        fault = "domain-exit"
+            if fault:
+                status, exit_step, kept = fault, k, k
                 break
-            qs.append(q.copy())
-            ps.append(p.copy())
-            Hs.append(_energy(q, p, params, riem))
+            qs[k], ps[k], Hs[k] = q, p, H
 
-    m_kept = len(qs)
     return Trajectory(
-        u=np.arange(m_kept) * h,
-        q=np.array(qs),
-        p=np.array(ps),
-        H=np.array(Hs),
+        u=np.arange(kept) * h,
+        q=qs[:kept],
+        p=ps[:kept],
+        H=Hs[:kept],
         mode=mode,
         params=params,
         h=h,
@@ -445,103 +421,35 @@ def _closed_form_eval(
     return omega_vals, P_vals
 
 
-def _vertical_integrand(omega_vals: np.ndarray, P_vals: np.ndarray) -> np.ndarray:
-    """(1/2) Im(omega * conj(omega')) as a (..., 3) array; omega' = P."""
-    return 0.5 * qmul(omega_vals, qconj(P_vals))[..., 1:]
-
-
-def _simpson_weights(panels: int) -> np.ndarray:
-    w = np.ones(panels + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w
-
-
-def closed_form_geodesic(
-    omega0,
-    P0,
-    pr: float,
-    ps: float,
-    pt: float,
-    r0: float,
-    s0: float,
-    t0: float,
-    u: float,
-    panels: int = MIN_SIMPSON_PANELS,
-) -> np.ndarray:
-    """Evaluate the closed-form Heisenberg geodesic at parameter u.
-
-    ``omega0`` and ``P0`` are the initial horizontal position and momentum
-    packed as quaternions (w, x, y, z components); pr, ps, pt are the
-    conserved vertical momenta and (r0, s0, t0) the initial vertical
-    coordinates.  Returns the point (r, s, t, w, x, y, z).
-
-    The horizontal part is omega(u) = omega0 + Lambda^{-1}(1 - exp(-Lambda u)) P0
-    with Lambda = i pr + j ps + k pt (a straight line omega0 + P0 u when
-    |Lambda| < 1e-12); the vertical part integrates
-    (1/2) Im(omega conj(omega')) by composite Simpson quadrature.
-    """
-    omega0 = as_quaternion_array(omega0)
-    P0 = as_quaternion_array(P0)
-    lam_vec = np.array([pr, ps, pt], dtype=float)
-    panels = max(2, int(panels))
-    if panels % 2:
-        panels += 1
-    vs = np.linspace(0.0, float(u), panels + 1)
-    omega_vals, P_vals = _closed_form_eval(omega0, P0, lam_vec, vs)
-    g = _vertical_integrand(omega_vals, P_vals)
-    step = float(u) / panels
-    integral = (step / 3.0) * np.einsum("j,jd->d", _simpson_weights(panels), g)
-    vertical = np.array([r0, s0, t0]) + integral
-    return np.concatenate([vertical, omega_vals[-1]])
-
-
-def heisenberg_closed_form_inputs(s0: CotangentState):
-    """Split a cotangent state into closed-form inputs (at (m, l) = (0, 1)).
-
-    Returns (omega0, P0, pr, ps, pt, r0, s0, t0) with omega0 and P0 as
-    (4,) arrays.
-    """
-    hp = ModelParams(0.0, 1.0)
-    P = frame_momenta(s0.q, s0.p, hp)
-    return (
-        s0.q[3:].copy(),
-        P[3:].copy(),
-        float(s0.p[0]),
-        float(s0.p[1]),
-        float(s0.p[2]),
-        float(s0.q[0]),
-        float(s0.q[1]),
-        float(s0.q[2]),
-    )
-
-
 def closed_form_trajectory(s0: CotangentState, h: float, n: int) -> Trajectory:
     """Sample the closed-form Heisenberg geodesic on the grid u_k = k h.
 
     Produces a Trajectory directly comparable with `integrate` in heisenberg
     mode: same chart, same sample spacing, full momentum components
-    recovered from P(u) through the coframe.  The vertical quadrature uses
-    at least MIN_SIMPSON_PANELS Simpson panels over the whole span.
+    recovered from P(u) through the coframe.  P(0) is the horizontal part of
+    `frame_momenta` and Lambda = i p_r + j p_s + k p_t.  The vertical
+    quadrature uses at least MIN_SIMPSON_PANELS Simpson panels over the whole
+    span, so ``closed_form_trajectory(s0, u, 1).q[-1]`` is the point at
+    parameter u.  n may not exceed MAX_STEPS.
     """
-    if not (h > 0.0) or not math.isfinite(h):
-        raise ValueError("step size h must be positive and finite")
-    if n < 1:
-        raise ValueError("need at least one step")
-    omega0, P0, pr, ps, pt, r0, s0v, t0 = heisenberg_closed_form_inputs(s0)
-    lam_vec = np.array([pr, ps, pt])
+    _check_grid(h, n)
+    P0 = frame_momenta(s0.q, s0.p, _HEIS)[3:]
+    lam_vec = s0.p[:3]
     pps = max(2, 2 * math.ceil(0.5 * MIN_SIMPSON_PANELS / n))
     total = n * pps
     vs = np.linspace(0.0, n * h, total + 1)
-    omega_vals, P_vals = _closed_form_eval(omega0, P0, lam_vec, vs)
-    g = _vertical_integrand(omega_vals, P_vals)
+    omega_vals, P_vals = _closed_form_eval(s0.q[3:], P0, lam_vec, vs)
+    # (1/2) Im(omega * conj(omega')) with omega' = P
+    g = 0.5 * qmul(omega_vals, qconj(P_vals))[..., 1:]
     delta = h / pps
     # composite Simpson on each step's pps panels, then cumulative sums
-    w_inner = _simpson_weights(pps)[:-1]
+    w_inner = np.ones(pps)
+    w_inner[1::2] = 4.0
+    w_inner[2::2] = 2.0
     blocks = g[:total].reshape(n, pps, 3)
     ends = g[pps::pps]
     per_step = (delta / 3.0) * (np.einsum("j,kjd->kd", w_inner, blocks) + ends)
-    vertical = np.vstack([[r0, s0v, t0], np.array([r0, s0v, t0]) + np.cumsum(per_step, axis=0)])
+    vertical = np.vstack([s0.q[:3], s0.q[:3] + np.cumsum(per_step, axis=0)])
 
     omega_s = omega_vals[::pps]
     P_s = P_vals[::pps]
@@ -557,7 +465,7 @@ def closed_form_trajectory(s0: CotangentState, h: float, n: int) -> Trajectory:
         p=parr,
         H=H_s,
         mode=GeodesicMode.HEISENBERG,
-        params=ModelParams(0.0, 1.0),
+        params=_HEIS,
         h=h,
         status="complete",
     )
@@ -566,20 +474,24 @@ def closed_form_trajectory(s0: CotangentState, h: float, n: int) -> Trajectory:
 # --- Poisson brackets of the momentum functions ------------------------------
 
 
+def _bracket_values(fr, p: np.ndarray) -> np.ndarray:
+    """{P_A, P_B} for the six horizontal pairs from the frame jet fr."""
+    F = fr.F
+    dP = np.einsum("ima,m->ia", fr.dF, p)  # d P_a / d x^i
+    vals = np.empty(len(POISSON_PAIRS))
+    for k, (a1, b1) in enumerate(POISSON_PAIRS):
+        a, b = a1 - 1, b1 - 1
+        vals[k] = float(dP[:, a] @ F[:, b] - dP[:, b] @ F[:, a])
+    return vals
+
+
 def poisson_bracket_values(state: CotangentState) -> np.ndarray:
     """{P_A, P_B} for the six horizontal pairs at (m, l) = (0, 1).
 
     Exact differentiation of the momentum functions: with P_A = F[mu,A] p_mu,
     {P_A, P_B} = sum_i (d_i P_A F[i,B] - d_i P_B F[i,A]).
     """
-    fr = frame_jet(state.q, ModelParams(0.0, 1.0))
-    F = fr.F
-    dP = np.einsum("ima,m->ia", fr.dF, state.p)  # d P_a / d x^i
-    vals = np.empty(len(POISSON_PAIRS))
-    for k, (a1, b1) in enumerate(POISSON_PAIRS):
-        a, b = a1 - 1, b1 - 1
-        vals[k] = float(dP[:, a] @ F[:, b] - dP[:, b] @ F[:, a])
-    return vals
+    return _bracket_values(frame_jet(state.q, _HEIS), state.p)
 
 
 def poisson_check(state: CotangentState) -> np.ndarray:
@@ -589,11 +501,10 @@ def poisson_check(state: CotangentState) -> np.ndarray:
     exact structure constants at (m, l) = (0, 1); the momentum map is a Lie
     algebra anti-homomorphism, so every residual should vanish.
     """
-    hp = ModelParams(0.0, 1.0)
-    vals = poisson_bracket_values(state)
-    fr = frame_jet(state.q, hp)
+    fr = frame_jet(state.q, _HEIS)
+    vals = _bracket_values(fr, state.p)
     c = fr.C
-    P = frame_momenta(fr, state.p, hp)
+    P = frame_momenta(fr, state.p, _HEIS)
     res = np.empty(len(POISSON_PAIRS))
     for k, (a1, b1) in enumerate(POISSON_PAIRS):
         expected = -float(c[a1 - 1, b1 - 1, :] @ P)

@@ -52,11 +52,13 @@ _ZERO_EXPO = (0,) * 7
 
 
 class Poly:
-    """Sparse polynomial in the seven coordinates with exact arithmetic.
+    """Sparse polynomial in the seven coordinates.
 
     Stored as a mapping from exponent tuples (e_r, e_s, e_t, e_w, e_x,
     e_y, e_z) to real coefficients.  Supports +, -, *, scalar mixing,
-    exact partial derivatives, and vectorized evaluation on point arrays.
+    partial derivatives, and vectorized evaluation on point arrays.  The
+    partials are exact (exponents are integers); the coefficient arithmetic
+    is IEEE double.
     """
 
     __slots__ = ("terms",)

@@ -50,7 +50,6 @@ from .geodesics import (
     closed_form_trajectory,
     frame_momenta,
     generic_rhs_momentum_chart,
-    heisenberg_closed_form_inputs,
     integrate,
     poisson_check,
     printed_heisenberg_rhs,
@@ -976,9 +975,8 @@ def _chk_geodesic_flow(ctx):
         )
     )
 
-    omega0, P0, pr, ps_, pt_, *_ = heisenberg_closed_form_inputs(s2)
-    lam = np.array([pr, ps_, pt_])
-    radius_pred = float(np.linalg.norm(P0) / np.linalg.norm(lam))
+    P0 = frame_momenta(q0, p2, HEIS)[3:]
+    radius_pred = float(np.linalg.norm(P0) / np.linalg.norm(p2[:3]))
     circ = closed_form_trajectory(s2, h=5e-3, n=400)
     verdict = circle_check(circ)
     ok = (

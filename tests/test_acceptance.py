@@ -34,10 +34,8 @@ from ebcv.curvature import ricci_frame, riemann_frame, scalar_curvature
 from ebcv.geodesics import (
     CotangentState,
     circle_check,
-    closed_form_geodesic,
     closed_form_trajectory,
     frame_momenta,
-    heisenberg_closed_form_inputs,
     integrate,
     poisson_check,
 )
@@ -370,8 +368,7 @@ def test_acceptance_08_rk4_convergence():
     rng = np.random.default_rng(2026)
     T = 2.0
     for state in _seeded_heisenberg_states(rng, 10):
-        inputs = heisenberg_closed_form_inputs(state)
-        reference = closed_form_geodesic(*inputs, u=T, panels=4096)
+        reference = closed_form_trajectory(state, h=T, n=1).q[-1]
         errs = []
         for h in (1e-2, 5e-3, 2.5e-3):
             traj = integrate(state, HEISENBERG, mode="heisenberg",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ebcv.cli import CSV_HEADER, main
+from ebcv.geodesics import MAX_STEPS
 
 ORIGIN14 = ["0"] * 14
 
@@ -84,6 +85,7 @@ BASE_ARGV = {
         ("geodesic", "--h=-1e-3"),
         ("geodesic", "--h=nan"),
         ("geodesic", "--n=0"),
+        ("geodesic", f"--n={MAX_STEPS + 1}"),
     ],
 )
 def test_invalid_usage_exits_2_naming_the_flag(command, bad, capsys):

@@ -131,7 +131,7 @@ def test_riemann_matches_fd_oracle():
         np.testing.assert_allclose(R[k], want, atol=2e-4)
 
 
-def _k_of(q, m):
+def _conformal_k(q, m):
     return 1.0 + m * np.sum(q[3:] ** 2)
 
 
@@ -143,7 +143,7 @@ def test_published_sectional_table():
         m, l = p.m, p.l
         for k in range(pts.shape[0]):
             r_, s_, t_, w, x, y, z = pts[k]
-            K = _k_of(pts[k], m)
+            K = _conformal_k(pts[k], m)
             quarter = l * l / 4.0
             vals = {
                 (1, 4): quarter * (1 + m * (K + 1) * (y * y + z * z)),
@@ -197,7 +197,7 @@ def test_ricci_examples():
 def _ricci_published(q, m, l):
     """The displayed 7x7 Ricci matrix, typed entry by entry."""
     r_, s_, t_, w, x, y, z = q
-    K = _k_of(q, m)
+    K = _conformal_k(q, m)
     A = -l * l * (K + 1)
     B = 12 * m - 1.5 * l * l
     vert = 0.5 * l * l * (K * K + 1)

@@ -1,5 +1,7 @@
 """Tests for the geodesic Hamiltonian flow, RK4, closed form, and arc test."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,14 +14,13 @@ from ebcv.geodesics import (
     CotangentState,
     GeodesicMode,
     Trajectory,
+    MAX_STEPS,
     circle_check,
-    closed_form_geodesic,
     closed_form_trajectory,
     frame_momenta,
     generic_rhs_momentum_chart,
     hamilton_rhs,
     hamiltonian,
-    heisenberg_closed_form_inputs,
     integrate,
     poisson_bracket_values,
     poisson_check,
@@ -105,10 +106,6 @@ def test_cotangent_state_validation():
         CotangentState(np.zeros(6), np.zeros(7))
     with pytest.raises(ValueError):
         CotangentState(np.zeros(7), [0, 0, 0, np.inf, 0, 0, 0])
-    s = CotangentState.from_components(*range(14))
-    assert_allclose(s.as_vector(), np.arange(14.0), atol=0)
-    with pytest.raises(ValueError):
-        CotangentState.from_components(1.0, 2.0)
 
 
 def test_hamiltonian_examples():
@@ -298,6 +295,21 @@ def test_integrate_validates_inputs():
         integrate(CotangentState(q_bad, np.zeros(7)), ModelParams(-1.0, 1.0), "subriemannian", 0.1, 1)
 
 
+def test_step_count_above_the_cap_is_refused_before_allocating():
+    s0 = CotangentState(np.zeros(7), [1, 0, 0, 1, 0, 0, 0])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            integrate(s0, HEIS, "heisenberg", 1e-3, MAX_STEPS + 1)
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            closed_form_trajectory(s0, 1e-3, MAX_STEPS + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one (MAX_STEPS + 1, 7) float array alone is 56 MB
+    assert peak < 1_000_000
+
+
 def test_energy_and_vertical_momentum_conservation_long_run():
     rng = np.random.default_rng(10)
     s0 = _random_state(rng)
@@ -373,14 +385,20 @@ def test_integrate_step_rejected_on_blowup():
 # --- closed form ---------------------------------------------------------------
 
 
+def _closed_form_point(s0, u):
+    return closed_form_trajectory(s0, h=u, n=1).q[-1]
+
+
 def test_closed_form_degenerate_line():
-    point = closed_form_geodesic([0, 0, 0, 0], [1, 0, 0, 0], 0, 0, 0, 0.3, 0.4, 0.5, 2.0)
+    s0 = CotangentState([0.3, 0.4, 0.5, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0])
+    point = _closed_form_point(s0, 2.0)
     assert_allclose(point, [0.3, 0.4, 0.5, 2.0, 0, 0, 0], atol=1e-15)
 
 
 def test_closed_form_unit_circle():
+    s0 = CotangentState(np.zeros(7), [1, 0, 0, 1, 0, 0, 0])
     for u in (0.3, 1.0, 2.0, 5.5):
-        point = closed_form_geodesic([0, 0, 0, 0], [1, 0, 0, 0], 1.0, 0, 0, 0, 0, 0, u)
+        point = _closed_form_point(s0, u)
         assert point[3] == pytest.approx(np.sin(u), abs=1e-12)
         assert point[4] == pytest.approx(np.cos(u) - 1.0, abs=1e-12)
         assert np.max(np.abs(point[5:])) < 1e-15
@@ -401,10 +419,9 @@ def test_closed_form_speed_is_constant():
 def test_closed_form_trajectory_matches_pointwise_evaluation():
     rng = np.random.default_rng(14)
     s0 = _random_state(rng)
-    inputs = heisenberg_closed_form_inputs(s0)
     tr = closed_form_trajectory(s0, 0.05, 40)
     for k in (1, 7, 19, 40):
-        ref = closed_form_geodesic(*inputs, u=float(tr.u[k]))
+        ref = _closed_form_point(s0, float(tr.u[k]))
         assert_allclose(tr.q[k], ref, atol=1e-12)
     assert_allclose(tr.q[0], s0.q, atol=0)
     assert_allclose(tr.p[0], s0.p, atol=1e-15)
@@ -425,11 +442,10 @@ def test_rk4_fourth_order_convergence():
     rng = np.random.default_rng(16)
     for _ in range(2):
         s0 = _random_state(rng)
-        inputs = heisenberg_closed_form_inputs(s0)
         errs = []
         for h, n in ((1e-2, 100), (5e-3, 200), (2.5e-3, 400)):
             tr = integrate(s0, HEIS, "heisenberg", h, n)
-            ref = closed_form_geodesic(*inputs, u=1.0)
+            ref = _closed_form_point(s0, 1.0)
             errs.append(np.linalg.norm(tr.q[-1] - ref))
         assert 12.0 < errs[0] / errs[1] < 20.0
         assert 12.0 < errs[1] / errs[2] < 20.0
@@ -443,6 +459,20 @@ def test_poisson_residuals_vanish():
     for _ in range(100):
         s = _random_state(rng)
         assert np.max(poisson_check(s)) < TOL_EXACT
+
+
+def test_poisson_check_builds_one_frame_jet(monkeypatch):
+    builds = []
+    init = FrameJet.__init__
+
+    def counting_init(self, q, params):
+        builds.append(params)
+        init(self, q, params)
+
+    monkeypatch.setattr(FrameJet, "__init__", counting_init)
+    s = _random_state(np.random.default_rng(20))
+    poisson_check(s)
+    assert builds == [HEIS]
 
 
 def test_poisson_bracket_values():
@@ -473,7 +503,8 @@ def test_circle_check_random_radius():
     rng = np.random.default_rng(19)
     for _ in range(3):
         s0 = _random_state(rng)
-        _, P0, pr, ps, pt, *_ = heisenberg_closed_form_inputs(s0)
+        P0 = frame_momenta(s0.q, s0.p, HEIS)[3:]
+        pr, ps, pt = s0.p[:3]
         lam = float(np.linalg.norm([pr, ps, pt]))
         expected = float(np.linalg.norm(P0)) / lam
         tr = closed_form_trajectory(s0, 2e-3, 4000)

@@ -62,8 +62,13 @@ def test_poly_evaluation_broadcasts():
     assert_allclose((x * x)(pts), np.arange(5.0) ** 2)
 
 
+# multiples of 1/8 in [-3, 3]: every product and sum below is exact in IEEE
+# double, so the identities hold with ==
+EIGHTHS = st.integers(-24, 24).map(lambda k: k / 8)
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 6), st.integers(0, 6), st.floats(-3, 3), st.floats(-3, 3))
+@given(st.integers(0, 6), st.integers(0, 6), EIGHTHS, EIGHTHS)
 def test_poly_ring_properties(i, j, a, b):
     p = a * Poly.var(i) + 1.0
     q = b * Poly.var(j) * Poly.var(i) - 2.0

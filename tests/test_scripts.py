@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 from ebcv.cli import main as ebcv_main
+from ebcv.geodesics import MAX_STEPS
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -51,6 +52,7 @@ def test_convergence_study_reports_the_ratio_range(capsys):
     ("convergence_study", ["--h0", "-1"]),
     ("convergence_study", ["--states", "0"]),
     ("convergence_study", ["--span", "0.001"]),
+    ("geodesic_gallery", ["--n", str(MAX_STEPS + 1)]),
 ])
 def test_invalid_arguments_exit_2(script, argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # the gallery writes to ./gallery by default
