@@ -1,13 +1,21 @@
-"""Curvature of the model metric by exact coordinate differentiation.
+"""Curvature of the model metric in the orthonormal frame, by two routes.
 
-The metric components are rational functions of the coordinates through the
-conformal factor K, so degree-3 Taylor jets deliver the exact first, second
-and third partials of G in one pass (`metric_taylor`).  On top of that the
-module evaluates coordinate Christoffel symbols, the fully lowered curvature
-tensor converted to the orthonormal frame, Ricci, scalar curvature, and the
-frame covariant derivative of the curvature.  R needs the partials of G up to
-second order only; the third partials enter through nabla R alone, which
-`curvature_bundle` adds on top of the R computation.
+The primary route is Cartan's: R comes from the frame jet's structure
+constants C, the Koszul connection gamma and its frame derivatives
+X_x gamma = Koszul(X_x C); nabla R differentiates that formula once more,
+through the second partials d2C (`curvature_bundle`).  With
+``gamma[x, y, z] = <nabla_{X_x} X_y, X_z>``,
+
+    R[a,b,c,d] = X_a gamma_bdc - X_b gamma_adc + gamma_bdf gamma_afc
+                 - gamma_adf gamma_bfc - C_abf gamma_fdc.
+
+The second route is in coordinates.  The metric components are rational
+functions of the coordinates through the conformal factor K, so degree-2
+Taylor jets deliver the exact first and second partials of G in one pass
+(`metric_taylor`); from them come the coordinate Christoffel symbols, the
+coordinate curvature and its frame components (`riemann_frame_coordinate`),
+and the frame connection (`gamma_frame_coordinate`).  Ricci and scalar
+curvature are contractions of R.
 
 Sign/index conventions (fixed across the package):
 
@@ -18,9 +26,8 @@ Sign/index conventions (fixed across the package):
 * frame components ``R[a,b,c,d] = <R(X_a, X_b) X_d, X_c>``,
 * ``Ric[a,b] = sum_c R[c,a,c,b]``; ``scal = trace Ric``.
 
-The frame conversion route (coordinates -> frame) is independent of the
-Koszul route in `frames.levi_civita_tensor`; the verification suite compares
-the two.
+The coordinate route is independent of the frame route for both the
+connection and the curvature; the verification suite compares the two.
 """
 
 from __future__ import annotations
@@ -29,13 +36,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import J_TWIST, ModelParams, _as_points, frame_jet, k_factor
+from .frames import (J_TWIST, ModelParams, _as_points, _koszul, frame_jet,
+                     k_factor)
 from .jets import Jet
 
 
 @dataclass(frozen=True)
 class MetricTaylor:
-    """Exact Taylor data of the metric: G and its first three partials.
+    """Exact Taylor data of the metric: G and its first two partials.
 
     Axis convention: leading batch axes, then derivative indices (e, f, g),
     then the matrix indices (mu, nu).
@@ -44,11 +52,10 @@ class MetricTaylor:
     g: np.ndarray
     dg: np.ndarray
     d2g: np.ndarray
-    d3g: np.ndarray
 
 
 def metric_taylor(q, params: ModelParams) -> MetricTaylor:
-    """Evaluate G, dG, d2G, d3G exactly via jet arithmetic."""
+    """Evaluate G, dG, d2G exactly via jet arithmetic."""
     q = _as_points(q)
     k_factor(q, params)  # domain check
     batch = q.shape[:-1]
@@ -76,13 +83,11 @@ def metric_taylor(q, params: ModelParams) -> MetricTaylor:
     g = np.zeros(batch + (7, 7))
     dg = np.zeros(batch + (7, 7, 7))
     d2g = np.zeros(batch + (7, 7, 7, 7))
-    d3g = np.zeros(batch + (7, 7, 7, 7, 7))
 
     def put(mu: int, nu: int, jet: Jet) -> None:
         g[..., mu, nu] = jet.value
         dg[..., :, mu, nu] = jet.gradient()
         d2g[..., :, :, mu, nu] = jet.hessian()
-        d3g[..., :, :, :, mu, nu] = jet.third()
 
     for i in range(3):
         g[..., i, i] = 1.0
@@ -100,15 +105,14 @@ def metric_taylor(q, params: ModelParams) -> MetricTaylor:
             put(3 + a, 3 + b, entry)
             if b != a:
                 put(3 + b, 3 + a, entry)
-    return MetricTaylor(g, dg, d2g, d3g)
+    return MetricTaylor(g, dg, d2g)
 
 
 def _christoffel_layers(mt: MetricTaylor, F: np.ndarray, dF: np.ndarray):
     """Gamma and dGamma in coordinates from exact metric Taylor data.
 
     The inverse metric and its partials come from the frame closed form
-    G^-1 = F F^T (no linear solves anywhere).  Also returns the pieces that
-    `_christoffel_second` reuses: (G^-1, dG^-1, t0, t1).
+    G^-1 = F F^T (no linear solves anywhere).
     """
     dg, d2g = mt.dg, mt.d2g
     ginv = np.einsum("...ma,...na->...mn", F, F)
@@ -131,38 +135,38 @@ def _christoffel_layers(mt: MetricTaylor, F: np.ndarray, dF: np.ndarray):
         np.einsum("...elr,...rmn->...elmn", dginv, t0)
         + np.einsum("...lr,...ermn->...elmn", ginv, t1)
     )
-    return gam, dgam, (ginv, dginv, t0, t1)
-
-
-def _christoffel_second(mt: MetricTaylor, F: np.ndarray, dF: np.ndarray,
-                        d2F: np.ndarray, parts) -> np.ndarray:
-    """d2Gamma in coordinates; `parts` is the tail of `_christoffel_layers`."""
-    ginv, dginv, t0, t1 = parts
-    d3g = mt.d3g
-    d2ginv = (
-        np.einsum("...efma,...na->...efmn", d2F, F)
-        + np.einsum("...ema,...fna->...efmn", dF, dF)
-        + np.einsum("...fma,...ena->...efmn", dF, dF)
-        + np.einsum("...ma,...efna->...efmn", F, d2F)
-    )
-    t2 = (
-        np.einsum("...efmrn->...efrmn", d3g)
-        + np.einsum("...efnrm->...efrmn", d3g)
-        - d3g
-    )
-    return 0.5 * (
-        np.einsum("...eflr,...rmn->...eflmn", d2ginv, t0)
-        + np.einsum("...elr,...frmn->...eflmn", dginv, t1)
-        + np.einsum("...flr,...ermn->...eflmn", dginv, t1)
-        + np.einsum("...lr,...efrmn->...eflmn", ginv, t2)
-    )
+    return gam, dgam
 
 
 def christoffel(q, params: ModelParams) -> np.ndarray:
     """Coordinate Christoffel symbols Gamma[..., lam, mu, nu]."""
     fr = frame_jet(q, params)
-    gam, _, _ = _christoffel_layers(metric_taylor(fr.q, params), fr.F, fr.dF)
+    gam, _ = _christoffel_layers(metric_taylor(fr.q, params), fr.F, fr.dF)
     return gam
+
+
+def riemann_frame_coordinate(q, params: ModelParams) -> np.ndarray:
+    """Frame curvature R[..., a, b, c, d] computed via the coordinate route.
+
+    R^rho_{sigma mu nu} from the coordinate Christoffels, lowered with G and
+    converted to the frame.  Cross-check for the Cartan route of
+    `riemann_frame`.
+    """
+    fr = frame_jet(q, params)
+    F = fr.F
+    mt = metric_taylor(fr.q, params)
+    gam, dgam = _christoffel_layers(mt, F, fr.dF)
+    rup = (
+        np.einsum("...mrns->...rsmn", dgam)
+        - np.einsum("...nrms->...rsmn", dgam)
+        + np.einsum("...rml,...lns->...rsmn", gam, gam)
+        - np.einsum("...rnl,...lms->...rsmn", gam, gam)
+    )
+    rlow = np.einsum("...pr,...rsmn->...psmn", mt.g, rup)
+    return np.einsum(
+        "...psmn,...pc,...sd,...ma,...nb->...abcd", rlow, F, F, F, F,
+        optimize=True,
+    )
 
 
 @dataclass(frozen=True)
@@ -174,77 +178,59 @@ class CurvatureBundle:
     nabla_riemann: np.ndarray   # (nabla_{X_e} R)[..., e, a, b, c, d]
 
 
-def _frame_riemann(mt: MetricTaylor, F: np.ndarray, gam: np.ndarray,
-                   dgam: np.ndarray):
-    """(R^rho_{sigma mu nu}, R_{rho sigma mu nu}, frame R[..., a, b, c, d])."""
-    rup = (
-        np.einsum("...mrns->...rsmn", dgam)
-        - np.einsum("...nrms->...rsmn", dgam)
-        + np.einsum("...rml,...lns->...rsmn", gam, gam)
-        - np.einsum("...rnl,...lms->...rsmn", gam, gam)
-    )
-    rlow = np.einsum("...pr,...rsmn->...psmn", mt.g, rup)
-    riem = np.einsum(
-        "...psmn,...pc,...sd,...ma,...nb->...abcd", rlow, F, F, F, F,
-        optimize=True,
-    )
-    return rup, rlow, riem
+def _cartan_riemann(C: np.ndarray, gam: np.ndarray,
+                    xgam: np.ndarray) -> np.ndarray:
+    """R[..., a, b, c, d] from C, gamma and xgam[x, a, b, c] = X_x gamma_abc."""
+    S = np.einsum("...abdc->...abcd", xgam) + np.einsum(
+        "...bdf,...afc->...abcd", gam, gam)
+    return (S - np.einsum("...bacd->...abcd", S)
+            - np.einsum("...abf,...fdc->...abcd", C, gam))
 
 
 def curvature_bundle(q, params: ModelParams) -> CurvatureBundle:
-    """Compute frame curvature and its frame covariant derivative at q."""
-    fr = frame_jet(q, params)
-    mt = metric_taylor(fr.q, params)
-    F, dF = fr.F, fr.dF
-    gam, dgam, parts = _christoffel_layers(mt, F, dF)
-    rup, rlow, riem = _frame_riemann(mt, F, gam, dgam)
-    d2gam = _christoffel_second(mt, F, dF, fr.d2F, parts)
+    """Compute frame curvature and its frame covariant derivative at q.
 
-    drup = (
-        np.einsum("...emrns->...ersmn", d2gam)
-        - np.einsum("...enrms->...ersmn", d2gam)
-        + np.einsum("...erml,...lns->...ersmn", dgam, gam)
-        + np.einsum("...rml,...elns->...ersmn", gam, dgam)
-        - np.einsum("...ernl,...lms->...ersmn", dgam, gam)
-        - np.einsum("...rnl,...elms->...ersmn", gam, dgam)
+    X_e R is R's formula differentiated once more: X_e X_a gamma comes from
+    d2C, the products by the Leibniz rule.
+    """
+    fr = frame_jet(q, params)
+    F, C, gam, dC = fr.F, fr.C, fr.gamma, fr.dC
+    xC = np.einsum("...me,...mabc->...eabc", F, dC)
+    xgam = _koszul(xC)
+    riem = _cartan_riemann(C, gam, xgam)
+
+    # X_e X_x C = F^mu_e F^nu_x d2C_{mu nu} + (X_e F^nu_x) dC_nu
+    xxgam = _koszul(
+        np.einsum("...me,...nx,...mnabc->...exabc", F, F, fr.d2C, optimize=True)
+        + np.einsum("...me,...mnx,...nabc->...exabc", F, fr.dF, dC,
+                    optimize=True)
     )
-    drlow = np.einsum("...epr,...rsmn->...epsmn", mt.dg, rup) + np.einsum(
-        "...pr,...ersmn->...epsmn", mt.g, drup
+    xS = (
+        np.einsum("...eabdc->...eabcd", xxgam)
+        + np.einsum("...ebdf,...afc->...eabcd", xgam, gam, optimize=True)
+        + np.einsum("...bdf,...eafc->...eabcd", gam, xgam, optimize=True)
     )
-    driem = (
-        np.einsum("...epsmn,...pc,...sd,...ma,...nb->...eabcd",
-                  drlow, F, F, F, F, optimize=True)
-        + np.einsum("...psmn,...epc,...sd,...ma,...nb->...eabcd",
-                    rlow, dF, F, F, F, optimize=True)
-        + np.einsum("...psmn,...pc,...esd,...ma,...nb->...eabcd",
-                    rlow, F, dF, F, F, optimize=True)
-        + np.einsum("...psmn,...pc,...sd,...ema,...nb->...eabcd",
-                    rlow, F, F, dF, F, optimize=True)
-        + np.einsum("...psmn,...pc,...sd,...ma,...enb->...eabcd",
-                    rlow, F, F, F, dF, optimize=True)
-    )
-    gfr = fr.gamma
-    frame_deriv = np.einsum("...me,...mabcd->...eabcd", F, driem)
     nabla = (
-        frame_deriv
-        - np.einsum("...eaf,...fbcd->...eabcd", gfr, riem)
-        - np.einsum("...ebf,...afcd->...eabcd", gfr, riem)
-        - np.einsum("...ecf,...abfd->...eabcd", gfr, riem)
-        - np.einsum("...edf,...abcf->...eabcd", gfr, riem)
+        xS - np.einsum("...ebacd->...eabcd", xS)
+        - np.einsum("...eabf,...fdc->...eabcd", xC, gam, optimize=True)
+        - np.einsum("...abf,...efdc->...eabcd", C, xgam, optimize=True)
+        - np.einsum("...eaf,...fbcd->...eabcd", gam, riem, optimize=True)
+        - np.einsum("...ebf,...afcd->...eabcd", gam, riem, optimize=True)
+        - np.einsum("...ecf,...abfd->...eabcd", gam, riem, optimize=True)
+        - np.einsum("...edf,...abcf->...eabcd", gam, riem, optimize=True)
     )
-    return CurvatureBundle(gfr, riem, nabla)
+    return CurvatureBundle(gam, riem, nabla)
 
 
 def riemann_frame(q, params: ModelParams) -> np.ndarray:
     """Fully lowered frame curvature R[..., a, b, c, d] (0-based indices).
 
-    The same values as `curvature_bundle(q, params).riemann`, without the
-    third partials and nabla R.
+    The same values as `curvature_bundle(q, params).riemann`, without
+    nabla R.
     """
     fr = frame_jet(q, params)
-    mt = metric_taylor(fr.q, params)
-    gam, dgam, _ = _christoffel_layers(mt, fr.F, fr.dF)
-    return _frame_riemann(mt, fr.F, gam, dgam)[2]
+    xgam = _koszul(np.einsum("...me,...mabc->...eabc", fr.F, fr.dC))
+    return _cartan_riemann(fr.C, fr.gamma, xgam)
 
 
 def ricci_from_riemann(riem: np.ndarray) -> np.ndarray:

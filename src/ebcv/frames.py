@@ -98,9 +98,9 @@ class FrameJet:
 
     The domain is checked once, on construction (K > 0).  ``F``, ``Om``,
     ``dF``, ``C`` and ``gamma`` are built on first use and then kept,
-    read-only; ``dC`` and ``d2F`` are built on every read, so the large
-    derivative tensors are not held.  ``q``, ``params`` and ``K`` hold the
-    points, the parameters and the conformal factor.  Pass a jet wherever a
+    read-only; ``dC``, ``d2C`` and ``d2F`` are built on every read, so the
+    large derivative tensors are not held.  ``q``, ``params`` and ``K`` hold
+    the points, the parameters and the conformal factor.  Pass a jet wherever a
     function takes points ``q`` to share these tensors between calls (see
     `frame_jet`).
     """
@@ -183,6 +183,25 @@ class FrameJet:
             "...cm,...emab->...eabc", Om, dbrk
         )
 
+    @property
+    def d2C(self) -> np.ndarray:
+        """Exact second partials d2C[..., e, f, a, b, c] of the structure
+        constants: F C = [X_a, X_b] differentiated twice (d3F = 0)."""
+        dF, d2F, C, dC = self.dF, self.d2F, self.C, self.dC
+        d2V = (
+            np.einsum("efna,...nmb->...efmab", d2F, dF, optimize=True)
+            + np.einsum("...ena,fnmb->...efmab", dF, d2F, optimize=True)
+            + np.einsum("...fna,enmb->...efmab", dF, d2F, optimize=True)
+        )
+        dFdC = np.einsum("...emc,...fabc->...efmab", dF, dC, optimize=True)
+        rhs = (
+            d2V - np.swapaxes(d2V, -1, -2)
+            - np.einsum("efmc,...abc->...efmab", d2F, C, optimize=True)
+            - dFdC - np.swapaxes(dFdC, -5, -4)
+        )
+        return np.einsum("...cm,...efmab->...efabc", self.Om, rhs,
+                         optimize=True)
+
     @_kept
     def gamma(self) -> np.ndarray:
         """gamma[..., a, b, c] = <nabla_{X_{a+1}} X_{b+1}, X_{c+1}> via Koszul.
@@ -190,12 +209,19 @@ class FrameJet:
         For an orthonormal frame the Koszul formula reduces to
         2<nabla_a b, c> = <[X_a,X_b],X_c> - <[X_b,X_c],X_a> + <[X_c,X_a],X_b>.
         """
-        C = self.C
-        return 0.5 * (
-            C
-            - np.einsum("...bca->...abc", C)
-            + np.einsum("...cab->...abc", C)
-        )
+        return _koszul(self.C)
+
+
+def _koszul(C: np.ndarray) -> np.ndarray:
+    """The Koszul formula of `FrameJet.gamma` on the last three axes of C.
+
+    It is linear, so on derivatives of C it gives those of gamma.
+    """
+    return 0.5 * (
+        C
+        - np.einsum("...bca->...abc", C)
+        + np.einsum("...cab->...abc", C)
+    )
 
 
 def frame_jet(q, params: ModelParams) -> FrameJet:

@@ -132,8 +132,8 @@ class CotangentState:
     p: np.ndarray
 
     def __init__(self, q, p):
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
+        q = np.array(q, dtype=float)
+        p = np.array(p, dtype=float)
         if q.shape != (7,) or p.shape != (7,):
             raise ValueError("CotangentState needs 7 coordinates and 7 momenta")
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):

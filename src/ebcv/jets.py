@@ -1,11 +1,12 @@
 """Forward-mode exact differentiation with truncated multivariate Taylor jets.
 
 A ``Jet`` stores the Taylor coefficients of a smooth function of ``NVARS = 7``
-real variables about a base point, truncated at total degree ``ORDER = 3``.
+real variables about a base point, truncated at total degree ``ORDER = 2``.
 Sums, products and reciprocals of jets propagate the coefficients exactly
-(the truncation is exact for derivatives up to third order), so every partial
-derivative read off a jet is exact to machine precision — no finite
-differencing anywhere.
+(the truncation is exact for derivatives up to second order), so every
+partial derivative read off a jet is exact to machine precision — no finite
+differencing anywhere.  The metric's second partials are all that the
+coordinate curvature route needs.
 
 Coefficients are kept in a flat ``(..., NMONO)`` array ordered by graded
 lexicographic monomial order; leading batch axes broadcast through all
@@ -20,7 +21,7 @@ from math import factorial
 import numpy as np
 
 NVARS = 7
-ORDER = 3
+ORDER = 2
 
 
 def _generate_monomials() -> list[tuple[int, ...]]:
@@ -78,21 +79,9 @@ for _i in range(NVARS):
         _IDX2[_i, _j] = MONO_INDEX[tuple(_alpha)]
         _FACT2[_i, _j] = float(np.prod([factorial(a) for a in _alpha]))
 
-_IDX3 = np.empty((NVARS, NVARS, NVARS), dtype=np.intp)
-_FACT3 = np.empty((NVARS, NVARS, NVARS))
-for _i in range(NVARS):
-    for _j in range(NVARS):
-        for _k in range(NVARS):
-            _alpha = [0] * NVARS
-            _alpha[_i] += 1
-            _alpha[_j] += 1
-            _alpha[_k] += 1
-            _IDX3[_i, _j, _k] = MONO_INDEX[tuple(_alpha)]
-            _FACT3[_i, _j, _k] = float(np.prod([factorial(a) for a in _alpha]))
-
 
 class Jet:
-    """Truncated Taylor expansion of a function of 7 variables (degree <= 3)."""
+    """Truncated Taylor expansion of a function of 7 variables (degree <= 2)."""
 
     __slots__ = ("c",)
 
@@ -100,12 +89,6 @@ class Jet:
         self.c = np.asarray(c, dtype=float)
 
     # -- constructors -----------------------------------------------------
-    @classmethod
-    def constant(cls, value, batch_shape: tuple[int, ...] = ()) -> "Jet":
-        c = np.zeros(batch_shape + (NMONO,))
-        c[..., 0] = value
-        return cls(c)
-
     @classmethod
     def variable(cls, i: int, value) -> "Jet":
         value = np.asarray(value, dtype=float)
@@ -130,9 +113,6 @@ class Jet:
     def __sub__(self, other) -> "Jet":
         return self + (-other if isinstance(other, Jet) else -np.asarray(other))
 
-    def __rsub__(self, other) -> "Jet":
-        return (-self) + other
-
     def __mul__(self, other) -> "Jet":
         if isinstance(other, Jet):
             prod = self.c[..., _MUL_A] * other.c[..., _MUL_B]
@@ -141,37 +121,15 @@ class Jet:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Jet":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("jet powers must be non-negative integers")
-        out = Jet.constant(1.0, self.c.shape[:-1])
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def reciprocal(self) -> "Jet":
         a0 = self.c[..., 0]
         if np.any(a0 == 0.0):
             raise ZeroDivisionError("jet with zero value part has no reciprocal")
         u = Jet(self.c / a0[..., None])
         u.c[..., 0] = 0.0  # nilpotent part of self / a0
-        u2 = u * u
-        u3 = u2 * u
-        series = Jet.constant(1.0, self.c.shape[:-1]) - u + u2 - u3
+        # 1/(1 + u) = u^2 - u + 1 exactly through degree ORDER = 2
+        series = u * u - u + 1.0
         return Jet(series.c / a0[..., None])
-
-    def __truediv__(self, other) -> "Jet":
-        if isinstance(other, Jet):
-            return self * other.reciprocal()
-        return Jet(self.c / other)
-
-    def __rtruediv__(self, other) -> "Jet":
-        return self.reciprocal() * other
 
     # -- derivative extraction ----------------------------------------------
     @property
@@ -185,7 +143,3 @@ class Jet:
     def hessian(self) -> np.ndarray:
         """Second partials d2f/dxi dxj, shape (..., 7, 7)."""
         return self.c[..., _IDX2] * _FACT2
-
-    def third(self) -> np.ndarray:
-        """Third partials d3f/dxi dxj dxk, shape (..., 7, 7, 7)."""
-        return self.c[..., _IDX3] * _FACT3

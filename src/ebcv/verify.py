@@ -29,6 +29,7 @@ from .curvature import (
     curvature_bundle,
     gamma_frame_coordinate,
     ricci_from_riemann,
+    riemann_frame_coordinate,
     scalar_from_ricci,
 )
 from .frames import (
@@ -396,12 +397,15 @@ def _chk_curvature_internal(ctx):
             ctx.tol(TOL_EXACT), "the Ricci matrix is symmetric", ctx.pts,
         )
     )
-    trace = np.einsum("...aa->...", ric)
+    n = min(ctx.samples, 20)
+    coord = riemann_frame_coordinate(ctx.frame_jet(ctx.pts[:n], ctx.params),
+                                     ctx.params)
     out.append(
         _passfail(
-            "scalar-vs-ricci-trace", trace - ctx.scalar(),
+            "riemann-frame-vs-coordinate-route", R[:n] - coord,
             ctx.tol(TOL_TABLE),
-            "scalar curvature equals the trace of the Ricci matrix", ctx.pts,
+            "Cartan frame curvature matches the coordinate-Christoffel "
+            "route", ctx.pts[:n],
         )
     )
     return out

@@ -129,13 +129,15 @@ def test_frame_derivs_match_fd():
     p = ModelParams(0.8, -1.1)
     pts = sample_domain_points(p, 5, seed=9)
     jet = FrameJet(pts, p)
-    dF, dC = jet.dF, jet.dC
+    dF, dC, d2C = jet.dF, jet.dC, jet.d2C
     for k in range(pts.shape[0]):
         fd = oracles.fd_gradient(lambda qq: oracles.frame_oracle(qq, p.m, p.l),
                                  pts[k])
         np.testing.assert_allclose(dF[k], fd, atol=1e-9)
         fd = oracles.fd_gradient(lambda qq: structure_constants(qq, p), pts[k])
         np.testing.assert_allclose(dC[k], fd, atol=1e-9)
+        fd = oracles.fd_gradient(lambda qq: FrameJet(qq, p).dC, pts[k])
+        np.testing.assert_allclose(d2C[k], fd, atol=1e-9)
 
 
 def test_frame_jet_is_shared_only_for_its_own_params():

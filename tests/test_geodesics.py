@@ -108,6 +108,15 @@ def test_cotangent_state_validation():
         CotangentState(np.zeros(7), [0, 0, 0, np.inf, 0, 0, 0])
 
 
+def test_cotangent_state_leaves_caller_arrays_writable():
+    q, p = np.zeros(7), np.ones(7)
+    s = CotangentState(q, p)
+    p[0] = 2.0
+    q[3] = 0.5
+    assert s.p[0] == 1.0 and s.q[3] == 0.0
+    assert not s.p.flags.writeable and not s.q.flags.writeable
+
+
 def test_hamiltonian_examples():
     s = CotangentState(np.zeros(7), [0, 0, 0, 3, 4, 0, 0])
     assert hamiltonian(s, HEIS, "heisenberg") == pytest.approx(12.5, abs=0)
