@@ -139,7 +139,8 @@ def cmd_geodesic(args) -> int:
         return EXIT_DOMAIN_EXIT
     if traj.status == "step-rejected":
         print(
-            f"integration step {traj.exit_step} produced a non-finite state",
+            f"integration step {traj.exit_step} produced a non-finite state "
+            "or energy",
             file=sys.stderr,
         )
         return EXIT_CHECK_FAILURE

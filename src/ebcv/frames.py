@@ -97,9 +97,9 @@ class FrameJet:
     """The frame layer at a point set, each tensor built once.
 
     The domain is checked once, on construction (K > 0).  ``F``, ``Om``,
-    ``dF``, ``C`` and ``gamma`` are built on first use and then kept,
-    read-only; ``dC``, ``d2C`` and ``d2F`` are built on every read, so the
-    large derivative tensors are not held.  ``q``, ``params`` and ``K`` hold
+    ``dF``, ``C``, ``dC`` and ``gamma`` are built on first use and then kept,
+    read-only; ``d2C`` and ``d2F`` are built on every read, so the largest
+    derivative tensors are not held.  ``q``, ``params`` and ``K`` hold
     the points, the parameters and the conformal factor.  Pass a jet wherever a
     function takes points ``q`` to share these tensors between calls (see
     `frame_jet`).
@@ -168,7 +168,7 @@ class FrameJet:
         brk = V - np.swapaxes(V, -1, -2)
         return np.einsum("...cm,...mab->...abc", self.Om, brk)
 
-    @property
+    @_kept
     def dC(self) -> np.ndarray:
         """Exact partials dC[..., e, a, b, c] of the structure constants."""
         F, dF, Om = self.F, self.dF, self.Om

@@ -74,6 +74,8 @@ CIRCLE_RESIDUAL_TOL = 1e-4
 #: allocate their samples up front (the closed form ~0.5 GB at this count)
 MAX_STEPS = 1_000_000
 
+_ZERO3 = np.zeros(3)
+
 _HEIS = ModelParams(0.0, 1.0)
 
 #: the six horizontal frame pairs, 1-based (X_4..X_7)
@@ -155,33 +157,29 @@ def frame_momenta(q, p, params: ModelParams) -> np.ndarray:
 
 
 def _flow(
-    q: np.ndarray, p: np.ndarray, params: ModelParams, riemannian: bool
-) -> Tuple[float, float, np.ndarray, np.ndarray]:
-    """K, the energy H and the exact (q-dot, p-dot) at (q, p), no domain checks.
+    y: np.ndarray, m: float, Jl: np.ndarray, riemannian: bool
+) -> Tuple[float, float, np.ndarray]:
+    """K, the energy H and the exact derivative of y = (q, p), no domain checks.
 
-    K and the horizontal momenta are computed once and serve all four.  Uses
-    the block structure of the frame: columns 4..7 have vertical part
+    ``Jl`` is ``(l/2) J_TWIST``, scaled once by the caller.  K and the
+    horizontal momenta are computed once and serve all three.  Uses the
+    block structure of the frame: columns 4..7 have vertical part
     B[i, b] = (l/2) (J_i u)_b and horizontal part K*I; only the u-derivatives
-    of F are nonzero, so p_r, p_s, p_t are conserved identically.
+    of F are nonzero, so p_r, p_s, p_t are conserved identically.  Every sum
+    of three or four terms is a BLAS product, which fixes its rounding.
     """
-    u = q[3:]
-    K = 1.0 + params.m * float(u @ u)
-    B = 0.5 * params.l * (J_TWIST @ u)  # (3, 4): rows i, columns b
-    Ph = B.T @ p[:3] + K * p[3:]  # horizontal frame momenta P_{4..7}
+    u, pv, ph = y[3:7], y[7:10], y[10:]
+    K = 1.0 + m * float(u @ u)
+    B = Jl @ u  # (3, 4): rows i, columns b
+    Ph = pv @ B + K * ph  # horizontal frame momenta P_{4..7}
     H = 0.5 * float(Ph @ Ph)
-    qdot = np.empty(7)
-    qdot[:3] = B @ Ph
-    qdot[3:] = K * Ph
+    qv = B @ Ph
     # M[b, c] = sum_nu (d F[nu, 3+b] / d u_c) p_nu
-    M = 0.5 * params.l * np.einsum("ibc,i->bc", J_TWIST, p[:3]) + (
-        2.0 * params.m
-    ) * np.outer(p[3:], u)
-    pdot = np.zeros(7)
-    pdot[3:] = -(Ph @ M)
+    M = (pv @ Jl.reshape(3, 16)).reshape(4, 4) + (2.0 * m) * (ph[:, None] * u)
     if riemannian:
-        H += 0.5 * float(p[:3] @ p[:3])
-        qdot[:3] += p[:3]  # vertical frame fields are the coordinate fields
-    return K, H, qdot, pdot
+        H += 0.5 * float(pv @ pv)
+        qv += pv  # vertical frame fields are the coordinate fields
+    return K, H, np.concatenate((qv, K * Ph, _ZERO3, -(Ph @ M)))
 
 
 def hamiltonian(state: CotangentState, params: ModelParams, mode) -> float:
@@ -206,12 +204,12 @@ def hamilton_rhs(
     """
     mode = _coerce_mode(mode)
     _check_mode_params(mode, params)
-    K, _, qdot, pdot = _flow(
-        state.q, state.p, params, riemannian=(mode is GeodesicMode.RIEMANNIAN)
-    )
+    y = np.concatenate((state.q, state.p))
+    riem = mode is GeodesicMode.RIEMANNIAN
+    K, _, ydot = _flow(y, params.m, 0.5 * params.l * J_TWIST, riem)
     if not np.isfinite(K) or K <= 0.0:
         raise DomainViolation("conformal factor K <= 0: point outside the chart")
-    return qdot, pdot
+    return ydot[:7], ydot[7:]
 
 
 # --- the published first-order system (fixture) ----------------------------
@@ -293,7 +291,7 @@ class Trajectory:
     the recorded energy.  ``status`` is one of ``complete``, ``domain-exit``
     (the flow reached K <= 0; samples up to the last admissible step are
     kept and ``exit_step`` names the 1-based step that failed) or
-    ``step-rejected`` (non-finite values appeared at ``exit_step``).
+    ``step-rejected`` (non-finite values or energy at ``exit_step``).
     """
 
     u: np.ndarray
@@ -333,64 +331,63 @@ def integrate(s0: CotangentState, params: ModelParams, mode, h: float, n: int) -
 
     The chart condition K > 0 is checked at every stage point; if it fails
     the partial trajectory is returned with status ``domain-exit``.  If a
-    step produces non-finite values the status is ``step-rejected``.  The
-    energy H is recorded at every retained sample.  The samples are
-    allocated up front, so n may not exceed MAX_STEPS.
+    step produces non-finite values, or a sample whose energy is not finite,
+    the status is ``step-rejected``.  The energy H is recorded at every
+    retained sample.  The samples are allocated up front, so n may not
+    exceed MAX_STEPS.
     """
     mode = _coerce_mode(mode)
     _check_mode_params(mode, params)
     _check_grid(h, n)
-    riem = mode is GeodesicMode.RIEMANNIAN
-    qs = np.empty((n + 1, 7))
-    ps = np.empty((n + 1, 7))
+    flow_args = (params.m, 0.5 * params.l * J_TWIST, mode is GeodesicMode.RIEMANNIAN)
+    ys = np.empty((n + 1, 14))  # one row (q, p) per sample
     Hs = np.empty(n + 1)
     status = "complete"
     exit_step: Optional[int] = None
     kept = n + 1
 
-    q, p = s0.q, s0.p
+    y = np.concatenate((s0.q, s0.p))
     with np.errstate(over="ignore", invalid="ignore"):
         # the flow at each accepted sample gives its energy, its chart check
         # and stage 1 of the next step
-        K, H, dq, dp = _flow(q, p, params, riem)
+        K, H, dy = _flow(y, *flow_args)
         if not math.isfinite(K) or K <= 0.0:
             raise DomainViolation("initial point outside the chart (K <= 0)")
-        qs[0], ps[0], Hs[0] = q, p, H
+        ys[0], Hs[0] = y, H
         for k in range(1, n + 1):
-            # an accepted sample has finite q, p and K > 0 unless K overflowed
-            fault = None if math.isfinite(K) else "step-rejected"
-            dqs, dps = [dq], [dp]
+            # K is finite and positive here: checked above for the first
+            # sample, implied by a finite H for every later one
+            fault = None
+            dys = [dy]
             for coeff in (0.5, 0.5, 1.0):
-                if fault:
-                    break
-                qa = q + coeff * h * dqs[-1]
-                pa = p + coeff * h * dps[-1]
-                Ka, _, dqa, dpa = _flow(qa, pa, params, riem)
-                finite = np.isfinite(qa).all() and np.isfinite(pa).all()
-                if not (finite and math.isfinite(Ka)):
+                ya = y + (coeff * h) * dys[-1]
+                if not np.isfinite(ya).all():
                     fault = "step-rejected"
-                elif Ka <= 0.0:
-                    fault = "domain-exit"
-                dqs.append(dqa)
-                dps.append(dpa)
+                    break
+                Ka, _, dya = _flow(ya, *flow_args)
+                if not (math.isfinite(Ka) and Ka > 0.0):
+                    fault = "domain-exit" if math.isfinite(Ka) else "step-rejected"
+                    break
+                dys.append(dya)
             if not fault:
-                q = q + (h / 6.0) * (dqs[0] + 2.0 * dqs[1] + 2.0 * dqs[2] + dqs[3])
-                p = p + (h / 6.0) * (dps[0] + 2.0 * dps[1] + 2.0 * dps[2] + dps[3])
-                if not (np.isfinite(q).all() and np.isfinite(p).all()):
+                y = y + (h / 6.0) * (dys[0] + 2.0 * dys[1] + 2.0 * dys[2] + dys[3])
+                if not np.isfinite(y).all():
                     fault = "step-rejected"
                 else:
-                    K, H, dq, dp = _flow(q, p, params, riem)
+                    K, H, dy = _flow(y, *flow_args)
                     if K <= 0.0:
                         fault = "domain-exit"
+                    elif not math.isfinite(H):
+                        fault = "step-rejected"
             if fault:
                 status, exit_step, kept = fault, k, k
                 break
-            qs[k], ps[k], Hs[k] = q, p, H
+            ys[k], Hs[k] = y, H
 
     return Trajectory(
         u=np.arange(kept) * h,
-        q=qs[:kept],
-        p=ps[:kept],
+        q=ys[:kept, :7].copy(),
+        p=ys[:kept, 7:].copy(),
         H=Hs[:kept],
         mode=mode,
         params=params,

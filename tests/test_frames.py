@@ -145,6 +145,7 @@ def test_frame_jet_is_shared_only_for_its_own_params():
     jet = frame_jet(sample_domain_points(p, 3, seed=2), p)
     assert frame_jet(jet, ModelParams(0.8, -1.1)) is jet
     assert structure_constants(jet, p) is jet.C
+    assert jet.dC is jet.dC and not jet.dC.flags.writeable
     with pytest.raises(ValueError):
         frame_jet(jet, ModelParams(0.8, 1.1))
     with pytest.raises(ValueError):

@@ -381,14 +381,21 @@ def test_integrate_domain_exit_partial_trajectory():
 
 def test_integrate_step_rejected_on_blowup():
     params = ModelParams(1.0, 1.0)
-    q0 = np.zeros(7)
-    q0[3] = 1.0
-    s0 = CotangentState(q0, np.full(7, 3.0))
-    tr = integrate(s0, params, "riemannian", 0.5, 100)
-    assert tr.status == "step-rejected"
-    assert tr.exit_step is not None
-    assert tr.n_samples >= 1
-    assert np.all(np.isfinite(tr.q)) and np.all(np.isfinite(tr.p))
+    for w, p0, h, exit_step in (
+        # step 1 lands near 1e96, where q and p are finite but H overflows
+        (1.0, 3.0, 0.5, 1),
+        # step 3 lands where q and p are finite but K = 1 + m|u|^2 overflows
+        (0.5, 1.0, 0.3, 3),
+    ):
+        q0 = np.zeros(7)
+        q0[3] = w
+        s0 = CotangentState(q0, np.full(7, p0))
+        tr = integrate(s0, params, "riemannian", h, 100)
+        assert tr.status == "step-rejected"
+        assert tr.exit_step == exit_step
+        assert tr.n_samples == exit_step
+        for arr in (tr.q, tr.p, tr.H):
+            assert np.all(np.isfinite(arr))
 
 
 # --- closed form ---------------------------------------------------------------

@@ -1,11 +1,12 @@
 """The RK4 integrator's output, pinned byte for byte.
 
-``tests/data/integrate_contract.json`` holds, for each seeded case below,
+``tests/data/integrate_contract.json`` holds, for each case below,
 the status, exit step and sample count of `integrate`, the sha256 of the
 bytes of ``u``, ``q``, ``p`` and ``H``, and the last sample as
 ``float.hex``.  A change that moves any bit of a trajectory fails here and
 names the first case and array that differ.  When a change alters the
-integrator on purpose, regenerate the file and show its diff:
+integrator on purpose, regenerate the file, which prints the names of the
+records that changed, and show its diff:
 
     PYTHONPATH=src python tests/test_integrate_contract.py
 """
@@ -51,9 +52,23 @@ CASES = {
     "step-rejected": (
         _offset_w(1.0, np.full(7, 3.0)), (1.0, 1.0), "riemannian", 0.5, 100,
     ),
-    # sample 3 has finite q but K = 1 + m|u|^2 overflows; step 4 is rejected
+    # step 3 reaches finite q where K = 1 + m|u|^2 overflows, so its energy
+    # is not finite and step 3 is rejected
     "k-overflow": (
         _offset_w(0.5, np.full(7, 1.0)), (1.0, 1.0), "riemannian", 0.3, 100,
+    ),
+    # m = 0 with l != 1: the twist is scaled but K stays 1
+    "subriemannian-0-2": (_seeded(5, 0.5), (0.0, 2.0), "subriemannian", 1e-2, 200),
+    # l < 0: the scaled twist carries negative zeros
+    "riemannian-0.5-m1.5": (_seeded(6, 0.5), (0.5, -1.5), "riemannian", 5e-3, 200),
+    # u = 0 and p_r = p_s = p_t = 0 with negative zeros in q and p: p_x
+    # stays -0.0 only while every increment to it is -0.0 too
+    "riemannian-1-1-u0": (
+        (
+            np.array([0.0, -0.0, 0.0, 0.0, -0.0, 0.0, -0.0]),
+            np.array([-0.0, 0.0, -0.0, 0.5, -0.0, -0.25, 0.0]),
+        ),
+        (1.0, 1.0), "riemannian", 1e-2, 200,
     ),
 }
 
@@ -88,6 +103,9 @@ def test_integrate_matches_the_pinned_contract(name):
 
 
 if __name__ == "__main__":
-    PATH.parent.mkdir(exist_ok=True)
+    old = json.loads(PATH.read_text()) if PATH.exists() else {}
     doc = {name: _record(name) for name in CASES}
+    changed = sorted(n for n in old.keys() | doc.keys() if old.get(n) != doc.get(n))
+    print("changed records:", ", ".join(changed) or "none")
+    PATH.parent.mkdir(exist_ok=True)
     PATH.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
