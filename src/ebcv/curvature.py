@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import (J_TWIST, ModelParams, _as_points, _koszul, frame_jet,
-                     k_factor)
+from .frames import (J_TWIST, FrameJet, ModelParams, _as_points, _koszul,
+                     frame_jet, k_factor)
 from .jets import Jet
 
 
@@ -187,17 +187,54 @@ def _cartan_riemann(C: np.ndarray, gam: np.ndarray,
             - np.einsum("...abf,...fdc->...abcd", C, gam))
 
 
-def curvature_bundle(q, params: ModelParams) -> CurvatureBundle:
-    """Compute frame curvature and its frame covariant derivative at q.
+#: Points per evaluation chunk.  A call holds the temporaries of one chunk
+#: at a time, so its peak beyond the output arrays does not grow with the
+#: point count; and up to 64 points a point's value does not depend on the
+#: other points of its chunk.  Chunks of 16, 32 and 64 run alike; smaller
+#: ones run slower.
+_CHUNK = 32
 
-    X_e R is R's formula differentiated once more: X_e X_a gamma comes from
-    d2C, the products by the Leibniz rule.
+
+def _chunked(fr: FrameJet, body, *per_point) -> tuple:
+    """body over the points of jet fr, in chunks of at most _CHUNK points.
+
+    body(sub, *rows) gets the jet of a chunk of fr's flattened points and
+    the same rows of each array in per_point (whose leading axes are fr's
+    batch axes), and returns a tuple of arrays with one row per point.
+    These are written into arrays allocated up front, in the memory layout
+    of the chunk's, which come back with fr's batch shape.  A single point
+    of shape (7,) is passed through whole; an empty batch runs one empty
+    chunk.
     """
-    fr = frame_jet(q, params)
-    F, C, gam, dC = fr.F, fr.C, fr.gamma, fr.dC
-    xC = np.einsum("...me,...mabc->...eabc", F, dC)
+    batch = fr.q.shape[:-1]
+    if not batch:
+        return body(fr, *per_point)
+    n = fr.q.size // 7
+    flat = [a.reshape((n,) + a.shape[len(batch):]) for a in per_point]
+    outs = None
+    for start in range(0, max(n, 1), _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        got = body(fr._rows(rows), *(a[rows] for a in flat))
+        if outs is None:
+            # the chunk's memory layout, which sets the summation order of
+            # einsums that later read the output
+            outs = [np.empty_like(g, shape=(n,) + g.shape[1:]) for g in got]
+        for out, g in zip(outs, got):
+            out[rows] = g
+    return tuple(out.reshape(batch + out.shape[1:]) for out in outs)
+
+
+def _riemann(fr: FrameJet):
+    """xC[e, a, b, c] = X_e C_abc, xgam = Koszul(xC) and R by Cartan."""
+    xC = np.einsum("...me,...mabc->...eabc", fr.F, fr.dC)
     xgam = _koszul(xC)
-    riem = _cartan_riemann(C, gam, xgam)
+    return xC, xgam, _cartan_riemann(fr.C, fr.gamma, xgam)
+
+
+def _bundle(fr: FrameJet):
+    """gamma, R and nabla R of the points of fr, in one piece."""
+    F, C, gam, dC = fr.F, fr.C, fr.gamma, fr.dC
+    xC, xgam, riem = _riemann(fr)
 
     # X_e X_x C = F^mu_e F^nu_x d2C_{mu nu} + (X_e F^nu_x) dC_nu
     xxgam = _koszul(
@@ -219,7 +256,17 @@ def curvature_bundle(q, params: ModelParams) -> CurvatureBundle:
         - np.einsum("...ecf,...abfd->...eabcd", gam, riem, optimize=True)
         - np.einsum("...edf,...abcf->...eabcd", gam, riem, optimize=True)
     )
-    return CurvatureBundle(gam, riem, nabla)
+    return gam, riem, nabla
+
+
+def curvature_bundle(q, params: ModelParams) -> CurvatureBundle:
+    """Compute frame curvature and its frame covariant derivative at q.
+
+    X_e R is R's formula differentiated once more: X_e X_a gamma comes from
+    d2C, the products by the Leibniz rule.  The points are evaluated in
+    fixed chunks, so only the output grows with their number.
+    """
+    return CurvatureBundle(*_chunked(frame_jet(q, params), _bundle))
 
 
 def riemann_frame(q, params: ModelParams) -> np.ndarray:
@@ -228,9 +275,8 @@ def riemann_frame(q, params: ModelParams) -> np.ndarray:
     The same values as `curvature_bundle(q, params).riemann`, without
     nabla R.
     """
-    fr = frame_jet(q, params)
-    xgam = _koszul(np.einsum("...me,...mabc->...eabc", fr.F, fr.dC))
-    return _cartan_riemann(fr.C, fr.gamma, xgam)
+    (riem,) = _chunked(frame_jet(q, params), lambda fr: _riemann(fr)[2:])
+    return riem
 
 
 def ricci_from_riemann(riem: np.ndarray) -> np.ndarray:

@@ -110,6 +110,19 @@ class FrameJet:
         self.params = params
         self.K = k_factor(self.q, params)
 
+    def _rows(self, rows: slice) -> "FrameJet":
+        """The jet of some rows of the flattened points, for evaluating in
+        chunks: q, K and every tensor this jet has built so far are shared
+        as slices of the same rows, not rebuilt (nor is the domain checked
+        again)."""
+        batch_ndim = self.q.ndim - 1
+        sub = object.__new__(FrameJet)
+        sub.params = self.params
+        for name, t in vars(self).items():
+            if isinstance(t, np.ndarray):
+                vars(sub)[name] = t.reshape((-1,) + t.shape[batch_ndim:])[rows]
+        return sub
+
     @_kept
     def F(self) -> np.ndarray:
         """Frame matrix: column a holds the coordinate components of X_{a+1}."""

@@ -332,9 +332,10 @@ def integrate(s0: CotangentState, params: ModelParams, mode, h: float, n: int) -
     The chart condition K > 0 is checked at every stage point; if it fails
     the partial trajectory is returned with status ``domain-exit``.  If a
     step produces non-finite values, or a sample whose energy is not finite,
-    the status is ``step-rejected``.  The energy H is recorded at every
-    retained sample.  The samples are allocated up front, so n may not
-    exceed MAX_STEPS.
+    the status is ``step-rejected``; an initial state outside the chart or
+    with a non-finite energy raises DomainViolation.  The energy H is
+    recorded at every retained sample.  The samples are allocated up front,
+    so n may not exceed MAX_STEPS.
     """
     mode = _coerce_mode(mode)
     _check_mode_params(mode, params)
@@ -353,10 +354,13 @@ def integrate(s0: CotangentState, params: ModelParams, mode, h: float, n: int) -
         K, H, dy = _flow(y, *flow_args)
         if not math.isfinite(K) or K <= 0.0:
             raise DomainViolation("initial point outside the chart (K <= 0)")
+        if not math.isfinite(H):
+            raise DomainViolation(f"initial energy is not finite (H = {float(H)})")
         ys[0], Hs[0] = y, H
         for k in range(1, n + 1):
-            # K is finite and positive here: checked above for the first
-            # sample, implied by a finite H for every later one
+            # K is finite and positive and H is finite here: checked above
+            # for the first sample; a later one is kept only with K > 0 and
+            # a finite H, which implies a finite K
             fault = None
             dys = [dy]
             for coeff in (0.5, 0.5, 1.0):

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CurvatureBundle, curvature_bundle
+from .curvature import CurvatureBundle, _bundle, _chunked
 from .errors import InconclusiveClassification
 from .frames import (
     HORIZONTAL_IDX,
@@ -114,8 +114,12 @@ def torsion_D_tensor(q, params: ModelParams) -> np.ndarray:
 
     T[a, b, c] = -<V[X_a, X_b], X_c> when a, b are horizontal, else 0.
     """
-    beta = structure_constants(q, params)
-    return -beta * _HH[:, :, None] * _VERT_OUT[None, None, :]
+    return _reduced_torsion(structure_constants(q, params))
+
+
+def _reduced_torsion(C: np.ndarray) -> np.ndarray:
+    """`torsion_D_tensor` from the structure constants C."""
+    return -C * _HH[:, :, None] * _VERT_OUT[None, None, :]
 
 
 def torsion_D(a: int, b: int, q, params: ModelParams) -> np.ndarray:
@@ -237,19 +241,27 @@ def ambrose_singer_check(q, params: ModelParams) -> np.ndarray:
     with the reduced torsion).  Returns max |residual| over all frame-index
     combinations, shape (..., 3).  Residual (i) vanishes by construction;
     (ii) and (iii) vanish at m = 0 and are O(1) for m != 0, l != 0 where the
-    metric is not homogeneous.
+    metric is not homogeneous.  The points are evaluated in fixed chunks,
+    curvature included, so the call holds the curvature of one chunk at a
+    time.
     """
-    fr = frame_jet(q, params)
-    return ambrose_singer_residuals(fr, params, curvature_bundle(fr.q, params))
+    (res,) = _chunked(frame_jet(q, params),
+                      lambda sub: _residuals(sub, *_bundle(sub)[1:]))
+    return res
 
 
 def ambrose_singer_residuals(q, params: ModelParams,
                              bundle: CurvatureBundle) -> np.ndarray:
     """`ambrose_singer_check` with the curvature bundle of q given."""
-    fr = frame_jet(q, params)
-    R = bundle.riemann
-    nabR = bundle.nabla_riemann
-    S = candidate_structure_tensor(fr, params)
+    (res,) = _chunked(frame_jet(q, params), _residuals,
+                      bundle.riemann, bundle.nabla_riemann)
+    return res
+
+
+def _residuals(fr, R: np.ndarray, nabR: np.ndarray) -> tuple:
+    """The residuals (..., 3) at the points of jet fr, given R and nabla R
+    there, as a one-array tuple (a chunk body of `_chunked`)."""
+    S = _skew_completion(_reduced_torsion(fr.C))
     dS = _skew_completion(-fr.dC * _TORSION_MASK)
     nabS = _covariant_derivative(fr.F, fr.gamma, S, dS)
 
@@ -272,7 +284,7 @@ def ambrose_singer_residuals(q, params: ModelParams,
         - np.einsum("...efg,...gdc->...efcd", S, S)
     )
     res_iii = np.abs(lhs_iii - rhs_iii).max(axis=(-4, -3, -2, -1))
-    return np.stack([res_i, res_ii, res_iii], axis=-1)
+    return (np.stack([res_i, res_ii, res_iii], axis=-1),)
 
 
 def torsion_parallelism_residual(

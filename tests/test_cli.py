@@ -173,6 +173,17 @@ def test_geodesic_domain_exit_code_3(tmp_path, capsys):
     assert "step 1" in capsys.readouterr().err
 
 
+def test_geodesic_non_finite_initial_energy_exit_2(capsys):
+    code = main([
+        "geodesic", "--mode", "riemannian", "--m", "1", "--l", "1",
+        "--init", *(["0"] * 7 + ["1e200"] * 7), "--h", "1e-3", "--n", "10",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "initial energy is not finite" in captured.err
+
+
 def test_geodesic_mode_mismatch_exit_2(capsys):
     code = main([
         "geodesic", "--mode", "heisenberg", "--m", "1", "--l", "1",

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
-from ebcv.frames import ModelParams, levi_civita_tensor, sample_domain_points
+from ebcv.frames import (FrameJet, ModelParams, levi_civita_tensor,
+                         sample_domain_points)
 from ebcv.curvature import (
+    _CHUNK,
     christoffel,
     curvature_bundle,
     gamma_frame_coordinate,
@@ -16,6 +20,7 @@ from ebcv.curvature import (
     riemann_frame_coordinate,
     scalar_curvature,
 )
+from ebcv.homogeneous import ambrose_singer_check
 
 PARAM_GRID = [
     ModelParams(0.0, 1.0),
@@ -302,3 +307,74 @@ def test_nabla_riemann_matches_fd():
             + np.einsum("edf,abcf->eabcd", gfr[k], R)
         )
         np.testing.assert_allclose(nab[k], frame_dir - corr, atol=1e-5)
+
+
+# --- evaluation in fixed point chunks -------------------------------------------
+
+
+@pytest.mark.parametrize("m,l", [(1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.5, 1.5)])
+def test_chunking_is_invisible(m, l):
+    # every point's value is the one it has on its own, whatever the point
+    # count (1, 33 and 200 do not divide the chunk) and the batch shape
+    p = ModelParams(m, l)
+    pts = sample_domain_points(p, 200, seed=5)
+    alone = [curvature_bundle(q, p) for q in pts]
+    want = {
+        "gamma_frame": np.stack([b.gamma_frame for b in alone]),
+        "riemann": np.stack([b.riemann for b in alone]),
+        "nabla_riemann": np.stack([b.nabla_riemann for b in alone]),
+        "riemann_frame": np.stack([riemann_frame(q, p) for q in pts]),
+        "as_check": np.stack([ambrose_singer_check(q, p) for q in pts]),
+    }
+    for shape in [(1, 7), (33, 7), (200, 7), (4, 50, 7)]:
+        n = int(np.prod(shape[:-1]))
+        q = pts[:n].reshape(shape)
+        b = curvature_bundle(q, p)
+        got = {
+            "gamma_frame": b.gamma_frame,
+            "riemann": b.riemann,
+            "nabla_riemann": b.nabla_riemann,
+            "riemann_frame": riemann_frame(q, p),
+            "as_check": ambrose_singer_check(q, p),
+        }
+        for key, value in got.items():
+            expect = want[key][:n].reshape(shape[:-1] + want[key].shape[1:])
+            assert value.shape == expect.shape, (shape, key)
+            assert np.array_equal(value, expect), (shape, key)
+    # a single point takes no loop and keeps its shape
+    assert riemann_frame(pts[7], p).shape == (7, 7, 7, 7)
+    assert np.array_equal(ambrose_singer_check(pts[7], p), want["as_check"][7])
+
+
+def test_a_jet_chunk_shares_the_tensors_already_built():
+    p = ModelParams(1.0, 1.0)
+    fr = FrameJet(sample_domain_points(p, 40, seed=2).reshape(2, 20, 7), p)
+    C, gamma = fr.C, fr.gamma
+    sub = fr._rows(slice(32, 40))
+    assert np.shares_memory(sub.C, C) and np.shares_memory(sub.gamma, gamma)
+    assert np.array_equal(sub.q, fr.q.reshape(-1, 7)[32:])
+    assert np.array_equal(sub.C, C.reshape(40, 7, 7, 7)[32:])
+    assert "dC" not in vars(sub)  # not built on fr, so built on first use
+    assert not sub.gamma.flags.writeable
+    # a chunk of a jet gives the same bits as a chunk of points
+    assert np.array_equal(riemann_frame(fr, p), riemann_frame(fr.q, p))
+
+
+def _traced_peak(fn, *args) -> tuple[int, int]:
+    """Peak traced allocation of fn(*args) and the size of its output."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return tracemalloc.get_traced_memory()[1], out.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fn", [riemann_frame, ambrose_singer_check])
+def test_memory_is_bounded_by_the_chunk(fn):
+    # beyond its output a call holds one chunk's temporaries at a time
+    p = ModelParams(1.0, 1.0)
+    pts = sample_domain_points(p, 1000, seed=9)
+    peak_chunk, _ = _traced_peak(fn, pts[:_CHUNK], p)
+    peak_all, out_bytes = _traced_peak(fn, pts, p)
+    assert peak_all <= 1.5 * peak_chunk + out_bytes, (peak_all, peak_chunk)

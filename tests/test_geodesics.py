@@ -304,6 +304,13 @@ def test_integrate_validates_inputs():
         integrate(CotangentState(q_bad, np.zeros(7)), ModelParams(-1.0, 1.0), "subriemannian", 0.1, 1)
 
 
+def test_integrate_refuses_a_non_finite_initial_energy():
+    # q and p are finite, but H = |p|^2 / 2 overflows
+    s0 = CotangentState(np.zeros(7), np.full(7, 1e200))
+    with pytest.raises(DomainViolation, match="initial energy"):
+        integrate(s0, ModelParams(1.0, 1.0), "riemannian", 1e-3, 10)
+
+
 def test_step_count_above_the_cap_is_refused_before_allocating():
     s0 = CotangentState(np.zeros(7), [1, 0, 0, 1, 0, 0, 0])
     tracemalloc.start()

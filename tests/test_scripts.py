@@ -1,6 +1,7 @@
 """Smoke tests for the command-line scripts in ``scripts/``."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -44,6 +45,21 @@ def test_convergence_study_reports_the_ratio_range(capsys):
     assert "observed ratio range" in capsys.readouterr().out
 
 
+def test_report_matrix_writes_every_report_without_elapsed(tmp_path, capsys):
+    matrix = _load_script("report_matrix")
+    out = tmp_path / "matrix"
+    assert matrix.main(["--out", str(out), "--samples", "3"]) == 0
+    assert "wrote 18 reports" in capsys.readouterr().out
+    assert len(list(out.iterdir())) == len(matrix.PARAMS) * len(matrix.SEEDS) == 18
+    cli_json = tmp_path / "cli.json"
+    ebcv_main(["verify", "--m", "1", "--l", "1", "--samples", "3", "--seed", "2",
+               "--format", "json", "--out", str(cli_json)])
+    want = json.loads(cli_json.read_text())
+    want["summary"].pop("elapsed")
+    got = json.loads((out / "verify_m1_l1_samples3_seed2.json").read_text())
+    assert got == want
+
+
 @pytest.mark.parametrize("script, argv", [
     ("geodesic_gallery", ["--n", "0"]),
     ("geodesic_gallery", ["--h", "0"]),
@@ -53,6 +69,7 @@ def test_convergence_study_reports_the_ratio_range(capsys):
     ("convergence_study", ["--states", "0"]),
     ("convergence_study", ["--span", "0.001"]),
     ("geodesic_gallery", ["--n", str(MAX_STEPS + 1)]),
+    ("report_matrix", ["--samples", "0", "--out", "matrix"]),
 ])
 def test_invalid_arguments_exit_2(script, argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # the gallery writes to ./gallery by default

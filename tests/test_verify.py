@@ -8,7 +8,6 @@ import pytest
 
 import ebcv.curvature
 import ebcv.frames
-import ebcv.homogeneous
 import ebcv.verify
 from ebcv.errors import DomainViolation
 from ebcv.verify import CheckResult, VerifyReport, run_verify
@@ -116,7 +115,7 @@ def _count_bundle_builds(monkeypatch, m, l):
         calls.append(len(np.atleast_2d(q)))
         return original(q, params)
 
-    for mod in (ebcv.curvature, ebcv.homogeneous, ebcv.verify):
+    for mod in (ebcv.curvature, ebcv.verify):
         monkeypatch.setattr(mod, "curvature_bundle", counting)
     rep = run_verify(m, l, samples=20, seed=0)
     assert rep.counts["fail"] == 0
@@ -154,7 +153,7 @@ def test_each_point_set_gets_one_frame_jet(monkeypatch):
         return bundle(q, params)
 
     monkeypatch.setattr(ebcv.frames.FrameJet, "__init__", counting_init)
-    for mod in (ebcv.curvature, ebcv.homogeneous, ebcv.verify):
+    for mod in (ebcv.curvature, ebcv.verify):
         monkeypatch.setattr(mod, "curvature_bundle", counting_bundle)
     rep = run_verify(1.0, 1.0, samples=20, seed=0)
     assert rep.counts["fail"] == 0
