@@ -230,8 +230,6 @@ def cmd_curvature(args) -> int:
     params = ModelParams(args.m, args.l)
     q = np.asarray(args.point, dtype=float)
     K = float(k_factor(q, params))
-    if K <= 0.0:
-        raise DomainViolation(f"point outside the chart: K = {K:g}")
     riem = riemann_frame(q, params)
     ric = ricci_from_riemann(riem)
     doc = {
@@ -289,6 +287,7 @@ _step_count = _checked(
 _positive_float = _checked(
     float, lambda v: np.isfinite(v) and v > 0.0, "must be positive and finite"
 )
+_finite_float = _checked(float, np.isfinite, "must be finite")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run the verification registry")
-    v.add_argument("--m", type=float, required=True)
-    v.add_argument("--l", type=float, required=True)
+    v.add_argument("--m", type=_finite_float, required=True)
+    v.add_argument("--l", type=_finite_float, required=True)
     v.add_argument("--samples", type=_positive_int, default=100)
     v.add_argument("--seed", type=_nonnegative_int, default=0)
     v.add_argument("--format", choices=("text", "json"), default="text")
@@ -315,10 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", choices=("heisenberg", "subriemannian", "riemannian"),
         default="heisenberg",
     )
-    g.add_argument("--m", type=float, default=0.0)
-    g.add_argument("--l", type=float, default=1.0)
+    g.add_argument("--m", type=_finite_float, default=0.0)
+    g.add_argument("--l", type=_finite_float, default=1.0)
     g.add_argument(
-        "--init", type=float, nargs=14, required=True,
+        "--init", type=_finite_float, nargs=14, required=True,
         metavar=("R", "S", "T", "W", "X", "Y", "Z",
                  "PR", "PS", "PT", "PW", "PX", "PY", "PZ"),
         help="initial point and momentum (14 reals)",
@@ -330,25 +329,25 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_geodesic)
 
     k = sub.add_parser("killing", help="export or check Killing fields (m = 0)")
-    k.add_argument("--l", type=float, required=True)
+    k.add_argument("--l", type=_finite_float, required=True)
     k.add_argument("action", choices=("list", "check"))
     k.add_argument("--input", default=None, help="field file for 'check'")
     k.add_argument("--out", default=None)
     k.set_defaults(func=cmd_killing)
 
     c = sub.add_parser("classify", help="name the base family for (m, l)")
-    c.add_argument("--m", type=float, required=True)
-    c.add_argument("--l", type=float, required=True)
+    c.add_argument("--m", type=_finite_float, required=True)
+    c.add_argument("--l", type=_finite_float, required=True)
     c.add_argument("--case2", choices=("printed", "squared"), default="printed")
     c.add_argument("--format", choices=("text", "json"), default="text")
     c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_classify)
 
     cv = sub.add_parser("curvature", help="evaluate curvature data at a point")
-    cv.add_argument("--m", type=float, required=True)
-    cv.add_argument("--l", type=float, required=True)
+    cv.add_argument("--m", type=_finite_float, required=True)
+    cv.add_argument("--l", type=_finite_float, required=True)
     cv.add_argument(
-        "--point", type=float, nargs=7, default=[0.0] * 7,
+        "--point", type=_finite_float, nargs=7, default=[0.0] * 7,
         metavar=("R", "S", "T", "W", "X", "Y", "Z"),
     )
     cv.add_argument("--full", action="store_true",

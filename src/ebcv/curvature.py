@@ -195,26 +195,23 @@ def _cartan_riemann(C: np.ndarray, gam: np.ndarray,
 _CHUNK = 32
 
 
-def _chunked(fr: FrameJet, body, *per_point) -> tuple:
+def _chunked(fr: FrameJet, body) -> tuple:
     """body over the points of jet fr, in chunks of at most _CHUNK points.
 
-    body(sub, *rows) gets the jet of a chunk of fr's flattened points and
-    the same rows of each array in per_point (whose leading axes are fr's
-    batch axes), and returns a tuple of arrays with one row per point.
-    These are written into arrays allocated up front, in the memory layout
-    of the chunk's, which come back with fr's batch shape.  A single point
-    of shape (7,) is passed through whole; an empty batch runs one empty
-    chunk.
+    body(sub) gets the jet of a chunk of fr's flattened points and returns
+    a tuple of arrays with one row per point.  These are written into
+    arrays allocated up front, in the memory layout of the chunk's, which
+    come back with fr's batch shape.  A single point of shape (7,) is
+    passed through whole; an empty batch runs one empty chunk.
     """
     batch = fr.q.shape[:-1]
     if not batch:
-        return body(fr, *per_point)
+        return body(fr)
     n = fr.q.size // 7
-    flat = [a.reshape((n,) + a.shape[len(batch):]) for a in per_point]
     outs = None
     for start in range(0, max(n, 1), _CHUNK):
         rows = slice(start, start + _CHUNK)
-        got = body(fr._rows(rows), *(a[rows] for a in flat))
+        got = body(fr._rows(rows))
         if outs is None:
             # the chunk's memory layout, which sets the summation order of
             # einsums that later read the output
@@ -297,11 +294,6 @@ def ricci_frame(q, params: ModelParams) -> np.ndarray:
 def scalar_curvature(q, params: ModelParams) -> np.ndarray:
     """Scalar curvature: trace of ricci_frame (same computation path)."""
     return scalar_from_ricci(ricci_frame(q, params))
-
-
-def nabla_riemann_frame(q, params: ModelParams) -> np.ndarray:
-    """Frame covariant derivative (nabla_{X_e} R)[..., e, a, b, c, d]."""
-    return curvature_bundle(q, params).nabla_riemann
 
 
 def gamma_frame_coordinate(q, params: ModelParams) -> np.ndarray:

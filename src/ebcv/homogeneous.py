@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CurvatureBundle, _bundle, _chunked
+from .curvature import _bundle, _chunked
 from .errors import InconclusiveClassification
 from .frames import (
     HORIZONTAL_IDX,
@@ -245,22 +245,14 @@ def ambrose_singer_check(q, params: ModelParams) -> np.ndarray:
     curvature included, so the call holds the curvature of one chunk at a
     time.
     """
-    (res,) = _chunked(frame_jet(q, params),
-                      lambda sub: _residuals(sub, *_bundle(sub)[1:]))
+    (res,) = _chunked(frame_jet(q, params), _residuals)
     return res
 
 
-def ambrose_singer_residuals(q, params: ModelParams,
-                             bundle: CurvatureBundle) -> np.ndarray:
-    """`ambrose_singer_check` with the curvature bundle of q given."""
-    (res,) = _chunked(frame_jet(q, params), _residuals,
-                      bundle.riemann, bundle.nabla_riemann)
-    return res
-
-
-def _residuals(fr, R: np.ndarray, nabR: np.ndarray) -> tuple:
-    """The residuals (..., 3) at the points of jet fr, given R and nabla R
-    there, as a one-array tuple (a chunk body of `_chunked`)."""
+def _residuals(fr) -> tuple:
+    """The residuals (..., 3) at the points of jet fr, as a one-array tuple
+    (a chunk body of `_chunked`)."""
+    _, R, nabR = _bundle(fr)
     S = _skew_completion(_reduced_torsion(fr.C))
     dS = _skew_completion(-fr.dC * _TORSION_MASK)
     nabS = _covariant_derivative(fr.F, fr.gamma, S, dS)

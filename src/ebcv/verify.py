@@ -29,6 +29,7 @@ from .curvature import (
     curvature_bundle,
     gamma_frame_coordinate,
     ricci_from_riemann,
+    riemann_frame,
     riemann_frame_coordinate,
     scalar_from_ricci,
 )
@@ -56,7 +57,7 @@ from .geodesics import (
     printed_heisenberg_rhs,
 )
 from .homogeneous import (
-    ambrose_singer_residuals,
+    ambrose_singer_check,
     c12_trace,
     candidate_structure_tensor,
     char_connection_tensor,
@@ -172,7 +173,11 @@ class VerifyReport:
 
 
 class _Ctx:
-    """Everything the individual checks need, sampled once."""
+    """Everything the individual checks need, sampled once.
+
+    Of the sample's curvature it keeps R, Ricci and the scalar; nabla R is
+    built only on the few points whose checks read it (`curvature`).
+    """
 
     def __init__(self, m, l, samples, seed, tol_scale):
         self.params = ModelParams(m, l)
@@ -195,6 +200,9 @@ class _Ctx:
         self.jet = self.frame_jet(self.pts, self.params)
         self.jet0 = self.frame_jet(self.pts0, self.params0)
         self.jet_kill = self.frame_jet(self.pts_kill, self.params_kill)
+        self.R = riemann_frame(self.jet, self.params)
+        self.ric = ricci_from_riemann(self.R)
+        self.scal = scalar_from_ricci(self.ric)
 
     def tol(self, base: float) -> float:
         return base * self.scale
@@ -212,44 +220,26 @@ class _Ctx:
             lambda: FrameJet(pts, params),
         )
 
-    def bundle(self):
-        """Curvature bundle of the sample; every curvature check reads it."""
-        return self.cached("bundle", lambda: curvature_bundle(self.pts, self.params))
-
-    def bundle0(self):
-        """Curvature bundle of the first 20 m = 0 points.
-
-        At m = 0 the two samples coincide and this is `bundle()`, so callers
-        take the first 20 (or fewer) points of whichever they get.
-        """
-        if self.params == self.params0:
-            return self.bundle()
+    def curvature(self, pts, params):
+        """The one curvature bundle (gamma, R, nabla R) of a point set; equal
+        sets share it, as at m = 0 the two 12-point sets do."""
         return self.cached(
-            "bundle0", lambda: curvature_bundle(self.pts0[:20], self.params0)
+            ("curvature", pts.shape, pts.tobytes(), params),
+            lambda: curvature_bundle(pts, params),
         )
-
-    def riemann(self):
-        return self.bundle().riemann
-
-    def ricci(self):
-        return self.cached("ric", lambda: ricci_from_riemann(self.riemann()))
-
-    def scalar(self):
-        return self.cached("scal", lambda: scalar_from_ricci(self.ricci()))
 
 
 def _summary(res, pts):
-    """Max |residual| and the sample point where it happens."""
+    """Max |residual| over the points (the leading axis of res), the point
+    where it happens and that point's index."""
     res = np.abs(np.asarray(res, dtype=float))
-    if res.ndim == 0:
-        return float(res), None
     per_point = res.reshape(res.shape[0], -1).max(axis=1)
     k = int(np.argmax(per_point))
-    return float(per_point[k]), [float(v) for v in np.asarray(pts)[k]]
+    return float(per_point[k]), [float(v) for v in np.asarray(pts)[k]], k
 
 
-def _passfail(cid, res, tol, reference, pts=None, details=""):
-    worst, witness = _summary(res, pts) if pts is not None else (float(np.max(np.abs(res))), None)
+def _passfail(cid, res, tol, reference, pts, details=""):
+    worst, witness, _ = _summary(res, pts)
     status = "pass" if worst <= tol else "fail"
     return CheckResult(cid, status, worst, witness, reference, details)
 
@@ -362,7 +352,7 @@ def _chk_connection(ctx):
 
 
 def _chk_curvature_internal(ctx):
-    R = ctx.riemann()
+    R = ctx.R
     sym = [
         R + np.einsum("...abcd->...bacd", R),
         R + np.einsum("...abcd->...abdc", R),
@@ -376,8 +366,9 @@ def _chk_curvature_internal(ctx):
             ctx.pts,
         )
     ]
+    # the bundle of the 12 points that `_chk_structure_claims` reads
     n2 = min(ctx.samples, 8)
-    nab = ctx.bundle().nabla_riemann[:n2]
+    nab = ctx.curvature(ctx.pts[:12], ctx.params).nabla_riemann[:n2]
     cyc = (
         nab
         + np.einsum("...abecd->...eabcd", nab)
@@ -390,7 +381,7 @@ def _chk_curvature_internal(ctx):
             ctx.pts[:n2],
         )
     )
-    ric = ctx.ricci()
+    ric = ctx.ric
     out.append(
         _passfail(
             "ricci-symmetry", ric - np.einsum("...ab->...ba", ric),
@@ -425,16 +416,13 @@ def _table_check(cid, table, oracle_fn, pts, params, tol, reference, details="")
     worst_entry = None
     worst_pt = None
     for (a, b), printed in values.items():
-        diff = np.abs(oracle_fn(a, b) - printed)
+        diff = oracle_fn(a, b) - printed
         key = f"{a},{b}"
         if key in ann:
             diff[..., int(ann[key]["component"]) - 1] = 0.0
-        per_point = diff.reshape(diff.shape[0], -1).max(axis=1)
-        k = int(np.argmax(per_point))
-        if per_point[k] > worst:
-            worst = float(per_point[k])
-            worst_entry = key
-            worst_pt = [float(v) for v in pts[k]]
+        gap, witness, _ = _summary(diff, pts)
+        if gap > worst:
+            worst, worst_entry, worst_pt = gap, key, witness
     if worst <= tol:
         return CheckResult(cid, "pass", worst, worst_pt, reference, details)
     entry_exprs = json.dumps(table["entries"][worst_entry])
@@ -472,9 +460,7 @@ def _chk_bracket_tables(ctx):
         env = pt.point_env(ctx.pts, ctx.params)
         printed_vals = pt.safe_eval(info["printed"], env) * np.ones(len(ctx.pts))
         oracle_vals = bracket_frame(a, b, ctx.jet, ctx.params)[..., comp]
-        gap = np.abs(oracle_vals - printed_vals)
-        worst, witness = _summary(gap, ctx.pts)
-        k = int(np.argmax(gap))
+        worst, witness, k = _summary(oracle_vals - printed_vals, ctx.pts)
         out.append(
             _claim(
                 cid, worst, witness, ctx.tol(TOL_TABLE),
@@ -510,7 +496,7 @@ def _chk_connection_tables(ctx):
 
 def _chk_curvature_tables(ctx):
     out = []
-    R = ctx.riemann()
+    R = ctx.R
     sec = pt.sectional_table_values(ctx.pts, ctx.params)
     res = np.stack(
         [R[..., a - 1, b - 1, a - 1, b - 1] - v for (a, b), v in sec.items()],
@@ -523,7 +509,8 @@ def _chk_curvature_tables(ctx):
         )
     )
 
-    R0 = ctx.bundle0().riemann[:20]
+    R0 = riemann_frame(ctx.frame_jet(ctx.pts0[:20], ctx.params0),
+                       ctx.params0)
     env0 = pt.point_env(ctx.pts0[:20], ctx.params0)
     ex = ctx.doc["curvature_tables"]["m0_examples"]["entries"]
     ric0 = ricci_from_riemann(R0)
@@ -545,15 +532,15 @@ def _chk_curvature_tables(ctx):
         )
     )
 
-    ric = ctx.ricci()
     out.append(
         _passfail(
-            "ricci-proposition", ric - pt.ricci_matrix_values(ctx.pts, ctx.params),
+            "ricci-proposition",
+            ctx.ric - pt.ricci_matrix_values(ctx.pts, ctx.params),
             ctx.tol(TOL_RICCI), "printed Ricci matrix for general m", ctx.pts,
         )
     )
 
-    sc = ctx.scalar()
+    sc = ctx.scal
     out.append(
         _passfail(
             "scalar-vs-proposition-trace",
@@ -565,9 +552,8 @@ def _chk_curvature_tables(ctx):
     )
 
     info = ctx.doc["curvature_tables"]["scalar"]
-    gap = np.abs(sc - pt.scalar_values(ctx.pts, ctx.params, "printed"))
-    worst, witness = _summary(gap, ctx.pts)
-    k = int(np.argmax(gap))
+    worst, witness, k = _summary(
+        sc - pt.scalar_values(ctx.pts, ctx.params, "printed"), ctx.pts)
     out.append(
         _claim(
             "scalar-vs-corollary", worst, witness, ctx.tol(TOL_TABLE),
@@ -643,7 +629,7 @@ def _chk_torsion_tables(ctx):
     # ... while the operator definition of the same torsion does not
     info = claims["mixed_torsion"]
     faithful = faithful_torsion_tensor(ctx.jet, ctx.params)
-    worst, witness = _summary(faithful - T, ctx.pts)
+    worst, witness, _ = _summary(faithful - T, ctx.pts)
     out.append(
         _claim(
             "torsion-definitions-agreement", worst, witness,
@@ -661,8 +647,8 @@ def _chk_structure_claims(ctx):
     out = []
 
     info = claims["as_equations"]
-    res = ambrose_singer_residuals(ctx.jet, ctx.params, ctx.bundle())
-    worst, witness = _summary(res, ctx.pts)
+    res = ambrose_singer_check(ctx.jet, ctx.params)
+    worst, witness, _ = _summary(res, ctx.pts)
     out.append(
         _claim(
             "as-equations", worst, witness, ctx.tol(1e-7),
@@ -679,7 +665,8 @@ def _chk_structure_claims(ctx):
     resT = torsion_parallelism_residual(sub, ctx.params,
                                         connection="characteristic")
     resR = _curvature_parallelism_residual(
-        ctx.bundle(), char_connection_tensor(sub, ctx.params)
+        ctx.curvature(ctx.pts[:12], ctx.params),
+        char_connection_tensor(sub, ctx.params),
     )
     worst = max(float(np.abs(resT).max()), float(np.abs(resR).max()))
     out.append(
@@ -700,7 +687,8 @@ def _chk_structure_claims(ctx):
     S0 = candidate_structure_tensor(sub0, ctx.params0)
     resT0 = torsion_parallelism_residual(sub0, ctx.params0,
                                          connection="canonical")
-    resR0 = _curvature_parallelism_residual(ctx.bundle0(), lam0 - S0)
+    resR0 = _curvature_parallelism_residual(
+        ctx.curvature(ctx.pts0[:12], ctx.params0), lam0 - S0)
     out.append(
         _passfail(
             "torsion-parallelism-canonical",
@@ -719,13 +707,11 @@ def _chk_structure_claims(ctx):
 
 def _curvature_parallelism_residual(bundle, conn):
     """Frame components of the curvature derivative for a metric connection
-    given by <nabla_e X_a, X_b> = conn[e, a, b], over the first len(conn)
-    points of the curvature bundle."""
-    n = len(conn)
-    R = bundle.riemann[:n]
-    nabR = bundle.nabla_riemann[:n]
-    lam = bundle.gamma_frame[:n]
-    A = conn - lam
+    given by <nabla_e X_a, X_b> = conn[e, a, b], at the points of the
+    curvature bundle."""
+    R = bundle.riemann
+    nabR = bundle.nabla_riemann
+    A = conn - bundle.gamma_frame
     corr = (
         np.einsum("...eag,...gbcd->...eabcd", A, R)
         + np.einsum("...ebg,...agcd->...eabcd", A, R)
@@ -813,7 +799,7 @@ def _chk_killing(ctx):
     d = basis[best].coeff_partials(pts)
     eq13 = pde_residuals(basis[best], jet, params)[..., 12]
     printed13 = eq13 - params.l * pts[..., 6] * d[..., 0, 1]
-    worst, witness = _summary(printed13, pts)
+    worst, witness, _ = _summary(printed13, pts)
     corrected = float(np.abs(eq13).max())
     out.append(
         _claim(
@@ -874,7 +860,7 @@ def _chk_geodesic_tables(ctx):
     )
 
     info = ctx.doc["geodesic_tables"]["sdot_line"]
-    worst, witness = _summary(gap[:, 1], qs[:n_states])
+    worst, witness, _ = _summary(gap[:, 1], qs[:n_states])
     out.append(
         _claim(
             "geodesic-sdot-line", worst, witness, ctx.tol(TOL_EXACT),
@@ -1087,9 +1073,11 @@ def run_verify(
     """Run the whole registry and return the assembled report.
 
     Raises DomainViolation when no acceptable sample points exist for the
-    requested parameters, and ValueError for samples < 1 or a tol_scale
-    that is not positive and finite.
+    requested parameters, and ValueError for a non-finite m or l, for
+    samples < 1 or for a tol_scale that is not positive and finite.
     """
+    if not (np.isfinite(m) and np.isfinite(l)):
+        raise ValueError(f"m and l must be finite, got m={m!r}, l={l!r}")
     if samples < 1:
         raise ValueError("need samples >= 1")
     if not (np.isfinite(tol_scale) and tol_scale > 0.0):

@@ -69,6 +69,9 @@ def test_verify_byte_determinism(tmp_path):
 BASE_ARGV = {
     "verify": ["verify", "--m", "0", "--l", "1"],
     "geodesic": ["geodesic", "--init", *ORIGIN14],
+    "killing": ["killing", "--l", "1", "list"],
+    "curvature": ["curvature", "--m", "1", "--l", "1"],
+    "classify": ["classify", "--m", "1", "--l", "1"],
 }
 
 
@@ -86,14 +89,27 @@ BASE_ARGV = {
         ("geodesic", "--h=nan"),
         ("geodesic", "--n=0"),
         ("geodesic", f"--n={MAX_STEPS + 1}"),
+        ("verify", "--m=nan"),
+        ("verify", "--l=nan"),
+        ("verify", "--l=inf"),
+        ("geodesic", "--m=nan"),
+        ("geodesic", "--l=-inf"),
+        ("geodesic", "--init nan" + " 0" * 13),
+        ("killing", "--l=nan"),
+        ("curvature", "--m=nan"),
+        ("curvature", "--l=nan"),
+        ("curvature", "--point nan 0 0 0 0 0 0"),
+        ("classify", "--m=inf"),
+        ("classify", "--l=nan"),
     ],
 )
 def test_invalid_usage_exits_2_naming_the_flag(command, bad, capsys):
+    # bad is one flag with its values, split on spaces into argv words
     with pytest.raises(SystemExit) as exc:
-        main(BASE_ARGV[command] + [bad])
+        main(BASE_ARGV[command] + bad.split())
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"argument {bad.split('=')[0]}" in err
+    assert f"argument {bad.split()[0].split('=')[0]}" in err
     assert "Traceback" not in err
 
 

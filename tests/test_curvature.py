@@ -14,7 +14,6 @@ from ebcv.curvature import (
     curvature_bundle,
     gamma_frame_coordinate,
     metric_taylor,
-    nabla_riemann_frame,
     ricci_frame,
     riemann_frame,
     riemann_frame_coordinate,
@@ -277,7 +276,7 @@ def test_scalar_equals_ricci_trace_and_published_trace():
 def test_nabla_riemann_second_bianchi():
     for p in [ModelParams(0.0, 1.0), ModelParams(1.0, 1.0), ModelParams(-0.5, 2.0)]:
         pts = sample_domain_points(p, 5, seed=41)
-        nab = nabla_riemann_frame(pts, p)
+        nab = curvature_bundle(pts, p).nabla_riemann
         cyc = (
             nab
             + np.einsum("...abecd->...eabcd", nab)
@@ -289,7 +288,7 @@ def test_nabla_riemann_second_bianchi():
 def test_nabla_riemann_matches_fd():
     p = ModelParams(0.6, 1.2)
     pts = sample_domain_points(p, 2, seed=43)
-    nab = nabla_riemann_frame(pts, p)
+    nab = curvature_bundle(pts, p).nabla_riemann
     gfr = levi_civita_tensor(pts, p)
     from ebcv.frames import frame_matrix
 
