@@ -243,16 +243,17 @@ def ambrose_singer_check(q, params: ModelParams) -> np.ndarray:
     (ii) and (iii) vanish at m = 0 and are O(1) for m != 0, l != 0 where the
     metric is not homogeneous.  The points are evaluated in fixed chunks,
     curvature included, so the call holds the curvature of one chunk at a
-    time.
+    time.  A caller that builds a chunk's curvature for its own checks
+    passes it to the chunk body `_residuals` instead.
     """
-    (res,) = _chunked(frame_jet(q, params), _residuals)
+    (res,) = _chunked(frame_jet(q, params),
+                      lambda fr: (_residuals(fr, *_bundle(fr)[1:]),))
     return res
 
 
-def _residuals(fr) -> tuple:
-    """The residuals (..., 3) at the points of jet fr, as a one-array tuple
-    (a chunk body of `_chunked`)."""
-    _, R, nabR = _bundle(fr)
+def _residuals(fr, R, nabR) -> np.ndarray:
+    """The residuals (..., 3) at the points of jet fr, whose curvature R and
+    nabla R the caller built (in `_chunked`, one chunk's)."""
     S = _skew_completion(_reduced_torsion(fr.C))
     dS = _skew_completion(-fr.dC * _TORSION_MASK)
     nabS = _covariant_derivative(fr.F, fr.gamma, S, dS)
@@ -276,7 +277,7 @@ def _residuals(fr) -> tuple:
         - np.einsum("...efg,...gdc->...efcd", S, S)
     )
     res_iii = np.abs(lhs_iii - rhs_iii).max(axis=(-4, -3, -2, -1))
-    return (np.stack([res_i, res_ii, res_iii], axis=-1),)
+    return np.stack([res_i, res_ii, res_iii], axis=-1)
 
 
 def torsion_parallelism_residual(

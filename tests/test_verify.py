@@ -1,13 +1,19 @@
 """The verification registry: statuses, pinned records, and determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import ebcv
 import ebcv.curvature
 import ebcv.frames
+import ebcv.homogeneous
 import ebcv.verify
 from ebcv.errors import DomainViolation
 from ebcv.verify import CheckResult, VerifyReport, run_verify
@@ -109,8 +115,10 @@ def test_byte_determinism_given_seed():
 @pytest.mark.parametrize("m, l, builds", [(1.0, 1.0, 2), (0.0, 1.0, 1)],
                          ids=["general", "m0"])
 def test_nabla_r_is_built_only_on_12_points(monkeypatch, m, l, builds):
-    # one 12-point bundle for the sample and one for the m = 0 sample, the
-    # same bundle at m = 0; the sample's own curvature carries no nabla R
+    # the public bundle is built once on the first 12 points of the sample
+    # and once on those of the m = 0 sample, the same bundle at m = 0; the
+    # nabla R of the whole sample is built per chunk, once per point (see
+    # test_r_is_built_once_per_sample_point)
     sizes = []
     original = ebcv.curvature.curvature_bundle
 
@@ -124,6 +132,63 @@ def test_nabla_r_is_built_only_on_12_points(monkeypatch, m, l, builds):
     assert rep.counts["fail"] == 0
     assert len(sizes) == builds
     assert max(sizes) <= 12
+
+
+@pytest.mark.parametrize("m, l, again", [(1.0, 1.0, 12 + 12 + 20 + 20),
+                                         (0.0, 1.0, 12 + 20)],
+                         ids=["general", "m0"])
+def test_r_is_built_once_per_sample_point(monkeypatch, m, l, again):
+    # R and nabla R of every sample point come from one chunked pass; only
+    # the 12-point bundles and the 20-point heads read by the
+    # coordinate-route and m = 0 table checks build R again, and at m = 0
+    # the two samples share both
+    samples = 40  # more than one curvature chunk
+    points = []
+    bundle, riemann = ebcv.curvature._bundle, ebcv.curvature.riemann_frame
+
+    def counting_bundle(fr):
+        points.append(fr.q.size // 7)
+        return bundle(fr)
+
+    def counting_riemann(q, params):
+        points.append(np.asarray(getattr(q, "q", q)).size // 7)
+        return riemann(q, params)
+
+    for mod in (ebcv.curvature, ebcv.homogeneous, ebcv.verify):
+        monkeypatch.setattr(mod, "_bundle", counting_bundle)
+    for mod in (ebcv.curvature, ebcv.verify):
+        monkeypatch.setattr(mod, "riemann_frame", counting_riemann)
+    rep = run_verify(m, l, samples=samples, seed=0)
+    assert rep.counts["fail"] == 0
+    assert sum(points) == samples + again
+
+
+# how far a fresh process's peak RSS rises over one report (in KB on Linux)
+_PEAK_RISE = """
+import resource, sys
+from ebcv.verify import run_verify
+def peak():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+base = peak()
+run_verify(1.0, 1.0, samples=int(sys.argv[1]), seed=0)
+print(peak() - base)
+"""
+
+
+def test_memory_does_not_grow_with_the_sample():
+    # every check of the whole sample keeps one number per point, so the
+    # peak is one chunk's curvature whatever the sample count; each count
+    # runs in its own fresh process, the two side by side
+    src = str(pathlib.Path(ebcv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    procs = [
+        subprocess.Popen([sys.executable, "-c", _PEAK_RISE, str(samples)],
+                         env=env, stdout=subprocess.PIPE, text=True)
+        for samples in (32, 160)
+    ]
+    small, large = (int(p.communicate(timeout=300)[0]) for p in procs)
+    assert large <= 1.25 * small, (small, large)
 
 
 def test_each_point_set_gets_one_frame_jet(monkeypatch):
