@@ -274,8 +274,7 @@ def structure_constants(q, params: ModelParams) -> np.ndarray:
 
 def bracket_frame(a: int, b: int, q, params: ModelParams) -> np.ndarray:
     """Frame components of [X_a, X_b] for 1-based frame indices a, b."""
-    _check_frame_index(a)
-    _check_frame_index(b)
+    _check_frame_index(a, b)
     return structure_constants(q, params)[..., a - 1, b - 1, :]
 
 
@@ -286,14 +285,14 @@ def levi_civita_tensor(q, params: ModelParams) -> np.ndarray:
 
 def levi_civita_frame(a: int, b: int, q, params: ModelParams) -> np.ndarray:
     """Frame components of nabla_{X_a} X_b for 1-based frame indices."""
-    _check_frame_index(a)
-    _check_frame_index(b)
+    _check_frame_index(a, b)
     return levi_civita_tensor(q, params)[..., a - 1, b - 1, :]
 
 
-def _check_frame_index(a: int) -> None:
-    if not isinstance(a, (int, np.integer)) or not 1 <= int(a) <= 7:
-        raise ValueError("frame indices are integers in 1..7")
+def _check_frame_index(*indices) -> None:
+    for a in indices:
+        if not isinstance(a, (int, np.integer)) or not 1 <= int(a) <= 7:
+            raise ValueError("frame indices are integers in 1..7")
 
 
 def sample_domain_points(

@@ -58,6 +58,7 @@ from .frames import (
     HORIZONTAL_IDX,
     ModelParams,
     VERTICAL_IDX,
+    _check_frame_index,
     frame_jet,
     levi_civita_tensor,
     structure_constants,
@@ -82,6 +83,8 @@ _VERT_OUT = np.array([1.0 if i in VERTICAL_IDX else 0.0 for i in range(7)])
 #: layout, which sets the summation order of later einsums, and the verify
 #: reports are pinned to the last bit.
 _TORSION_MASK = _HH[:, :, None] * _VERT_OUT[None, None, :]
+#: The 0-based index triples (a, b, c) in lexicographic order, as 3 arrays.
+_TRIPLES = np.indices((7, 7, 7)).reshape(3, -1)
 
 
 def char_connection_tensor(q, params: ModelParams) -> np.ndarray:
@@ -124,6 +127,7 @@ def _reduced_torsion(C: np.ndarray) -> np.ndarray:
 
 def torsion_D(a: int, b: int, q, params: ModelParams) -> np.ndarray:
     """Frame components of the reduced torsion T(X_a, X_b) (1-based)."""
+    _check_frame_index(a, b)
     return torsion_D_tensor(q, params)[..., a - 1, b - 1, :]
 
 
@@ -135,8 +139,12 @@ def c12_trace(q, params: ModelParams) -> np.ndarray:
 
 def cyclic_sum(a: int, b: int, c: int, q, params: ModelParams) -> np.ndarray:
     """T[a,b,c] + T[c,a,b] + T[b,c,a] for 1-based frame indices."""
-    T = torsion_D_tensor(q, params)
-    i, j, k = a - 1, b - 1, c - 1
+    _check_frame_index(a, b, c)
+    return _cyclic_sums(torsion_D_tensor(q, params), a - 1, b - 1, c - 1)
+
+
+def _cyclic_sums(T: np.ndarray, i, j, k) -> np.ndarray:
+    """T[i,j,k] + T[k,i,j] + T[j,k,i] for 0-based indices or index arrays."""
     return T[..., i, j, k] + T[..., k, i, j] + T[..., j, k, i]
 
 
@@ -156,38 +164,45 @@ def classify_structure(params: ModelParams, points) -> StructureClass:
     "T3" requires exact antisymmetry in the first two slots plus a nonzero
     cyclic sum somewhere (witness scan in lexicographic triple order);
     "T2+T3" when only the c12 trace vanishes; a tensor that is numerically
-    zero everywhere sampled is reported as "trivial".
+    zero everywhere sampled is reported as "trivial".  The points are read
+    in chunks, each point reduced to max |T|, the c12 trace, the
+    antisymmetry residual and its first triple whose |sum| exceeds 1e-6; a
+    second pass finds the first point of that triple's largest |sum|.
     """
     fr = frame_jet(points, params)
-    pts = fr.q.reshape(-1, 7)
-    T = torsion_D_tensor(fr, params).reshape(-1, 7, 7, 7)
-    if np.abs(T).max() < TOL_EXACT:
+    n_triples = _TRIPLES.shape[1]
+
+    def per_point(sub):
+        T = torsion_D_tensor(sub, params)
+        over = np.abs(_cyclic_sums(T, *_TRIPLES)) > 1e-6
+        return (
+            np.abs(T).max(axis=(-3, -2, -1)),
+            np.abs(np.einsum("...rrc->...c", T)).max(axis=-1),
+            np.abs(T + np.einsum("...abc->...bac", T)).max(axis=(-3, -2, -1)),
+            np.where(over.any(axis=-1), over.argmax(axis=-1), n_triples),
+        )
+
+    size, c12, antisym, first = (np.ravel(r) for r in _chunked(fr, per_point))
+    if size.max() < TOL_EXACT:
         return StructureClass("trivial", None, None, None)
 
-    c12 = np.abs(np.einsum("...rrc->...c", T)).max()
+    c12 = c12.max()
     if c12 >= TOL_EXACT:
         raise InconclusiveClassification(
             f"c12 trace unexpectedly nonzero (max {c12:.3e})"
         )
-    antisym = np.abs(T + np.einsum("...abc->...bac", T)).max()
+    antisym = antisym.max()
 
     witness = None
-    for a in range(1, 8):
-        for b in range(1, 8):
-            for c in range(1, 8):
-                vals = (
-                    T[..., a - 1, b - 1, c - 1]
-                    + T[..., c - 1, a - 1, b - 1]
-                    + T[..., b - 1, c - 1, a - 1]
-                )
-                idx = int(np.argmax(np.abs(vals)))
-                if np.abs(vals[idx]) > 1e-6:
-                    witness = ((a, b, c), pts[idx], float(vals[idx]))
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    k = int(first.min())
+    if k < n_triples:
+        triple = _TRIPLES[:, k]
+        (vals,) = _chunked(fr, lambda sub: (
+            _cyclic_sums(torsion_D_tensor(sub, params), *triple),))
+        vals = np.ravel(vals)
+        idx = int(np.argmax(np.abs(vals)))
+        witness = (tuple(int(v) + 1 for v in triple),
+                   fr.q.reshape(-1, 7)[idx], float(vals[idx]))
 
     if antisym == 0.0 and witness is not None:
         return StructureClass("T3", *witness)

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import InsufficientSamples, MalformedFieldInput
-from .frames import ModelParams, _as_points, frame_jet
+from .frames import ModelParams, _as_points, _check_frame_index, frame_jet
 
 __all__ = [
     "Poly",
@@ -291,6 +291,7 @@ class PolyVectorField:
 
 def frame_unit_field(index: int) -> PolyVectorField:
     """The basic frame field X_index (1-based) as a PolyVectorField."""
+    _check_frame_index(index)
     comps = [Poly.zero()] * 7
     comps[index - 1] = Poly.const(1.0)
     return PolyVectorField(comps)

@@ -1,5 +1,7 @@
 """Tests for the characteristic connection, torsion, and homogeneity checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from ebcv.curvature import scalar_curvature
 from ebcv.frames import ModelParams, levi_civita_tensor, sample_domain_points
+from ebcv.killing import frame_unit_field
 from ebcv.homogeneous import (
     P_SIGNS,
     ambrose_singer_check,
@@ -214,6 +217,64 @@ def test_classify_t3_with_witness():
         assert verdict.label == "T3"
         assert verdict.witness_triple == (1, 4, 5)
         assert abs(verdict.witness_value) > 1e-6
+
+
+def _classify_whole(params, pts):
+    """The classification verdict from the whole sample's torsion at once,
+    scanning the triples in lexicographic order."""
+    T = torsion_D_tensor(pts, params)
+    for a in range(7):
+        for b in range(7):
+            for c in range(7):
+                vals = T[:, a, b, c] + T[:, c, a, b] + T[:, b, c, a]
+                idx = int(np.argmax(np.abs(vals)))
+                if abs(vals[idx]) > 1e-6:
+                    return (a + 1, b + 1, c + 1), pts[idx], float(vals[idx])
+    return None, None, None
+
+
+@pytest.mark.parametrize("p", [ModelParams(1.0, 1.0), ModelParams(0.0, 1.0),
+                               ModelParams(-0.5, 2.0)], ids=str)
+def test_chunked_classification_matches_the_whole_sample(p):
+    # 100 points span four chunks; the witness is the whole array's
+    pts = _pts(p, n=100, seed=4)
+    verdict = classify_structure(p, pts)
+    triple, point, value = _classify_whole(p, pts)
+    assert verdict.label == "T3"
+    assert verdict.witness_triple == triple
+    assert_array_equal(verdict.witness_point, point)
+    assert verdict.witness_value == value
+
+
+def _classify_peak(p, pts):
+    tracemalloc.start()
+    try:
+        classify_structure(p, pts)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_classification_memory_does_not_grow_with_the_sample():
+    # a chunk's torsion at a time, and four numbers per point
+    p = ModelParams(1.0, 1.0)
+    pts = _pts(p, n=2048, seed=6)
+    small, large = _classify_peak(p, pts[:64]), _classify_peak(p, pts)
+    assert large <= 1.25 * small, (small, large)
+
+
+def test_frame_indices_are_validated():
+    # index 0 used to read X_7 through a negative index, and 8 an IndexError
+    p = ModelParams(1.0, 1.0)
+    for bad in (0, 8, -1, 1.0):
+        with pytest.raises(ValueError, match="1..7"):
+            torsion_D(bad, 5, ORIGIN, p)
+        with pytest.raises(ValueError, match="1..7"):
+            torsion_D(5, bad, ORIGIN, p)
+        with pytest.raises(ValueError, match="1..7"):
+            cyclic_sum(1, 4, bad, ORIGIN, p)
+        with pytest.raises(ValueError, match="1..7"):
+            frame_unit_field(bad)
 
 
 def test_classify_trivial_when_l_zero():

@@ -2,10 +2,12 @@
 
 Each file in ``tests/data`` holds ``ebcv verify --format json --seed 0`` at
 one (m, l) and sample count, with ``summary.elapsed`` removed.  Three hold
-20 samples, fewer than one curvature chunk; the fourth holds 100, so its
-sample crosses chunk boundaries.  A change that moves any record fails here
-and names the first check that differs.  When a change alters the report on
-purpose, regenerate the files and show their diff with the change:
+20 samples, fewer than one curvature chunk.  Two hold 100, so their samples
+cross chunk boundaries: at (1, 1), and at (0, 1), where the m = 0 tables
+and head records come from the sample's own pass.  A change that moves
+any record fails here and names the first check that differs.  When a
+change alters the report on purpose, regenerate the files and show their
+diff with the change:
 
     PYTHONPATH=src python tests/test_report_contract.py
 """
@@ -18,7 +20,8 @@ import pytest
 from ebcv.verify import run_verify
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
-CASES = [(0.0, 1.0, 20), (1.0, 1.0, 20), (1.0, 0.0, 20), (1.0, 1.0, 100)]
+CASES = [(0.0, 1.0, 20), (1.0, 1.0, 20), (1.0, 0.0, 20), (1.0, 1.0, 100),
+         (0.0, 1.0, 100)]
 IDS = [f"{m}-{l}" + ("" if n == 20 else f"-samples{n}") for m, l, n in CASES]
 SEED = 0
 

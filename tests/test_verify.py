@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -112,52 +113,53 @@ def test_byte_determinism_given_seed():
     assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
 
 
-@pytest.mark.parametrize("m, l, builds", [(1.0, 1.0, 2), (0.0, 1.0, 1)],
+@pytest.mark.parametrize("m, l, passes", [(1.0, 1.0, 2), (0.0, 1.0, 1)],
                          ids=["general", "m0"])
-def test_nabla_r_is_built_only_on_12_points(monkeypatch, m, l, builds):
-    # the public bundle is built once on the first 12 points of the sample
-    # and once on those of the m = 0 sample, the same bundle at m = 0; the
-    # nabla R of the whole sample is built per chunk, once per point (see
-    # test_r_is_built_once_per_sample_point)
-    sizes = []
-    original = ebcv.curvature.curvature_bundle
+def test_verify_reads_each_sample_in_one_pass(monkeypatch, m, l, passes):
+    # every per-point record comes from one chunked pass over the sample,
+    # plus one over the m = 0 sample when it is another; no public
+    # curvature entry point runs
+    public, chunked = [], []
+    original = ebcv.verify._chunked
 
-    def counting(q, params):
-        sizes.append(len(np.atleast_2d(getattr(q, "q", q))))
-        return original(q, params)
+    def counting(fr, body):
+        chunked.append(fr.q.size // 7)
+        return original(fr, body)
 
-    for mod in (ebcv.curvature, ebcv.verify):
-        monkeypatch.setattr(mod, "curvature_bundle", counting)
-    rep = run_verify(m, l, samples=20, seed=0)
+    def recording(name):
+        fn = getattr(ebcv.curvature, name)
+
+        def call(*args, **kwargs):
+            public.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(ebcv.verify, "_chunked", counting)
+    for name in ("curvature_bundle", "riemann_frame"):
+        monkeypatch.setattr(ebcv.verify, name, recording(name), raising=False)
+        monkeypatch.setattr(ebcv.curvature, name, recording(name))
+    rep = run_verify(m, l, samples=40, seed=0)
     assert rep.counts["fail"] == 0
-    assert len(sizes) == builds
-    assert max(sizes) <= 12
+    assert not public
+    assert chunked == [40] * passes
 
 
-@pytest.mark.parametrize("m, l, again", [(1.0, 1.0, 12 + 12 + 20 + 20),
-                                         (0.0, 1.0, 12 + 20)],
+@pytest.mark.parametrize("m, l, again", [(1.0, 1.0, 20), (0.0, 1.0, 0)],
                          ids=["general", "m0"])
 def test_r_is_built_once_per_sample_point(monkeypatch, m, l, again):
-    # R and nabla R of every sample point come from one chunked pass; only
-    # the 12-point bundles and the 20-point heads read by the
-    # coordinate-route and m = 0 table checks build R again, and at m = 0
-    # the two samples share both
+    # R and nabla R of every sample point come from its one chunked pass,
+    # whose first chunk also serves the records of the first 20 points; only
+    # the first 20 points of a distinct m = 0 sample get curvature besides
     samples = 40  # more than one curvature chunk
     points = []
-    bundle, riemann = ebcv.curvature._bundle, ebcv.curvature.riemann_frame
+    bundle = ebcv.curvature._bundle
 
     def counting_bundle(fr):
         points.append(fr.q.size // 7)
         return bundle(fr)
 
-    def counting_riemann(q, params):
-        points.append(np.asarray(getattr(q, "q", q)).size // 7)
-        return riemann(q, params)
-
     for mod in (ebcv.curvature, ebcv.homogeneous, ebcv.verify):
         monkeypatch.setattr(mod, "_bundle", counting_bundle)
-    for mod in (ebcv.curvature, ebcv.verify):
-        monkeypatch.setattr(mod, "riemann_frame", counting_riemann)
     rep = run_verify(m, l, samples=samples, seed=0)
     assert rep.counts["fail"] == 0
     assert sum(points) == samples + again
@@ -192,33 +194,39 @@ def test_memory_does_not_grow_with_the_sample():
 
 
 def test_each_point_set_gets_one_frame_jet(monkeypatch):
-    # a curvature bundle takes points and builds its own jet, so a set may
-    # have one jet more than the bundles built on it, and no more
-    jets, bundles = Counter(), Counter()
+    # the chunks and heads of a sample are rows of its jet, so no point is
+    # in two jets of the same parameters
+    jets = Counter()
     init = ebcv.frames.FrameJet.__init__
-    bundle = ebcv.curvature.curvature_bundle
-
-    def key(q, params):
-        q = np.asarray(q, dtype=float)
-        return q.shape, q.tobytes(), params
 
     def counting_init(self, q, params):
-        if np.ndim(q) > 1:
-            jets[key(q, params)] += 1
+        q = np.asarray(q, dtype=float)
+        if q.ndim > 1:
+            jets.update((row.tobytes(), params) for row in q.reshape(-1, 7))
         init(self, q, params)
 
-    def counting_bundle(q, params):
-        bundles[key(q, params)] += 1
-        return bundle(q, params)
-
     monkeypatch.setattr(ebcv.frames.FrameJet, "__init__", counting_init)
-    for mod in (ebcv.curvature, ebcv.verify):
-        monkeypatch.setattr(mod, "curvature_bundle", counting_bundle)
     rep = run_verify(1.0, 1.0, samples=20, seed=0)
     assert rep.counts["fail"] == 0
-    assert sum(bundles.values()) == 2
-    extra = {k[:1] + k[2:]: n for k, n in jets.items() if n > 1 + bundles[k]}
-    assert not extra
+    assert jets and max(jets.values()) == 1
+
+
+def test_table_record_takes_the_first_entry_with_the_worst_gap():
+    # one row per point: its worst gap and the first entry that has it; the
+    # worst gap of all wins, then the lowest entry, then the lowest point
+    gaps = np.array([[1.0, 2], [3.0, 4], [3.0, 1], [3.0, 1], [2.0, 0]])
+    pts = np.arange(35.0).reshape(5, 7)
+    table = {"entries": {f"1,{b}": {"3": f"{b}"} for b in range(2, 7)}}
+    ctx = SimpleNamespace(tol=lambda base: base)
+    rec = ebcv.verify._table_record(
+        ctx, ("t", table, None, 0.5, "ref"), gaps, pts)
+    assert rec.status == "paper-discrepancy"
+    assert rec.max_residual == 3.0
+    assert rec.witness == pts[2].tolist()
+    assert rec.printed == json.dumps({"3": "3"})  # entry 1 is pair (1, 3)
+    rec = ebcv.verify._table_record(
+        ctx, ("t", table, None, 5.0, "ref"), gaps, pts)
+    assert (rec.status, rec.witness) == ("pass", pts[2].tolist())
 
 
 def test_seed_changes_the_witnesses():
