@@ -7,12 +7,7 @@ scalar curvature varies with position.
 from __future__ import annotations
 
 from . import tolerances
-from .curvature import (
-    curvature_bundle,
-    ricci_frame,
-    riemann_frame,
-    scalar_curvature,
-)
+from .curvature import ricci_frame, riemann_frame, scalar_curvature
 from .errors import (
     DomainViolation,
     EbcvError,
@@ -89,7 +84,6 @@ __all__ = [
     "metric_matrix",
     "sample_domain_points",
     "structure_constants",
-    "curvature_bundle",
     "riemann_frame",
     "ricci_frame",
     "scalar_curvature",

@@ -16,6 +16,7 @@ invalid usage, 3 the integrator left the chart (the message names the step),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -43,16 +44,12 @@ EXIT_DOMAIN_EXIT = 3
 EXIT_MALFORMED_FIELD = 4
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+def _write_output(text: str, out) -> None:
+    """text and a final newline to the --out file, or to stdout."""
+    stream = out or sys.stdout
+    stream.write(text)
+    if not text.endswith("\n"):
+        stream.write("\n")
 
 
 def _json_dumps(obj) -> str:
@@ -92,7 +89,7 @@ def trajectory_csv(traj) -> str:
 def _trajectory_json(traj) -> str:
     return _json_dumps(
         {
-            "mode": traj.mode.value if hasattr(traj.mode, "value") else traj.mode,
+            "mode": traj.mode.value,
             "params": {"m": traj.params.m, "l": traj.params.l},
             "h": traj.h,
             "status": traj.status,
@@ -290,6 +287,17 @@ _positive_float = _checked(
 _finite_float = _checked(float, np.isfinite, "must be finite")
 
 
+def _output_file(path):
+    """An argparse ``type=`` for --out: the file opened for writing before
+    the command runs, as a shell redirection opens it, so an unwritable path
+    is invalid usage rather than a failure after the work is done."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(
+            f"cannot write {path!r}: {exc.strerror}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ebcv",
@@ -305,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--samples", type=_positive_int, default=100)
     v.add_argument("--seed", type=_nonnegative_int, default=0)
     v.add_argument("--format", choices=("text", "json"), default="text")
-    v.add_argument("--out", default=None)
+    v.add_argument("--out", type=_output_file, default=None)
     v.add_argument("--tol-scale", type=_positive_float, default=1.0)
     v.set_defaults(func=cmd_verify)
 
@@ -325,14 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--h", type=_positive_float, default=1e-3)
     g.add_argument("--n", type=_step_count, default=1000)
     g.add_argument("--format", choices=("csv", "json"), default="csv")
-    g.add_argument("--out", default=None)
+    g.add_argument("--out", type=_output_file, default=None)
     g.set_defaults(func=cmd_geodesic)
 
     k = sub.add_parser("killing", help="export or check Killing fields (m = 0)")
     k.add_argument("--l", type=_finite_float, required=True)
     k.add_argument("action", choices=("list", "check"))
     k.add_argument("--input", default=None, help="field file for 'check'")
-    k.add_argument("--out", default=None)
+    k.add_argument("--out", type=_output_file, default=None)
     k.set_defaults(func=cmd_killing)
 
     c = sub.add_parser("classify", help="name the base family for (m, l)")
@@ -340,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--l", type=_finite_float, required=True)
     c.add_argument("--case2", choices=("printed", "squared"), default="printed")
     c.add_argument("--format", choices=("text", "json"), default="text")
-    c.add_argument("--out", default=None)
+    c.add_argument("--out", type=_output_file, default=None)
     c.set_defaults(func=cmd_classify)
 
     cv = sub.add_parser("curvature", help="evaluate curvature data at a point")
@@ -353,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--full", action="store_true",
                     help="include the full curvature tensor")
     cv.add_argument("--format", choices=("text", "json"), default="json")
-    cv.add_argument("--out", default=None)
+    cv.add_argument("--out", type=_output_file, default=None)
     cv.set_defaults(func=cmd_curvature)
 
     return parser
@@ -362,17 +370,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ModeMismatch as exc:
-        print(f"invalid mode/parameter combination: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except DomainViolation as exc:
-        print(f"domain violation: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except MalformedFieldInput as exc:
-        print(f"malformed field input: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED_FIELD
+    with args.out or contextlib.nullcontext():
+        try:
+            return args.func(args)
+        except ModeMismatch as exc:
+            print(f"invalid mode/parameter combination: {exc}",
+                  file=sys.stderr)
+            return EXIT_DOMAIN
+        except DomainViolation as exc:
+            print(f"domain violation: {exc}", file=sys.stderr)
+            return EXIT_DOMAIN
+        except MalformedFieldInput as exc:
+            print(f"malformed field input: {exc}", file=sys.stderr)
+            return EXIT_MALFORMED_FIELD
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 """Curvature of the model metric in the orthonormal frame, by two routes.
 
-The primary route is Cartan's: R comes from the frame jet's structure
-constants C, the Koszul connection gamma and its frame derivatives
-X_x gamma = Koszul(X_x C); nabla R differentiates that formula once more,
-through the second partials d2C (`curvature_bundle`).  With
-``gamma[x, y, z] = <nabla_{X_x} X_y, X_z>``,
+The primary route is Cartan's, kept on the frame jet (`FrameJet.R`): R
+comes from the jet's structure constants C, the Koszul connection gamma and
+its frame derivatives X_x gamma = Koszul(X_x C); `FrameJet.nabla_R`
+differentiates that formula once more, through the second partials d2C.
+With ``gamma[x, y, z] = <nabla_{X_x} X_y, X_z>``,
 
     R[a,b,c,d] = X_a gamma_bdc - X_b gamma_adc + gamma_bdf gamma_afc
                  - gamma_adf gamma_bfc - C_abf gamma_fdc.
@@ -36,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import (J_TWIST, FrameJet, ModelParams, _as_points, _koszul,
-                     frame_jet, k_factor)
+from .frames import J_TWIST, ModelParams, _as_points, frame_jet, k_factor
 from .jets import Jet
 
 
@@ -169,110 +168,13 @@ def riemann_frame_coordinate(q, params: ModelParams) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class CurvatureBundle:
-    """Shared intermediate tensors for curvature-level computations."""
-
-    gamma_frame: np.ndarray     # Koszul <nabla_a X_b, X_c>  [..., a, b, c]
-    riemann: np.ndarray         # R[..., a, b, c, d]
-    nabla_riemann: np.ndarray   # (nabla_{X_e} R)[..., e, a, b, c, d]
-
-
-def _cartan_riemann(C: np.ndarray, gam: np.ndarray,
-                    xgam: np.ndarray) -> np.ndarray:
-    """R[..., a, b, c, d] from C, gamma and xgam[x, a, b, c] = X_x gamma_abc."""
-    S = np.einsum("...abdc->...abcd", xgam) + np.einsum(
-        "...bdf,...afc->...abcd", gam, gam)
-    return (S - np.einsum("...bacd->...abcd", S)
-            - np.einsum("...abf,...fdc->...abcd", C, gam))
-
-
-#: Points per evaluation chunk.  A call holds the temporaries of one chunk
-#: at a time, so its peak beyond the output arrays does not grow with the
-#: point count; and up to 64 points a point's value does not depend on the
-#: other points of its chunk.  Chunks of 16, 32 and 64 run alike; smaller
-#: ones run slower.
-_CHUNK = 32
-
-
-def _chunked(fr: FrameJet, body) -> tuple:
-    """body over the points of jet fr, in chunks of at most _CHUNK points.
-
-    body(sub) gets the jet of a chunk of fr's flattened points and returns
-    a tuple of arrays with one row per point.  These are written into
-    arrays allocated up front, in the memory layout of the chunk's, which
-    come back with fr's batch shape.  A single point of shape (7,) is
-    passed through whole; an empty batch runs one empty chunk.
-    """
-    batch = fr.q.shape[:-1]
-    if not batch:
-        return body(fr)
-    n = fr.q.size // 7
-    outs = None
-    for start in range(0, max(n, 1), _CHUNK):
-        rows = slice(start, start + _CHUNK)
-        got = body(fr._rows(rows))
-        if outs is None:
-            # the chunk's memory layout, which sets the summation order of
-            # einsums that later read the output
-            outs = [np.empty_like(g, shape=(n,) + g.shape[1:]) for g in got]
-        for out, g in zip(outs, got):
-            out[rows] = g
-    return tuple(out.reshape(batch + out.shape[1:]) for out in outs)
-
-
-def _riemann(fr: FrameJet):
-    """xC[e, a, b, c] = X_e C_abc, xgam = Koszul(xC) and R by Cartan."""
-    xC = np.einsum("...me,...mabc->...eabc", fr.F, fr.dC)
-    xgam = _koszul(xC)
-    return xC, xgam, _cartan_riemann(fr.C, fr.gamma, xgam)
-
-
-def _bundle(fr: FrameJet):
-    """gamma, R and nabla R of the points of fr, in one piece."""
-    F, C, gam, dC = fr.F, fr.C, fr.gamma, fr.dC
-    xC, xgam, riem = _riemann(fr)
-
-    # X_e X_x C = F^mu_e F^nu_x d2C_{mu nu} + (X_e F^nu_x) dC_nu
-    xxgam = _koszul(
-        np.einsum("...me,...nx,...mnabc->...exabc", F, F, fr.d2C, optimize=True)
-        + np.einsum("...me,...mnx,...nabc->...exabc", F, fr.dF, dC,
-                    optimize=True)
-    )
-    xS = (
-        np.einsum("...eabdc->...eabcd", xxgam)
-        + np.einsum("...ebdf,...afc->...eabcd", xgam, gam, optimize=True)
-        + np.einsum("...bdf,...eafc->...eabcd", gam, xgam, optimize=True)
-    )
-    nabla = (
-        xS - np.einsum("...ebacd->...eabcd", xS)
-        - np.einsum("...eabf,...fdc->...eabcd", xC, gam, optimize=True)
-        - np.einsum("...abf,...efdc->...eabcd", C, xgam, optimize=True)
-        - np.einsum("...eaf,...fbcd->...eabcd", gam, riem, optimize=True)
-        - np.einsum("...ebf,...afcd->...eabcd", gam, riem, optimize=True)
-        - np.einsum("...ecf,...abfd->...eabcd", gam, riem, optimize=True)
-        - np.einsum("...edf,...abcf->...eabcd", gam, riem, optimize=True)
-    )
-    return gam, riem, nabla
-
-
-def curvature_bundle(q, params: ModelParams) -> CurvatureBundle:
-    """Compute frame curvature and its frame covariant derivative at q.
-
-    X_e R is R's formula differentiated once more: X_e X_a gamma comes from
-    d2C, the products by the Leibniz rule.  The points are evaluated in
-    fixed chunks, so only the output grows with their number.
-    """
-    return CurvatureBundle(*_chunked(frame_jet(q, params), _bundle))
-
-
 def riemann_frame(q, params: ModelParams) -> np.ndarray:
     """Fully lowered frame curvature R[..., a, b, c, d] (0-based indices).
 
-    The same values as `curvature_bundle(q, params).riemann`, without
-    nabla R.
+    `FrameJet.R` of the points q, evaluated in fixed chunks, so only the
+    output grows with their number.
     """
-    (riem,) = _chunked(frame_jet(q, params), lambda fr: _riemann(fr)[2:])
+    (riem,) = frame_jet(q, params)._chunked(lambda fr: (fr.R,))
     return riem
 
 

@@ -18,11 +18,11 @@ imaginary quaternion units on the horizontal coordinates.
 
 All functions accept a single point of shape ``(7,)`` or a batch ``(..., 7)``
 and broadcast accordingly.  They also accept a `FrameJet` of the points,
-which builds F, its coframe, the structure constants and the Koszul
-connection once and shares them between calls.  Derivatives of the frame
-coefficients are exact closed forms (every entry is polynomial in the
-coordinates), so downstream bracket and connection values carry no
-finite-difference error.
+which builds F, its coframe, the structure constants, the Koszul
+connection, the curvature R and its covariant derivative once and shares
+them between calls.  Derivatives of the frame coefficients are exact closed
+forms (every entry is polynomial in the coordinates), so downstream
+bracket, connection and curvature values carry no finite-difference error.
 """
 
 from __future__ import annotations
@@ -93,16 +93,24 @@ def _twist_block(q: np.ndarray, params: ModelParams) -> np.ndarray:
     return 0.5 * params.l * np.einsum("iab,...b->...ia", J_TWIST, u)
 
 
+#: Points per evaluation chunk of `FrameJet._chunked`.  A call holds the
+#: temporaries of one chunk at a time, so its peak beyond the output arrays
+#: does not grow with the point count; and up to 64 points a point's value
+#: does not depend on the other points of its chunk.  Chunks of 16, 32 and
+#: 64 run alike; smaller ones run slower.
+_CHUNK = 32
+
+
 class FrameJet:
     """The frame layer at a point set, each tensor built once.
 
     The domain is checked once, on construction (K > 0).  ``F``, ``Om``,
-    ``dF``, ``C``, ``dC`` and ``gamma`` are built on first use and then kept,
-    read-only; ``d2C`` and ``d2F`` are built on every read, so the largest
-    derivative tensors are not held.  ``q``, ``params`` and ``K`` hold
-    the points, the parameters and the conformal factor.  Pass a jet wherever a
-    function takes points ``q`` to share these tensors between calls (see
-    `frame_jet`).
+    ``dF``, ``C``, ``dC``, ``gamma``, ``R`` and ``nabla_R`` are built on
+    first use and then kept, read-only; ``d2C`` and ``d2F`` are built on
+    every read, so the largest derivative tensors are not held.  ``q``, ``params`` and ``K`` hold the points, the parameters
+    and the conformal factor.  Pass a jet wherever a function takes points
+    ``q`` to share these tensors between calls (see `frame_jet`); read the
+    curvature of many points through `_chunked`, which bounds the memory.
     """
 
     def __init__(self, q, params: ModelParams):
@@ -122,6 +130,33 @@ class FrameJet:
             if isinstance(t, np.ndarray):
                 vars(sub)[name] = t.reshape((-1,) + t.shape[batch_ndim:])[rows]
         return sub
+
+    def _chunked(self, body) -> tuple:
+        """body over the points of this jet, in chunks of at most _CHUNK.
+
+        body(sub) gets the jet of a chunk of the flattened points (`_rows`)
+        and returns a tuple of arrays with one row per point.  These are
+        written into arrays allocated up front, in the memory layout of the
+        chunk's, which come back with this jet's batch shape.  A single
+        point of shape (7,) is passed through whole; an empty batch runs one
+        empty chunk.
+        """
+        batch = self.q.shape[:-1]
+        if not batch:
+            return body(self)
+        n = self.q.size // 7
+        outs = None
+        for start in range(0, max(n, 1), _CHUNK):
+            rows = slice(start, start + _CHUNK)
+            got = body(self._rows(rows))
+            if outs is None:
+                # the chunk's memory layout, which sets the summation order
+                # of einsums that later read the output
+                outs = [np.empty_like(g, shape=(n,) + g.shape[1:])
+                        for g in got]
+            for out, g in zip(outs, got):
+                out[rows] = g
+        return tuple(out.reshape(batch + out.shape[1:]) for out in outs)
 
     @_kept
     def F(self) -> np.ndarray:
@@ -224,6 +259,52 @@ class FrameJet:
         """
         return _koszul(self.C)
 
+    def _x_derivatives(self):
+        """xC[..., e, a, b, c] = X_{e+1} C_abc and xgam = Koszul(xC), the
+        frame derivatives of C and gamma.  Built on each call, not kept:
+        holding them beside R and nabla R raises the peak of a chunk."""
+        xC = np.einsum("...me,...mabc->...eabc", self.F, self.dC)
+        return xC, _koszul(xC)
+
+    @_kept
+    def R(self) -> np.ndarray:
+        """Frame curvature R[..., a, b, c, d] = <R(X_a, X_b) X_d, X_c> by
+        Cartan's structure equations (see `curvature`)."""
+        C, gam, (_, xgam) = self.C, self.gamma, self._x_derivatives()
+        S = np.einsum("...abdc->...abcd", xgam) + np.einsum(
+            "...bdf,...afc->...abcd", gam, gam)
+        return (S - np.einsum("...bacd->...abcd", S)
+                - np.einsum("...abf,...fdc->...abcd", C, gam))
+
+    @_kept
+    def nabla_R(self) -> np.ndarray:
+        """(nabla_{X_e} R)[..., e, a, b, c, d]: R's formula differentiated
+        once more, X_e X_x gamma from d2C and the products by the Leibniz
+        rule."""
+        F, C, gam, riem = self.F, self.C, self.gamma, self.R
+        xC, xgam = self._x_derivatives()
+        # X_e X_x C = F^mu_e F^nu_x d2C_{mu nu} + (X_e F^nu_x) dC_nu
+        xxgam = _koszul(
+            np.einsum("...me,...nx,...mnabc->...exabc", F, F, self.d2C,
+                      optimize=True)
+            + np.einsum("...me,...mnx,...nabc->...exabc", F, self.dF,
+                        self.dC, optimize=True)
+        )
+        xS = (
+            np.einsum("...eabdc->...eabcd", xxgam)
+            + np.einsum("...ebdf,...afc->...eabcd", xgam, gam, optimize=True)
+            + np.einsum("...bdf,...eafc->...eabcd", gam, xgam, optimize=True)
+        )
+        return (
+            xS - np.einsum("...ebacd->...eabcd", xS)
+            - np.einsum("...eabf,...fdc->...eabcd", xC, gam, optimize=True)
+            - np.einsum("...abf,...efdc->...eabcd", C, xgam, optimize=True)
+            - np.einsum("...eaf,...fbcd->...eabcd", gam, riem, optimize=True)
+            - np.einsum("...ebf,...afcd->...eabcd", gam, riem, optimize=True)
+            - np.einsum("...ecf,...abfd->...eabcd", gam, riem, optimize=True)
+            - np.einsum("...edf,...abcf->...eabcd", gam, riem, optimize=True)
+        )
+
 
 def _koszul(C: np.ndarray) -> np.ndarray:
     """The Koszul formula of `FrameJet.gamma` on the last three axes of C.
@@ -295,6 +376,11 @@ def _check_frame_index(*indices) -> None:
             raise ValueError("frame indices are integers in 1..7")
 
 
+#: Rows per candidate draw of `sample_domain_points`, so a large sample
+#: holds its result and one draw, not all its candidates at once.
+_DRAW = 1024
+
+
 def sample_domain_points(
     params: ModelParams,
     n: int,
@@ -306,24 +392,28 @@ def sample_domain_points(
     """Draw n points uniformly from [-box, box]^7, rejecting K <= k_min.
 
     Deterministic for a given seed.  Raises DomainViolation when the
-    parameters make acceptable points (effectively) impossible to find.
+    parameters make acceptable points (effectively) impossible to find:
+    after ``max_batches`` batches of max(4n, 64) candidates.  The candidates
+    are drawn at most `_DRAW` rows at a time; the generator's stream does
+    not depend on how it is split, so the points do not either.
     """
     if n < 1:
         raise ValueError("need n >= 1 sample points")
     rng = np.random.default_rng(seed)
-    chunk = max(4 * n, 64)
-    kept: list[np.ndarray] = []
+    batch = max(4 * n, 64)
+    left = max_batches * batch
+    out = np.empty((n, 7))
     total = 0
-    for _ in range(max_batches):
-        pts = rng.uniform(-box, box, size=(chunk, 7))
+    while left > 0:
+        pts = rng.uniform(-box, box, size=(min(batch, _DRAW, left), 7))
+        left -= len(pts)
         u2 = np.sum(pts[:, 3:] * pts[:, 3:], axis=-1)
         K = 1.0 + params.m * u2
-        good = pts[np.isfinite(K) & (K > k_min)]
-        if good.shape[0]:
-            kept.append(good)
-            total += good.shape[0]
-        if total >= n:
-            return np.concatenate(kept, axis=0)[:n]
+        good = pts[np.isfinite(K) & (K > k_min)][: n - total]
+        out[total:total + len(good)] = good
+        total += len(good)
+        if total == n:
+            return out
     raise DomainViolation(
         f"could not draw {n} points with K > {k_min} in [-{box},{box}]^7 "
         f"for (m,l)=({params.m},{params.l})"

@@ -52,7 +52,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import _bundle, _chunked
 from .errors import InconclusiveClassification
 from .frames import (
     HORIZONTAL_IDX,
@@ -182,7 +181,7 @@ def classify_structure(params: ModelParams, points) -> StructureClass:
             np.where(over.any(axis=-1), over.argmax(axis=-1), n_triples),
         )
 
-    size, c12, antisym, first = (np.ravel(r) for r in _chunked(fr, per_point))
+    size, c12, antisym, first = (np.ravel(r) for r in fr._chunked(per_point))
     if size.max() < TOL_EXACT:
         return StructureClass("trivial", None, None, None)
 
@@ -197,7 +196,7 @@ def classify_structure(params: ModelParams, points) -> StructureClass:
     k = int(first.min())
     if k < n_triples:
         triple = _TRIPLES[:, k]
-        (vals,) = _chunked(fr, lambda sub: (
+        (vals,) = fr._chunked(lambda sub: (
             _cyclic_sums(torsion_D_tensor(sub, params), *triple),))
         vals = np.ravel(vals)
         idx = int(np.argmax(np.abs(vals)))
@@ -258,17 +257,15 @@ def ambrose_singer_check(q, params: ModelParams) -> np.ndarray:
     (ii) and (iii) vanish at m = 0 and are O(1) for m != 0, l != 0 where the
     metric is not homogeneous.  The points are evaluated in fixed chunks,
     curvature included, so the call holds the curvature of one chunk at a
-    time.  A caller that builds a chunk's curvature for its own checks
-    passes it to the chunk body `_residuals` instead.
+    time; a chunk shares whatever the jet of q has already built.
     """
-    (res,) = _chunked(frame_jet(q, params),
-                      lambda fr: (_residuals(fr, *_bundle(fr)[1:]),))
+    (res,) = frame_jet(q, params)._chunked(lambda fr: (_residuals(fr),))
     return res
 
 
-def _residuals(fr, R, nabR) -> np.ndarray:
-    """The residuals (..., 3) at the points of jet fr, whose curvature R and
-    nabla R the caller built (in `_chunked`, one chunk's)."""
+def _residuals(fr) -> np.ndarray:
+    """The residuals (..., 3) at the points of jet fr, from its curvature."""
+    R, nabR = fr.R, fr.nabla_R
     S = _skew_completion(_reduced_torsion(fr.C))
     dS = _skew_completion(-fr.dC * _TORSION_MASK)
     nabS = _covariant_derivative(fr.F, fr.gamma, S, dS)

@@ -26,8 +26,6 @@ import numpy as np
 
 from . import published_tables as pt
 from .curvature import (
-    _bundle,
-    _chunked,
     gamma_frame_coordinate,
     ricci_from_riemann,
     riemann_frame_coordinate,
@@ -55,7 +53,7 @@ from .geodesics import (
     printed_heisenberg_rhs,
 )
 from .homogeneous import (
-    _residuals,
+    ambrose_singer_check,
     c12_trace,
     candidate_structure_tensor,
     char_connection_tensor,
@@ -173,7 +171,7 @@ class _Ctx:
     """The samples of a report and their frame jets, each drawn once.
 
     Of a whole sample only its jet is kept, and that jet builds no tensor:
-    `_chk_sample` reads it in one `curvature._chunked` pass, whose chunk
+    `_chk_sample` reads it in one `FrameJet._chunked` pass, whose chunk
     jets build their own.  At m = 0 the m = 0 sample is the sample itself.
     The Killing sample is a head of the m = 0 sample (`FrameJet._rows`)
     where it can be.
@@ -253,16 +251,16 @@ def _claim(cid, worst, witness, tol, reference, holds, info, printed, oracle):
 
 
 def _chk_sample(ctx):
-    """Every record read from the points of the sample, from one `_chunked`
-    pass over its jet.  Each chunk's jet builds F, Om, dF, C, dC and gamma
-    once for all of them, and one `_bundle` gives the chunk's R and nabla R.
-    The body returns max |residual| per point (`_pmax`), so one chunk's
-    tensors exist at a time; `_summary` reduces that vector to the worst
-    value and the first point that attains it, as it would the whole array.
-    The records of the first 8, 12 or 20 points read the first chunk, which
-    holds them (_CHUNK >= 20), while its curvature is alive.  At m != 0 a
-    second pass reads the tables of the m = 0 sample, and one `_bundle` of
-    its first 20 points gives its head records."""
+    """Every record read from the points of the sample, from one
+    `FrameJet._chunked` pass over its jet.  Each chunk's jet builds F, Om,
+    dF, C, dC, gamma, R and nabla R once for all of them.  The body returns
+    max |residual| per point (`_pmax`), so one chunk's tensors exist at a
+    time; `_summary` reduces that vector to the worst value and the first
+    point that attains it, as it would the whole array.  The records of the
+    first 8, 12 or 20 points read heads of the first chunk's jet, which
+    holds them (_CHUNK >= 20) and shares its curvature with them.  At
+    m != 0 a second pass reads the tables of the m = 0 sample, and the jet
+    of its first 20 points gives its head records."""
     doc, params = ctx.doc, ctx.params
     claims = doc["structure_claims"]
     wit = claims["class_membership"]["t2_exclusion_witness"]
@@ -298,14 +296,17 @@ def _chk_sample(ctx):
                      for _, table, tensor, _, _ in tables)
 
     def body(fr):
-        gam, R, nabR = _bundle(fr)
+        # the curvature first, so that every head and the Ambrose-Singer
+        # check share it
+        gam, R = fr.gamma, fr.R
+        fr.nabla_R
         if not heads:  # the first chunk
-            heads.extend(_sample_heads(ctx, fr, gam, R, nabR))
+            heads.extend(_sample_heads(ctx, fr))
             if shared:
-                heads.extend(_m0_heads(ctx, fr, gam, R, nabR))
-        # the Ambrose-Singer residuals first, while no other temporary is
-        # held: their own peak is the body's largest after `_bundle`
-        as_eq = _residuals(fr, R, nabR)
+                heads.extend(_m0_heads(ctx, fr))
+        # the Ambrose-Singer residuals next, while no other temporary is
+        # held: their own peak is the body's largest after nabla R's
+        as_eq = ambrose_singer_check(fr, params)
         F, Om, C = fr.F, fr.Om, fr.C
         G = np.einsum("...ma,...mn,...nb->...ab", F, metric_matrix(fr, params), F)
         # independent finite-difference differentiation of the frame columns
@@ -362,7 +363,7 @@ def _chk_sample(ctx):
         return (per_point, scal, coeffs) + table_gaps(
             fr, tables + m0_tables if shared else tables)
 
-    per_point, scal, coeffs, *gaps = _chunked(ctx.jet, body)
+    per_point, scal, coeffs, *gaps = ctx.jet._chunked(body)
     *residuals, faithful, corollary, as_eq = per_point.T
     records = (  # (id, tolerance, reference) in the order of body's results
         ("frame-orthonormality", TOL_EXACT,
@@ -460,9 +461,8 @@ def _chk_sample(ctx):
     if shared:
         gaps0 = gaps[len(tables):]
     else:
-        gaps0 = _chunked(ctx.jet0, lambda fr: table_gaps(fr, m0_tables))
-        head0 = ctx.jet0._rows(slice(0, 20))
-        out += _m0_heads(ctx, head0, *_bundle(head0))
+        gaps0 = ctx.jet0._chunked(lambda fr: table_gaps(fr, m0_tables))
+        out += _m0_heads(ctx, ctx.jet0._rows(slice(0, 20)))
     out += [_table_record(ctx, spec, g, ctx.pts)
             for spec, g in zip(tables, gaps)]
     details = f"evaluated at (m, l) = (0, {params.l:g})"
@@ -471,23 +471,23 @@ def _chk_sample(ctx):
     return out
 
 
-def _sample_heads(ctx, fr, gam, R, nabR):
-    """The records of the first points of the sample, from the jet fr of its
-    first chunk and that chunk's curvature: the coordinate route on 20
-    points, the second Bianchi identity on 8 and the characteristic
-    connection on 12."""
+def _sample_heads(ctx, fr):
+    """The records of the first points of the sample, from heads of the jet
+    fr of its first chunk: the coordinate route on 20 points, the second
+    Bianchi identity on 8 and the characteristic connection on 12."""
     head = fr._rows(slice(0, 20))
     out = [
         _passfail(
             "riemann-frame-vs-coordinate-route",
-            R[:20] - riemann_frame_coordinate(head, ctx.params),
+            head.R - riemann_frame_coordinate(head, ctx.params),
             ctx.tol(TOL_TABLE),
             "Cartan frame curvature matches the coordinate-Christoffel "
             "route", head.q,
         )
     ]
 
-    nab = nabR[:8]
+    head = fr._rows(slice(0, 8))
+    nab = head.nabla_R
     cyc = (
         nab
         + np.einsum("...abecd->...eabcd", nab)
@@ -497,7 +497,7 @@ def _sample_heads(ctx, fr, gam, R, nabR):
         _passfail(
             "curvature-second-bianchi", cyc, ctx.tol(TOL_TABLE),
             "cyclic sum of the covariant curvature derivative vanishes",
-            fr.q[:8],
+            head.q,
         )
     )
 
@@ -506,7 +506,7 @@ def _sample_heads(ctx, fr, gam, R, nabR):
     resT = torsion_parallelism_residual(sub, ctx.params,
                                         connection="characteristic")
     resR = _curvature_parallelism_residual(
-        gam[:12], R[:12], nabR[:12], char_connection_tensor(sub, ctx.params))
+        sub, char_connection_tensor(sub, ctx.params))
     worst = max(float(np.abs(resT).max()), float(np.abs(resR).max()))
     out.append(
         _claim(
@@ -522,15 +522,17 @@ def _sample_heads(ctx, fr, gam, R, nabR):
     return out
 
 
-def _m0_heads(ctx, fr, gam, R, nabR):
+def _m0_heads(ctx, fr):
     """The records of the first points of the m = 0 sample, from the jet fr
-    of its first 20 points or more and their curvature: the printed spot
-    values on 20 points and the canonical connection on 12."""
+    of its first 20 points or more: the printed spot values on 20 points
+    and the canonical connection on 12."""
     params0 = fr.params
     details = f"evaluated at (m, l) = (0, {ctx.params.l:g})"
-    head = fr.q[:20]
-    R0 = R[:20]
-    env0 = pt.point_env(head, params0)
+    # nabla R on all of fr's points, so the 12-point head below shares it
+    fr.nabla_R
+    head = fr._rows(slice(0, 20))
+    R0 = head.R
+    env0 = pt.point_env(head.q, params0)
     ex = ctx.doc["curvature_tables"]["m0_examples"]["entries"]
     ric0 = ricci_from_riemann(R0)
     diag = ctx.doc["curvature_tables"]["ricci_m0_diagonal"]["entries"]
@@ -546,7 +548,7 @@ def _m0_heads(ctx, fr, gam, R, nabR):
         _passfail(
             "m0-curvature-table", np.stack(res0, axis=-1), ctx.tol(TOL_TABLE),
             "printed curvature spot values and Ricci diagonal at m = 0",
-            head, details=details,
+            head.q, details=details,
         )
     ]
 
@@ -554,8 +556,7 @@ def _m0_heads(ctx, fr, gam, R, nabR):
     sub = fr._rows(slice(0, 12))
     S0 = candidate_structure_tensor(sub, params0)
     resT0 = torsion_parallelism_residual(sub, params0, connection="canonical")
-    resR0 = _curvature_parallelism_residual(
-        gam[:12], R[:12], nabR[:12], sub.gamma - S0)
+    resR0 = _curvature_parallelism_residual(sub, sub.gamma - S0)
     out.append(
         _passfail(
             "torsion-parallelism-canonical",
@@ -571,18 +572,19 @@ def _m0_heads(ctx, fr, gam, R, nabR):
     return out
 
 
-def _curvature_parallelism_residual(gam, R, nabR, conn):
-    """Frame components of the curvature derivative for a metric connection
-    given by <nabla_e X_a, X_b> = conn[e, a, b], from the Levi-Civita gamma,
-    R and nabla R of the same points."""
-    A = conn - gam
+def _curvature_parallelism_residual(fr, conn):
+    """Frame components of the curvature derivative at the points of jet fr
+    for a metric connection given by <nabla_e X_a, X_b> = conn[e, a, b],
+    from the jet's Levi-Civita gamma, R and nabla R."""
+    A = conn - fr.gamma
+    R = fr.R
     corr = (
         np.einsum("...eag,...gbcd->...eabcd", A, R)
         + np.einsum("...ebg,...agcd->...eabcd", A, R)
         + np.einsum("...ecg,...abgd->...eabcd", A, R)
         + np.einsum("...edg,...abcg->...eabcd", A, R)
     )
-    return nabR - corr
+    return fr.nabla_R - corr
 
 
 def _table_gaps(table, oracle, fr):

@@ -101,6 +101,8 @@ BASE_ARGV = {
         ("curvature", "--point nan 0 0 0 0 0 0"),
         ("classify", "--m=inf"),
         ("classify", "--l=nan"),
+        # opened before the command runs, so verify runs no report first
+        *((command, "--out=/nonexistent/dir/x.txt") for command in BASE_ARGV),
     ],
 )
 def test_invalid_usage_exits_2_naming_the_flag(command, bad, capsys):

@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 import oracles
-from ebcv.frames import (FrameJet, ModelParams, levi_civita_tensor,
+from ebcv.frames import (_CHUNK, FrameJet, ModelParams, levi_civita_tensor,
                          sample_domain_points)
 from ebcv.curvature import (
-    _CHUNK,
     christoffel,
-    curvature_bundle,
     gamma_frame_coordinate,
     metric_taylor,
     ricci_frame,
@@ -105,11 +103,13 @@ def test_riemann_examples():
 
 @pytest.mark.parametrize("m,l", [(0.0, 1.0), (1.0, 1.0), (1.0, 0.0), (-0.5, 1.0)])
 def test_riemann_frame_equals_bundle_riemann_exactly(m, l):
-    # riemann_frame stops before nabla R; its R must be the bundle's R bit
-    # for bit, since verify reads R from the bundle
+    # riemann_frame stops before nabla R; its R must be bit for bit the R of
+    # a jet that builds nabla R too, as verify and ambrose_singer_check do
     p = ModelParams(m, l)
     pts = sample_domain_points(p, 6, seed=21)
-    assert np.array_equal(riemann_frame(pts, p), curvature_bundle(pts, p).riemann)
+    fr = FrameJet(pts, p)
+    fr.nabla_R
+    assert np.array_equal(riemann_frame(pts, p), fr.R)
 
 
 def test_riemann_symmetries_and_first_bianchi():
@@ -276,7 +276,7 @@ def test_scalar_equals_ricci_trace_and_published_trace():
 def test_nabla_riemann_second_bianchi():
     for p in [ModelParams(0.0, 1.0), ModelParams(1.0, 1.0), ModelParams(-0.5, 2.0)]:
         pts = sample_domain_points(p, 5, seed=41)
-        nab = curvature_bundle(pts, p).nabla_riemann
+        nab = FrameJet(pts, p).nabla_R
         cyc = (
             nab
             + np.einsum("...abecd->...eabcd", nab)
@@ -288,7 +288,7 @@ def test_nabla_riemann_second_bianchi():
 def test_nabla_riemann_matches_fd():
     p = ModelParams(0.6, 1.2)
     pts = sample_domain_points(p, 2, seed=43)
-    nab = curvature_bundle(pts, p).nabla_riemann
+    nab = FrameJet(pts, p).nabla_R
     gfr = levi_civita_tensor(pts, p)
     from ebcv.frames import frame_matrix
 
@@ -317,32 +317,25 @@ def test_chunking_is_invisible(m, l):
     # count (1, 33 and 200 do not divide the chunk) and the batch shape
     p = ModelParams(m, l)
     pts = sample_domain_points(p, 200, seed=5)
-    alone = [curvature_bundle(q, p) for q in pts]
-    want = {
-        "gamma_frame": np.stack([b.gamma_frame for b in alone]),
-        "riemann": np.stack([b.riemann for b in alone]),
-        "nabla_riemann": np.stack([b.nabla_riemann for b in alone]),
-        "riemann_frame": np.stack([riemann_frame(q, p) for q in pts]),
-        "as_check": np.stack([ambrose_singer_check(q, p) for q in pts]),
-    }
+    keys = ("gamma", "R", "nabla_R", "riemann_frame", "as_check")
+
+    def values(q):
+        # the jet's tensors through the chunk map, then the entry points
+        tensors = FrameJet(q, p)._chunked(
+            lambda fr: (fr.gamma, fr.R, fr.nabla_R))
+        return dict(zip(keys, tensors + (riemann_frame(q, p),
+                                         ambrose_singer_check(q, p))))
+
+    alone = [values(q) for q in pts]
+    want = {key: np.stack([v[key] for v in alone]) for key in keys}
     for shape in [(1, 7), (33, 7), (200, 7), (4, 50, 7)]:
         n = int(np.prod(shape[:-1]))
-        q = pts[:n].reshape(shape)
-        b = curvature_bundle(q, p)
-        got = {
-            "gamma_frame": b.gamma_frame,
-            "riemann": b.riemann,
-            "nabla_riemann": b.nabla_riemann,
-            "riemann_frame": riemann_frame(q, p),
-            "as_check": ambrose_singer_check(q, p),
-        }
-        for key, value in got.items():
+        for key, value in values(pts[:n].reshape(shape)).items():
             expect = want[key][:n].reshape(shape[:-1] + want[key].shape[1:])
             assert value.shape == expect.shape, (shape, key)
             assert np.array_equal(value, expect), (shape, key)
     # a single point takes no loop and keeps its shape
-    assert riemann_frame(pts[7], p).shape == (7, 7, 7, 7)
-    assert np.array_equal(ambrose_singer_check(pts[7], p), want["as_check"][7])
+    assert alone[7]["riemann_frame"].shape == (7, 7, 7, 7)
 
 
 def test_a_jet_chunk_shares_the_tensors_already_built():
@@ -355,6 +348,12 @@ def test_a_jet_chunk_shares_the_tensors_already_built():
     assert np.array_equal(sub.C, C.reshape(40, 7, 7, 7)[32:])
     assert "dC" not in vars(sub)  # not built on fr, so built on first use
     assert not sub.gamma.flags.writeable
+    # the curvature too, once fr has built it
+    R, nabla_R = fr.R, fr.nabla_R
+    sub = fr._rows(slice(32, 40))
+    assert np.shares_memory(sub.R, R)
+    assert np.shares_memory(sub.nabla_R, nabla_R)
+    assert np.array_equal(sub.nabla_R, nabla_R.reshape((40,) + (7,) * 5)[32:])
     # a chunk of a jet gives the same bits as a chunk of points
     assert np.array_equal(riemann_frame(fr, p), riemann_frame(fr.q, p))
 

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
 from ebcv.errors import DomainViolation
 from ebcv.frames import (
+    _DRAW,
     BCVClassification,
     FrameJet,
     ModelParams,
@@ -288,6 +291,43 @@ def test_sample_domain_points_exhaustion():
         sample_domain_points(ModelParams(float("nan"), 1.0), 10, seed=1)
     with pytest.raises(DomainViolation):
         sample_domain_points(ModelParams(-1e9, 1.0), 10, seed=1, max_batches=5)
+
+
+def _whole_batch_sample(params, n, seed, box=0.5, k_min=0.1):
+    """The sampler's points from whole batches of max(4n, 64) candidates."""
+    rng = np.random.default_rng(seed)
+    kept = []
+    while sum(map(len, kept)) < n:
+        pts = rng.uniform(-box, box, size=(max(4 * n, 64), 7))
+        K = 1.0 + params.m * np.sum(pts[:, 3:] * pts[:, 3:], axis=-1)
+        kept.append(pts[np.isfinite(K) & (K > k_min)])
+    return np.concatenate(kept)[:n]
+
+
+@pytest.mark.parametrize("m, n, seed", [
+    (1.0, 1, 0), (0.0, 100, 3), (1.0, 257, 1), (-1.5, 1000, 7),
+    (-3.0, 40, 2), (-3.0, 6400, 5),  # m = -3 rejects about half
+])
+def test_sample_domain_points_do_not_depend_on_the_draw_size(m, n, seed):
+    p = ModelParams(m, 1.0)
+    np.testing.assert_array_equal(sample_domain_points(p, n, seed),
+                                  _whole_batch_sample(p, n, seed))
+
+
+def test_sample_domain_points_hold_one_draw_beyond_the_result():
+    p = ModelParams(1.0, 1.0)
+    sample_domain_points(p, 16, seed=0)  # the first call's own allocations
+
+    def beyond_result(n):
+        tracemalloc.start()
+        try:
+            out = sample_domain_points(p, n, seed=0)
+            return tracemalloc.get_traced_memory()[1] - out.nbytes
+        finally:
+            tracemalloc.stop()
+
+    one_draw = beyond_result(_DRAW // 4)  # a single draw of _DRAW rows
+    assert beyond_result(6400) <= 2 * one_draw
 
 
 # --- 3-dimensional base family -------------------------------------------------

@@ -14,7 +14,6 @@ import pytest
 import ebcv
 import ebcv.curvature
 import ebcv.frames
-import ebcv.homogeneous
 import ebcv.verify
 from ebcv.errors import DomainViolation
 from ebcv.verify import CheckResult, VerifyReport, run_verify
@@ -113,35 +112,46 @@ def test_byte_determinism_given_seed():
     assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
 
 
+def _count_points(monkeypatch, owner, name):
+    """The point count of each call of the method or kept tensor name of
+    owner, and for a method, the module that called it."""
+    calls = []
+    attr = vars(owner)[name]
+    fn = getattr(attr, "func", attr)  # what a kept tensor is built by
+
+    def counting(fr, *args):
+        caller = sys._getframe(1).f_globals["__name__"]
+        calls.append((fr.q.size // 7, caller))
+        return fn(fr, *args)
+
+    if fn is attr:
+        monkeypatch.setattr(owner, name, counting)
+    else:
+        monkeypatch.setattr(attr, "func", counting)
+    return calls
+
+
 @pytest.mark.parametrize("m, l, passes", [(1.0, 1.0, 2), (0.0, 1.0, 1)],
                          ids=["general", "m0"])
 def test_verify_reads_each_sample_in_one_pass(monkeypatch, m, l, passes):
     # every per-point record comes from one chunked pass over the sample,
     # plus one over the m = 0 sample when it is another; no public
     # curvature entry point runs
-    public, chunked = [], []
-    original = ebcv.verify._chunked
+    public = []
+    chunked = _count_points(monkeypatch, ebcv.frames.FrameJet, "_chunked")
+    riemann_frame = ebcv.curvature.riemann_frame
 
-    def counting(fr, body):
-        chunked.append(fr.q.size // 7)
-        return original(fr, body)
+    def recording(*args, **kwargs):
+        public.append("riemann_frame")
+        return riemann_frame(*args, **kwargs)
 
-    def recording(name):
-        fn = getattr(ebcv.curvature, name)
-
-        def call(*args, **kwargs):
-            public.append(name)
-            return fn(*args, **kwargs)
-        return call
-
-    monkeypatch.setattr(ebcv.verify, "_chunked", counting)
-    for name in ("curvature_bundle", "riemann_frame"):
-        monkeypatch.setattr(ebcv.verify, name, recording(name), raising=False)
-        monkeypatch.setattr(ebcv.curvature, name, recording(name))
+    monkeypatch.setattr(ebcv.verify, "riemann_frame", recording, raising=False)
+    monkeypatch.setattr(ebcv.curvature, "riemann_frame", recording)
     rep = run_verify(m, l, samples=40, seed=0)
     assert rep.counts["fail"] == 0
     assert not public
-    assert chunked == [40] * passes
+    assert [n for n, caller in chunked if caller == "ebcv.verify"] == (
+        [40] * passes)
 
 
 @pytest.mark.parametrize("m, l, again", [(1.0, 1.0, 20), (0.0, 1.0, 0)],
@@ -151,18 +161,13 @@ def test_r_is_built_once_per_sample_point(monkeypatch, m, l, again):
     # whose first chunk also serves the records of the first 20 points; only
     # the first 20 points of a distinct m = 0 sample get curvature besides
     samples = 40  # more than one curvature chunk
-    points = []
-    bundle = ebcv.curvature._bundle
-
-    def counting_bundle(fr):
-        points.append(fr.q.size // 7)
-        return bundle(fr)
-
-    for mod in (ebcv.curvature, ebcv.homogeneous, ebcv.verify):
-        monkeypatch.setattr(mod, "_bundle", counting_bundle)
+    jet = ebcv.frames.FrameJet
+    riemann = _count_points(monkeypatch, jet, "R")
+    nabla = _count_points(monkeypatch, jet, "nabla_R")
     rep = run_verify(m, l, samples=samples, seed=0)
     assert rep.counts["fail"] == 0
-    assert sum(points) == samples + again
+    assert sum(n for n, _ in riemann) == samples + again
+    assert sum(n for n, _ in nabla) == samples + again
 
 
 # how far a fresh process's peak RSS rises over one report (in KB on Linux)
