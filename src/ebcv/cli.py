@@ -23,7 +23,8 @@ import sys
 import numpy as np
 
 from .errors import DomainViolation, MalformedFieldInput, ModeMismatch
-from .frames import ModelParams, bcv_classify, k_factor, sample_domain_points
+from .frames import (SAMPLE_BOX, ModelParams, bcv_classify, k_factor,
+                     sample_domain_points)
 from .geodesics import (
     MAX_STEPS,
     CotangentState,
@@ -182,14 +183,21 @@ def cmd_killing(args) -> int:
         return EXIT_MALFORMED_FIELD
 
     params, pts = _standard_killing_sample(args.l)
-    residual = float(np.abs(killing_residual(field, pts, params)).max())
+    with np.errstate(all="ignore"):
+        residual = float(np.abs(killing_residual(field, pts, params)).max())
+    if not np.isfinite(residual):
+        print("malformed field input: the Killing residual of the field "
+              f"overflows on the {len(pts)}-point sample (coefficients too "
+              "large)", file=sys.stderr)
+        return EXIT_MALFORMED_FIELD
     verdict = "killing" if residual < KILLING_THRESHOLD else "not-killing"
     doc = {
         "l": args.l,
         "max_residual": residual,
         "threshold": KILLING_THRESHOLD,
         "verdict": verdict,
-        "sample": {"points": int(len(pts)), "seed": 0, "box": [-0.5, 0.5]},
+        "sample": {"points": int(len(pts)), "seed": 0,
+                   "box": [-SAMPLE_BOX, SAMPLE_BOX]},
     }
     _write_output(_json_dumps(doc), args.out)
     return EXIT_OK
@@ -227,18 +235,27 @@ def cmd_curvature(args) -> int:
     params = ModelParams(args.m, args.l)
     q = np.asarray(args.point, dtype=float)
     K = float(k_factor(q, params))
-    riem = riemann_frame(q, params)
-    ric = ricci_from_riemann(riem)
+    with np.errstate(all="ignore"):
+        riem = riemann_frame(q, params)
+        ric = ricci_from_riemann(riem)
+        scalar = float(scalar_from_ricci(ric))
+        sectional = sectional_table_values(q, params)
+    if not (np.isfinite(riem).all() and np.isfinite(ric).all()
+            and np.isfinite([scalar, *sectional.values()]).all()):
+        print(f"curvature overflow: the curvature at (m, l) = ({args.m:g}, "
+              f"{args.l:g}) and point {[float(v) for v in q]} exceeds the "
+              "floating-point range", file=sys.stderr)
+        return EXIT_DOMAIN
     doc = {
         "m": args.m,
         "l": args.l,
         "point": [float(v) for v in q],
         "K": K,
-        "scalar": float(scalar_from_ricci(ric)),
+        "scalar": scalar,
         "ricci": [[float(v) for v in row] for row in ric],
         "sectional": {
             f"{a},{b}": float(v)
-            for (a, b), v in sorted(sectional_table_values(q, params).items())
+            for (a, b), v in sorted(sectional.items())
         },
     }
     if args.full:

@@ -376,47 +376,47 @@ def _check_frame_index(*indices) -> None:
             raise ValueError("frame indices are integers in 1..7")
 
 
+#: The box [-SAMPLE_BOX, SAMPLE_BOX]^7 that `sample_domain_points` draws
+#: from, and the bound K > SAMPLE_K_MIN that its points keep.
+SAMPLE_BOX = 0.5
+SAMPLE_K_MIN = 0.1
+
 #: Rows per candidate draw of `sample_domain_points`, so a large sample
 #: holds its result and one draw, not all its candidates at once.
 _DRAW = 1024
 
 
-def sample_domain_points(
-    params: ModelParams,
-    n: int,
-    seed: int,
-    box: float = 0.5,
-    k_min: float = 0.1,
-    max_batches: int = 200,
-) -> np.ndarray:
-    """Draw n points uniformly from [-box, box]^7, rejecting K <= k_min.
+def sample_domain_points(params: ModelParams, n: int, seed: int) -> np.ndarray:
+    """Draw n points uniformly from the box [-SAMPLE_BOX, SAMPLE_BOX]^7,
+    rejecting those with K <= SAMPLE_K_MIN.
 
     Deterministic for a given seed.  Raises DomainViolation when the
     parameters make acceptable points (effectively) impossible to find:
-    after ``max_batches`` batches of max(4n, 64) candidates.  The candidates
-    are drawn at most `_DRAW` rows at a time; the generator's stream does
-    not depend on how it is split, so the points do not either.
+    after 200 batches of max(4n, 64) candidates.  The candidates are drawn
+    at most `_DRAW` rows at a time; the generator's stream does not depend
+    on how it is split, so the points do not either.
     """
     if n < 1:
         raise ValueError("need n >= 1 sample points")
     rng = np.random.default_rng(seed)
     batch = max(4 * n, 64)
-    left = max_batches * batch
+    left = 200 * batch
     out = np.empty((n, 7))
     total = 0
     while left > 0:
-        pts = rng.uniform(-box, box, size=(min(batch, _DRAW, left), 7))
+        pts = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX,
+                          size=(min(batch, _DRAW, left), 7))
         left -= len(pts)
         u2 = np.sum(pts[:, 3:] * pts[:, 3:], axis=-1)
         K = 1.0 + params.m * u2
-        good = pts[np.isfinite(K) & (K > k_min)][: n - total]
+        good = pts[np.isfinite(K) & (K > SAMPLE_K_MIN)][: n - total]
         out[total:total + len(good)] = good
         total += len(good)
         if total == n:
             return out
     raise DomainViolation(
-        f"could not draw {n} points with K > {k_min} in [-{box},{box}]^7 "
-        f"for (m,l)=({params.m},{params.l})"
+        f"could not draw {n} points with K > {SAMPLE_K_MIN} in "
+        f"[-{SAMPLE_BOX},{SAMPLE_BOX}]^7 for (m,l)=({params.m},{params.l})"
     )
 
 

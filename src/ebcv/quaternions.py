@@ -16,10 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "as_quaternion_array",
     "qmul",
     "qconj",
-    "qnorm",
     "exp_imaginary",
 ]
 
@@ -54,12 +52,6 @@ def qconj(a: np.ndarray) -> np.ndarray:
     return a * np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def qnorm(a: np.ndarray) -> np.ndarray:
-    """Euclidean modulus |a| over the last axis."""
-    a = np.asarray(a, dtype=float)
-    return np.sqrt(np.sum(a * a, axis=-1))
-
-
 def exp_imaginary(vec: np.ndarray) -> np.ndarray:
     """exp of the imaginary quaternion with vector part ``vec`` (..., 3).
 
@@ -79,16 +71,3 @@ def exp_imaginary(vec: np.ndarray) -> np.ndarray:
     out[..., 0] = np.cos(n)
     out[..., 1:] = sinc[..., None] * vec
     return out
-
-
-def as_quaternion_array(value) -> np.ndarray:
-    """Coerce a real number or 4-sequence to a (4,) float array.
-
-    A plain real number embeds as w + 0i + 0j + 0k.
-    """
-    if isinstance(value, (int, float)):
-        return np.array([float(value), 0.0, 0.0, 0.0])
-    a = np.asarray(value, dtype=float)
-    if a.shape != (4,):
-        raise ValueError("expected a real number or 4-sequence")
-    return a

@@ -32,6 +32,8 @@ from .curvature import (
     scalar_from_ricci,
 )
 from .frames import (
+    SAMPLE_BOX,
+    SAMPLE_K_MIN,
     FrameJet,
     ModelParams,
     bcv_classify,
@@ -64,6 +66,7 @@ from .homogeneous import (
     torsion_parallelism_residual,
 )
 from .killing import (
+    PARAM_NAMES_M0,
     basis_rank,
     frame_unit_field,
     killing_basis_m0,
@@ -73,9 +76,6 @@ from .killing import (
 from .tolerances import TOL_EXACT, TOL_FD, TOL_RICCI, TOL_TABLE
 
 __all__ = ["CheckResult", "VerifyReport", "run_verify"]
-
-DEFAULT_BOX = 0.5
-DEFAULT_K_MIN = 0.1
 
 HEIS = ModelParams(0.0, 1.0)
 
@@ -134,8 +134,8 @@ class VerifyReport:
                 "seed": self.seed,
                 "samples": self.samples,
                 "tol_scale": self.tol_scale,
-                "box": [-DEFAULT_BOX, DEFAULT_BOX],
-                "k_min": DEFAULT_K_MIN,
+                "box": [-SAMPLE_BOX, SAMPLE_BOX],
+                "k_min": SAMPLE_K_MIN,
                 "elapsed": self.elapsed,
                 "counts": self.counts,
             },
@@ -146,7 +146,7 @@ class VerifyReport:
         lines = [
             f"verification report for (m, l) = ({self.m:g}, {self.l:g})",
             f"samples={self.samples} seed={self.seed} "
-            f"box=[-{DEFAULT_BOX},{DEFAULT_BOX}]^7 K>{DEFAULT_K_MIN} "
+            f"box=[-{SAMPLE_BOX},{SAMPLE_BOX}]^7 K>{SAMPLE_K_MIN} "
             f"tol-scale={self.tol_scale:g}",
             "",
         ]
@@ -203,12 +203,7 @@ class _Ctx:
         self.doc = pt.load_tables()
 
     def _sample(self, params, n):
-        """The jet of n points drawn from the box the report names."""
-        return FrameJet(
-            sample_domain_points(params, n, seed=self.seed, box=DEFAULT_BOX,
-                                 k_min=DEFAULT_K_MIN),
-            params,
-        )
+        return FrameJet(sample_domain_points(params, n, self.seed), params)
 
     def tol(self, base: float) -> float:
         return base * self.scale
@@ -228,19 +223,28 @@ def _summary(res, pts):
     return float(per_point[k]), [float(v) for v in np.asarray(pts)[k]], k
 
 
+def _verdict(cid, ok, value, witness, reference, details=""):
+    """Two routes to one object: ``pass`` if they agree (ok), else
+    ``fail``.  The witness, if any, is copied to a list of floats."""
+    if witness is not None:
+        witness = [float(v) for v in witness]
+    return CheckResult(cid, "pass" if ok else "fail", value, witness,
+                       reference, details)
+
+
 def _passfail(cid, res, tol, reference, pts, details=""):
     worst, witness, _ = _summary(res, pts)
-    status = "pass" if worst <= tol else "fail"
-    return CheckResult(cid, status, worst, witness, reference, details)
+    return _verdict(cid, worst <= tol, worst, witness, reference, details)
 
 
-def _claim(cid, worst, witness, tol, reference, holds, info, printed, oracle):
+def _claim(cid, worst, witness, tol, reference, holds, note, printed, oracle):
     """A printed claim: ``pass`` with details ``holds`` within tolerance,
-    else a ``paper-discrepancy`` quoting the printed and oracle strings."""
+    else a ``paper-discrepancy`` with details ``note`` quoting the printed
+    and oracle strings."""
     if worst <= tol:
         return CheckResult(cid, "pass", worst, witness, reference, holds)
     return CheckResult(
-        cid, "paper-discrepancy", worst, witness, reference, info["note"],
+        cid, "paper-discrepancy", worst, witness, reference, note,
         printed=printed, oracle=oracle,
     )
 
@@ -412,7 +416,7 @@ def _chk_sample(ctx):
             ctx.tol(TOL_TABLE),
             "the two printed definitions of the connection torsion agree",
             "both definitions coincide at these parameters (l = 0)",
-            info, info["claim"], info["operator_value"],
+            info["note"], info["claim"], info["operator_value"],
         )
     )
 
@@ -423,7 +427,7 @@ def _chk_sample(ctx):
             "scalar-vs-corollary", worst, witness, ctx.tol(TOL_TABLE),
             "printed constant-scalar-curvature value",
             "printed and exact values coincide at these parameters (l = 0)",
-            info, info["printed"],
+            info["note"], info["printed"],
             f"{info['derived']} = {scal[k]:.12g} at the witness point",
         )
     )
@@ -436,7 +440,7 @@ def _chk_sample(ctx):
             "printed claim: the candidate tensor satisfies the "
             "Ambrose-Singer equations",
             f"holds ({info['holds_when']})",
-            info, info["claim"],
+            info["note"], info["claim"],
             f"max equation residual {worst:.6e} at the witness point",
         )
     )
@@ -452,7 +456,7 @@ def _chk_sample(ctx):
                 f"printed bracket coefficient for pair ({key})",
                 "printed and exact coefficients coincide at these "
                 "parameters; " + info["note"],
-                info, info["printed"],
+                info["note"], info["printed"],
                 f"{info['derived']} = {oracle_vals[k]:.12g} at the witness "
                 "point",
             )
@@ -514,7 +518,7 @@ def _sample_heads(ctx, fr):
             "printed claim: the characteristic connection parallelizes "
             "curvature and torsion",
             "holds trivially (l = 0)",
-            info, info["claim"],
+            info["note"], info["claim"],
             f"{info['witness_torsion']}; {info['witness_curvature']}; "
             f"measured max residual {worst:.6e}",
         )
@@ -528,8 +532,9 @@ def _m0_heads(ctx, fr):
     and the canonical connection on 12."""
     params0 = fr.params
     details = f"evaluated at (m, l) = (0, {ctx.params.l:g})"
-    # nabla R on all of fr's points, so the 12-point head below shares it
-    fr.nabla_R
+    # R on all of fr's points, so the 12-point head below shares it and
+    # builds nabla R of its own points only
+    fr.R
     head = fr._rows(slice(0, 20))
     R0 = head.R
     env0 = pt.point_env(head.q, params0)
@@ -615,15 +620,13 @@ def _table_record(ctx, spec, gaps, pts, details=""):
     # worst gap first, then the lowest entry, then (lexsort is stable) the
     # lowest point
     k = int(np.lexsort((entry_at, -worst_at))[0])
-    worst, witness = float(worst_at[k]), [float(v) for v in pts[k]]
-    if worst <= ctx.tol(tol):
-        return CheckResult(cid, "pass", worst, witness, reference, details)
+    worst = float(worst_at[k])
     key = list(table["entries"])[int(entry_at[k])]
-    return CheckResult(
-        cid, "paper-discrepancy", worst, witness, reference,
-        details + f" worst entry ({key}) beyond tolerance",
-        printed=json.dumps(table["entries"][key]),
-        oracle=f"exact value differs by {worst:.6e} at the witness point",
+    return _claim(
+        cid, worst, [float(v) for v in pts[k]], ctx.tol(tol), reference,
+        details, details + f" worst entry ({key}) beyond tolerance",
+        json.dumps(table["entries"][key]),
+        f"exact value differs by {worst:.6e} at the witness point",
     )
 
 
@@ -636,17 +639,10 @@ def _chk_structure_class(ctx):
     cls = classify_structure(ctx.params, ctx.jet)
     again = classify_structure(ctx.params, ctx.jet)
     expected = "trivial" if ctx.params.l == 0.0 else "T3"
-    ok = cls.label == again.label == expected
-    return [
-        CheckResult(
-            "structure-class", "pass" if ok else "fail",
-            None, None,
-            "torsion classification is deterministic and matches the "
-            "printed class",
-            details=f"label={cls.label} witness_triple={cls.witness_triple}",
-        )
-    ]
-
+    return [_verdict(
+        "structure-class", cls.label == again.label == expected, None, None,
+        "torsion classification is deterministic and matches the printed "
+        "class", f"label={cls.label} witness_triple={cls.witness_triple}")]
 
 
 # --------------------------------------------------------------------------
@@ -661,6 +657,7 @@ def _chk_killing(ctx):
         "" if ctx.params.l != 0.0
         else "the family degenerates at l = 0; evaluated at l = 1 instead"
     )
+    and_note = f"; {note}" if note else ""
     basis = killing_basis_m0(params.l)
 
     # each field's Killing residual once: max |residual| per point, then
@@ -679,51 +676,32 @@ def _chk_killing(ctx):
     )
 
     rank = basis_rank(basis, pts)
-    out.append(
-        CheckResult(
-            "killing-basis-rank", "pass" if rank == 13 else "fail",
-            float(13 - rank), None,
-            "the closed-form family is 13-dimensional",
-            details=f"rank={rank}" + (f"; {note}" if note else ""),
-        )
-    )
+    out.append(_verdict(
+        "killing-basis-rank", rank == 13, float(13 - rank), None,
+        "the closed-form family is 13-dimensional", f"rank={rank}{and_note}"))
 
+    # a rejection threshold, not a tolerance: deliberately unscaled
     min_bad = float(kil[len(basis):].min())
-    out.append(
-        CheckResult(
-            "killing-horizontal-rejected",
-            # a rejection threshold, not a tolerance: deliberately unscaled
-            "pass" if min_bad > 1e-3 else "fail",
-            min_bad, None,
-            "the horizontal frame fields are not Killing fields",
-            details=f"smallest horizontal residual {min_bad:.3e}"
-            + (f"; {note}" if note else ""),
-        )
-    )
+    out.append(_verdict(
+        "killing-horizontal-rejected", min_bad > 1e-3, min_bad, None,
+        "the horizontal frame fields are not Killing fields",
+        f"smallest horizontal residual {min_bad:.3e}{and_note}"))
 
-    agree = True
-    for fld, k in zip(fields, kil):
-        pde = float(np.abs(pde_residuals(fld, jet, params)).max())
-        # verdict-level equivalence with fixed thresholds (not tolerances)
-        if (pde < TOL_EXACT) != (k < 1e-10):
-            agree = False
-    out.append(
-        CheckResult(
-            "killing-pde-equivalence", "pass" if agree else "fail",
-            None, None,
-            "the 28-equation system and the Killing residual agree on "
-            "which fields are Killing",
-            details=note,
-        )
-    )
+    # verdict-level equivalence with fixed thresholds (not tolerances)
+    pde = [pde_residuals(fld, jet, params) for fld in fields]
+    agree = all((float(np.abs(r).max()) < TOL_EXACT) == (k < 1e-10)
+                for r, k in zip(pde, kil))
+    out.append(_verdict(
+        "killing-pde-equivalence", agree, None, None,
+        "the 28-equation system and the Killing residual agree on which "
+        "fields are Killing", note))
 
     info = ctx.doc["killing_tables"]["eq13_sign"]
-    best = max(
-        range(len(basis)),
-        key=lambda i: float(np.abs(basis[i].coeff_partials(pts)[..., 0, 1]).max()),
-    )
+    # the first basis field with the largest |d(f2)/dr|: that is -(P + R)
+    # for every l, so P's field (R's ties it)
+    best = PARAM_NAMES_M0.index("P")
     d = basis[best].coeff_partials(pts)
-    eq13 = pde_residuals(basis[best], jet, params)[..., 12]
+    eq13 = pde[best][..., 12]
     printed13 = eq13 - params.l * pts[..., 6] * d[..., 0, 1]
     worst, witness, _ = _summary(printed13, pts)
     corrected = float(np.abs(eq13).max())
@@ -732,8 +710,8 @@ def _chk_killing(ctx):
             "killing-eq13-sign", worst, witness, ctx.tol(TOL_TABLE),
             "printed sign of the d(f2)/dr term in equation 13",
             "printed and corrected variants coincide on the sampled fields"
-            + (f"; {note}" if note else ""),
-            info, info["printed_term"],
+            + and_note,
+            info["note"], info["printed_term"],
             f"{info['derived_term']}; corrected residual {corrected:.3e}, "
             f"printed-variant residual {worst:.3e} on a closed-form basis "
             "field",
@@ -747,11 +725,9 @@ def _chk_killing(ctx):
 # --------------------------------------------------------------------------
 
 
-def _heis_states(seed, n, momentum_scale=1.0):
+def _heis_states(seed, n):
     rng = np.random.default_rng(seed)
-    qs = rng.uniform(-0.4, 0.4, size=(n, 7))
-    ps = rng.uniform(-1.0, 1.0, size=(n, 7)) * momentum_scale
-    return qs, ps
+    return rng.uniform(-0.4, 0.4, size=(n, 7)), rng.uniform(-1.0, 1.0, size=(n, 7))
 
 
 def _chk_geodesic_tables(ctx):
@@ -791,7 +767,7 @@ def _chk_geodesic_tables(ctx):
         _claim(
             "geodesic-sdot-line", worst, witness, ctx.tol(TOL_EXACT),
             "printed flow equation for the second vertical coordinate", "",
-            info, info["printed"], info["derived"],
+            info["note"], info["printed"], info["derived"],
         )
     )
 
@@ -807,7 +783,7 @@ def _chk_geodesic_tables(ctx):
             "heisenberg-bracket-yz", worst, None, ctx.tol(TOL_EXACT),
             "printed prose value of the bracket of the last two horizontal "
             "fields",
-            info["note"], info, json.dumps(info["printed_component"]),
+            info["note"], info["note"], json.dumps(info["printed_component"]),
             json.dumps(info["derived_component"])
             + f"; computed coefficients {oracle_vec.tolist()}",
         )
@@ -820,16 +796,11 @@ def _chk_geodesic_tables(ctx):
     for k in range(n_poisson):
         r = float(np.abs(poisson_check(CotangentState(qs2[k], ps2[k]))).max())
         if r > worst:
-            worst, worst_q = r, [float(v) for v in qs2[k]]
-    out.append(
-        CheckResult(
-            "geodesic-poisson-brackets",
-            "pass" if worst <= ctx.tol(TOL_EXACT) else "fail",
-            worst, worst_q,
-            "the six printed momentum Poisson relations",
-            details=f"checked at {n_poisson} random phase states",
-        )
-    )
+            worst, worst_q = r, qs2[k]
+    out.append(_verdict(
+        "geodesic-poisson-brackets", worst <= ctx.tol(TOL_EXACT), worst,
+        worst_q, "the six printed momentum Poisson relations",
+        f"checked at {n_poisson} random phase states"))
     return out
 
 
@@ -843,37 +814,23 @@ def _chk_geodesic_flow(ctx):
     traj = integrate(s0, HEIS, mode="heisenberg", h=1e-3, n=2000)
     drift = float(np.abs(traj.H - traj.H[0]).max())
     pv_drift = float(np.abs(traj.p[:, :3] - traj.p[0, :3]).max())
-    status = "pass" if (
-        drift <= ctx.tol(1e-11)
-        and pv_drift <= ctx.tol(1e-13)
-        and traj.status == "complete"
-    ) else "fail"
-    out.append(
-        CheckResult(
-            "geodesic-energy-conservation", status,
-            max(drift, pv_drift), [float(v) for v in p0],
-            "the integrator preserves the Hamiltonian and the vertical "
-            "momenta",
-            details=f"H drift {drift:.3e}, vertical momentum drift "
-            f"{pv_drift:.3e} over {traj.n_samples - 1} accepted steps "
-            f"(status {traj.status})",
-        )
-    )
+    out.append(_verdict(
+        "geodesic-energy-conservation",
+        drift <= ctx.tol(1e-11) and pv_drift <= ctx.tol(1e-13)
+        and traj.status == "complete", max(drift, pv_drift), p0,
+        "the integrator preserves the Hamiltonian and the vertical momenta",
+        f"H drift {drift:.3e}, vertical momentum drift {pv_drift:.3e} over "
+        f"{traj.n_samples - 1} accepted steps (status {traj.status})"))
 
     p1 = rng.uniform(-1.0, 1.0, 7)
     traj_r = integrate(CotangentState(q0, p1), ctx.params, mode="riemannian",
                        h=1e-3, n=500)
     drift_r = float(np.abs(traj_r.H - traj_r.H[0]).max())
-    out.append(
-        CheckResult(
-            "geodesic-energy-conservation-riemannian",
-            "pass" if drift_r <= ctx.tol(1e-10) else "fail",
-            drift_r, [float(v) for v in p1],
-            "energy conservation for the requested parameters",
-            details=f"(m, l) = ({ctx.params.m:g}, {ctx.params.l:g}); "
-            f"{traj_r.n_samples - 1} accepted steps (status {traj_r.status})",
-        )
-    )
+    out.append(_verdict(
+        "geodesic-energy-conservation-riemannian", drift_r <= ctx.tol(1e-10),
+        drift_r, p1, "energy conservation for the requested parameters",
+        f"(m, l) = ({ctx.params.m:g}, {ctx.params.l:g}); "
+        f"{traj_r.n_samples - 1} accepted steps (status {traj_r.status})"))
 
     # closed form vs integrator, circle radius, and fourth-order convergence
     p2 = rng.uniform(-1.0, 1.0, 7)
@@ -882,34 +839,23 @@ def _chk_geodesic_flow(ctx):
     rk = integrate(s2, HEIS, mode="heisenberg", h=1e-3, n=400)
     cf = closed_form_trajectory(s2, h=1e-3, n=400)
     end_gap = float(np.abs(rk.q[-1] - cf.q[-1]).max())
-    out.append(
-        CheckResult(
-            "geodesic-closed-form-agreement",
-            "pass" if end_gap <= ctx.tol(1e-9) else "fail",
-            end_gap, [float(v) for v in p2],
-            "the closed-form trajectory matches the integrator",
-        )
-    )
+    out.append(_verdict(
+        "geodesic-closed-form-agreement", end_gap <= ctx.tol(1e-9), end_gap,
+        p2, "the closed-form trajectory matches the integrator"))
 
     P0 = frame_momenta(q0, p2, HEIS)[3:]
     radius_pred = float(np.linalg.norm(P0) / np.linalg.norm(p2[:3]))
     circ = closed_form_trajectory(s2, h=5e-3, n=400)
     verdict = circle_check(circ)
-    ok = (
+    out.append(_verdict(
+        "geodesic-circle-radius",
         verdict.kind == "circle"
-        and abs(verdict.radius - radius_pred) <= ctx.tol(1e-4) * radius_pred
-    )
-    out.append(
-        CheckResult(
-            "geodesic-circle-radius", "pass" if ok else "fail",
-            abs(verdict.radius - radius_pred) / radius_pred
-            if verdict.radius else None,
-            [float(v) for v in p2],
-            "the horizontal projection is a circle of radius |P(0)|/|Lambda|",
-            details=f"verdict {verdict.kind}, radius {verdict.radius!r}, "
-            f"predicted {radius_pred!r}",
-        )
-    )
+        and abs(verdict.radius - radius_pred) <= ctx.tol(1e-4) * radius_pred,
+        abs(verdict.radius - radius_pred) / radius_pred
+        if verdict.radius else None, p2,
+        "the horizontal projection is a circle of radius |P(0)|/|Lambda|",
+        f"verdict {verdict.kind}, radius {verdict.radius!r}, "
+        f"predicted {radius_pred!r}"))
 
     ends = {}
     for h, n in ((0.02, 16), (0.01, 32), (0.005, 64)):
@@ -917,14 +863,10 @@ def _chk_geodesic_flow(ctx):
     num = float(np.linalg.norm(ends[0.02] - ends[0.01]))
     den = float(np.linalg.norm(ends[0.01] - ends[0.005]))
     ratio = num / den if den else float("inf")
-    out.append(
-        CheckResult(
-            "geodesic-rk4-order", "pass" if 12.0 <= ratio <= 20.0 else "fail",
-            None, [float(v) for v in p2],
-            "halving the step divides the endpoint error by about 16",
-            details=f"successive-difference ratio {ratio:.2f}",
-        )
-    )
+    out.append(_verdict(
+        "geodesic-rk4-order", 12.0 <= ratio <= 20.0, None, p2,
+        "halving the step divides the endpoint error by about 16",
+        f"successive-difference ratio {ratio:.2f}"))
     return out
 
 
@@ -942,34 +884,23 @@ def _chk_classification(ctx):
     distinct = len({c.case for c in labels}) == 7
     here = bcv_classify(ctx.params.m, ctx.params.l)
     stable = here == bcv_classify(ctx.params.m, ctx.params.l)
-    return [
-        CheckResult(
-            "bcv-classification", "pass" if (distinct and stable) else "fail",
-            None, None,
-            "the seven base-family cases are distinguished and the "
-            "classification is deterministic",
-            details=f"(m, l) = ({ctx.params.m:g}, {ctx.params.l:g}) -> "
-            f"{here.label} (case {here.case})",
-        )
-    ]
+    return [_verdict(
+        "bcv-classification", distinct and stable, None, None,
+        "the seven base-family cases are distinguished and the "
+        "classification is deterministic",
+        f"(m, l) = ({ctx.params.m:g}, {ctx.params.l:g}) -> {here.label} "
+        f"(case {here.case})")]
 
 
 def _chk_sampling(ctx):
-    inside = np.abs(ctx.pts).max() <= DEFAULT_BOX
-    kvals = ctx.jet.K
-    again = sample_domain_points(ctx.params, ctx.samples, seed=ctx.seed,
-                                 box=DEFAULT_BOX, k_min=DEFAULT_K_MIN)
-    deterministic = np.array_equal(again, ctx.pts)
-    ok = bool(inside and kvals.min() > DEFAULT_K_MIN and deterministic)
-    return [
-        CheckResult(
-            "domain-sampling", "pass" if ok else "fail",
-            None, None,
-            "samples stay in the box, respect K > 0.1, and are "
-            "seed-deterministic",
-            details=f"min K = {float(kvals.min()):.6f} over {len(ctx.pts)} points",
-        )
-    ]
+    min_k = float(ctx.jet.K.min())
+    again = sample_domain_points(ctx.params, ctx.samples, ctx.seed)
+    return [_verdict(
+        "domain-sampling",
+        np.abs(ctx.pts).max() <= SAMPLE_BOX and min_k > SAMPLE_K_MIN
+        and np.array_equal(again, ctx.pts), None, None,
+        f"samples stay in the box, respect K > {SAMPLE_K_MIN}, and are "
+        "seed-deterministic", f"min K = {min_k:.6f} over {len(ctx.pts)} points")]
 
 
 _REGISTRY = (

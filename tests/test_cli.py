@@ -282,6 +282,19 @@ def test_killing_malformed_input_exit_4(tmp_path, payload, capsys):
     assert code == 4
 
 
+def test_killing_check_overflowing_field_exit_4(tmp_path, capsys):
+    # finite coefficients whose residual overflows: refused, not NaN
+    field = {f"e{i}": {} for i in range(1, 8)}
+    field["e4"] = {"0,0,0,0,2,0,0": 1e308, "0,0,0,0,0,2,0": -1e308}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(field))
+    code = main(["killing", "--l", "1", "check", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "overflows" in captured.err
+
+
 def test_killing_check_without_input_exit_4(capsys):
     code = main(["killing", "--l", "1", "check"])
     capsys.readouterr()
@@ -359,3 +372,15 @@ def test_curvature_outside_chart_exit_2(capsys):
     ])
     assert code == 2
     assert "domain violation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_curvature_overflow_exit_2(fmt, capsys):
+    code = main([
+        "curvature", "--m", "1e200", "--l", "1",
+        "--point", "0", "0", "0", "0.3", "0", "0", "0", "--format", fmt,
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "overflow" in captured.err

@@ -290,7 +290,7 @@ def test_sample_domain_points_exhaustion():
     with pytest.raises(DomainViolation):
         sample_domain_points(ModelParams(float("nan"), 1.0), 10, seed=1)
     with pytest.raises(DomainViolation):
-        sample_domain_points(ModelParams(-1e9, 1.0), 10, seed=1, max_batches=5)
+        sample_domain_points(ModelParams(-1e9, 1.0), 10, seed=1)
 
 
 def _whole_batch_sample(params, n, seed, box=0.5, k_min=0.1):

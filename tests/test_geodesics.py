@@ -27,7 +27,7 @@ from ebcv.geodesics import (
     printed_heisenberg_rhs,
     sdot_mismatch,
 )
-from ebcv.quaternions import as_quaternion_array, exp_imaginary, qconj, qmul, qnorm
+from ebcv.quaternions import exp_imaginary, qconj, qmul
 from ebcv.tolerances import TOL_EXACT, TOL_FD
 
 HEIS = ModelParams(0.0, 1.0)
@@ -54,9 +54,10 @@ def test_quaternion_norm_multiplicative():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(300, 4))
     b = rng.normal(size=(300, 4))
-    expect = qnorm(a) * qnorm(b)
+    norm = np.linalg.norm
+    expect = norm(a, axis=-1) * norm(b, axis=-1)
     scale = np.maximum(1.0, expect)
-    assert np.all(np.abs(qnorm(qmul(a, b)) - expect) <= 1e-14 * scale)
+    assert np.all(np.abs(norm(qmul(a, b), axis=-1) - expect) <= 1e-14 * scale)
 
 
 def test_quaternion_product_algebra():
@@ -73,18 +74,10 @@ def test_quaternion_product_algebra():
     assert_allclose(qmul(i, i), [-1, 0, 0, 0], atol=0)
 
 
-def test_quaternion_inverse_and_coercion():
-    assert_allclose(as_quaternion_array(2.5), [2.5, 0, 0, 0], atol=0)
-    assert_allclose(as_quaternion_array([1, 2, 3, 4]), [1, 2, 3, 4], atol=0)
-    for bad in ([1, 2, 3], [[1, 2, 3, 4]], np.zeros((2, 4))):
-        with pytest.raises(ValueError):
-            as_quaternion_array(bad)
-
-
 def test_exp_imaginary_unit_modulus_and_values():
     rng = np.random.default_rng(2)
     vs = rng.normal(size=(50, 3))
-    assert np.max(np.abs(qnorm(exp_imaginary(vs)) - 1.0)) < 5e-15
+    assert np.max(np.abs(np.linalg.norm(exp_imaginary(vs), axis=-1) - 1.0)) < 5e-15
     assert_allclose(exp_imaginary([np.pi / 2, 0, 0]), [0, 1, 0, 0], atol=1e-15)
     assert_allclose(exp_imaginary([0.0, 0.0, 0.0]), [1, 0, 0, 0], atol=0)
 

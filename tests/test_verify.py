@@ -154,20 +154,23 @@ def test_verify_reads_each_sample_in_one_pass(monkeypatch, m, l, passes):
         [40] * passes)
 
 
-@pytest.mark.parametrize("m, l, again", [(1.0, 1.0, 20), (0.0, 1.0, 0)],
+@pytest.mark.parametrize("m, l, again_R, again_nabla",
+                         [(1.0, 1.0, 20, 12), (0.0, 1.0, 0, 0)],
                          ids=["general", "m0"])
-def test_r_is_built_once_per_sample_point(monkeypatch, m, l, again):
+def test_r_is_built_once_per_sample_point(monkeypatch, m, l, again_R,
+                                          again_nabla):
     # R and nabla R of every sample point come from its one chunked pass,
     # whose first chunk also serves the records of the first 20 points; only
-    # the first 20 points of a distinct m = 0 sample get curvature besides
+    # the first 20 points of a distinct m = 0 sample get R besides, and only
+    # the 12 of them that the canonical connection reads get nabla R
     samples = 40  # more than one curvature chunk
     jet = ebcv.frames.FrameJet
     riemann = _count_points(monkeypatch, jet, "R")
     nabla = _count_points(monkeypatch, jet, "nabla_R")
     rep = run_verify(m, l, samples=samples, seed=0)
     assert rep.counts["fail"] == 0
-    assert sum(n for n, _ in riemann) == samples + again
-    assert sum(n for n, _ in nabla) == samples + again
+    assert sum(n for n, _ in riemann) == samples + again_R
+    assert sum(n for n, _ in nabla) == samples + again_nabla
 
 
 # how far a fresh process's peak RSS rises over one report (in KB on Linux)
