@@ -49,8 +49,8 @@ from .homogeneous import (
     char_connection_tensor,
     classify_structure,
     cyclic_sum,
+    parallelism_residuals,
     torsion_D,
-    torsion_parallelism_residual,
 )
 from .killing import (
     PolyVectorField,
@@ -93,8 +93,8 @@ __all__ = [
     "char_connection_tensor",
     "classify_structure",
     "cyclic_sum",
+    "parallelism_residuals",
     "torsion_D",
-    "torsion_parallelism_residual",
     "PolyVectorField",
     "basis_rank",
     "frame_unit_field",

@@ -18,10 +18,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import re
 import sys
 
 import numpy as np
 
+from .curvature import ricci_from_riemann, riemann_frame, scalar_from_ricci
 from .errors import DomainViolation, MalformedFieldInput, ModeMismatch
 from .frames import (SAMPLE_BOX, ModelParams, bcv_classify, k_factor,
                      sample_domain_points)
@@ -33,6 +35,7 @@ from .geodesics import (
     integrate,
 )
 from .killing import PolyVectorField, killing_basis_m0, killing_residual
+from .published_tables import sectional_table_values
 from .verify import run_verify
 
 CSV_HEADER = "u,r,s,t,w,x,y,z,pr,ps,pt,pw,px,py,pz,H"
@@ -108,10 +111,7 @@ def cmd_geodesic(args) -> int:
     traj = integrate(state, params, mode=args.mode, h=args.h, n=args.n)
 
     text = trajectory_csv(traj) if args.format == "csv" else _trajectory_json(traj)
-    if args.out:
-        _write_output(text, args.out)
-    else:
-        sys.stdout.write(text)
+    _write_output(text, args.out)
 
     summary = [f"status={traj.status}"]
     if traj.n_samples > 1:
@@ -150,11 +150,6 @@ def cmd_geodesic(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _standard_killing_sample(l: float) -> tuple[ModelParams, np.ndarray]:
-    params = ModelParams(0.0, l)
-    return params, sample_domain_points(params, 40, seed=0)
-
-
 def cmd_killing(args) -> int:
     if args.action == "list":
         basis = killing_basis_m0(args.l)
@@ -176,13 +171,9 @@ def cmd_killing(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read field file: {exc}", file=sys.stderr)
         return EXIT_MALFORMED_FIELD
-    try:
-        field = PolyVectorField.from_json_dict(data)
-    except MalformedFieldInput as exc:
-        print(f"malformed field input: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED_FIELD
-
-    params, pts = _standard_killing_sample(args.l)
+    field = PolyVectorField.from_json_dict(data)
+    params = ModelParams(0.0, args.l)
+    pts = sample_domain_points(params, 40, seed=0)
     with np.errstate(all="ignore"):
         residual = float(np.abs(killing_residual(field, pts, params)).max())
     if not np.isfinite(residual):
@@ -229,9 +220,6 @@ def cmd_classify(args) -> int:
 
 
 def cmd_curvature(args) -> int:
-    from .curvature import ricci_from_riemann, riemann_frame, scalar_from_ricci
-    from .published_tables import sectional_table_values
-
     params = ModelParams(args.m, args.l)
     q = np.asarray(args.point, dtype=float)
     K = float(k_factor(q, params))
@@ -315,8 +303,18 @@ def _output_file(path):
             f"cannot write {path!r}: {exc.strerror}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads -1e-3, or any dash followed by a digit or
+    a dot, as a value, not only plain forms such as -0.001: no ebcv option
+    starts with a digit or a dot.  Subcommand parsers share the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ebcv",
         description="Frames, curvature, homogeneous structure, Killing "
         "fields, and sub-Riemannian geodesics of the extended "

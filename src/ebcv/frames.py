@@ -34,9 +34,6 @@ import numpy as np
 
 from .errors import DomainViolation, InconclusiveClassification
 
-VERTICAL_IDX = (0, 1, 2)
-HORIZONTAL_IDX = (3, 4, 5, 6)
-
 # J_TWIST[i][a][b]: coefficient of u_b in the d_{r,s,t}[i]-component of X_{4+a}.
 J_TWIST = np.array(
     [

@@ -532,19 +532,6 @@ class CircleVerdict:
     residual: float
 
 
-def _left_mult_matrix(v: np.ndarray) -> np.ndarray:
-    """4x3 matrix M with (i l1 + j l2 + k l3) * v = M @ (l1, l2, l3)."""
-    v0, v1, v2, v3 = v
-    return np.array(
-        [
-            [-v1, -v2, -v3],
-            [v0, v3, -v2],
-            [-v3, v0, v1],
-            [v2, -v1, v0],
-        ]
-    )
-
-
 def circle_check(traj: Trajectory) -> CircleVerdict:
     """Classify the horizontal projection (w, x, y, z) as circle, line, or neither.
 
@@ -575,7 +562,9 @@ def circle_check(traj: Trajectory) -> CircleVerdict:
         residual = amax * span / max(vmax, 1e-300)
         return CircleVerdict("line", None, None, None, residual)
 
-    rows = np.concatenate([_left_mult_matrix(vk) for vk in v], axis=0)
+    # rows @ lam = Lambda v_k, 4 rows per sample; C-contiguous, since the
+    # misfit is a cancellation whose rounding depends on the layout
+    rows = np.stack([qmul(e, v) for e in np.eye(4)[1:]], axis=-1).reshape(-1, 3)
     rhs = -a.reshape(-1)
     lam, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
     misfit = float(np.linalg.norm(rows @ lam - rhs))

@@ -1,4 +1,4 @@
-"""Characteristic connection, torsion classification, Ambrose-Singer checks.
+"""Characteristic connection, torsion, Ambrose-Singer and parallelism checks.
 
 The frame splits into a vertical distribution span{X_1,X_2,X_3} and a
 horizontal one span{X_4..X_7}; ``P`` is the almost-product operator that is
@@ -48,15 +48,15 @@ residuals honestly rather than masking them.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InconclusiveClassification
 from .frames import (
-    HORIZONTAL_IDX,
     ModelParams,
-    VERTICAL_IDX,
     _check_frame_index,
     frame_jet,
     levi_civita_tensor,
@@ -71,17 +71,9 @@ P_SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
 #: horizontal), else 0.
 SAME_TYPE = 0.5 * (1.0 + np.outer(P_SIGNS, P_SIGNS))
 
-#: mask for pairs (a, b) both horizontal (used by the reduced torsion).
-_HH = np.zeros((7, 7))
-for _a in HORIZONTAL_IDX:
-    for _b in HORIZONTAL_IDX:
-        _HH[_a, _b] = 1.0
-_VERT_OUT = np.array([1.0 if i in VERTICAL_IDX else 0.0 for i in range(7)])
-#: _HH and _VERT_OUT as one (7, 7, 7) array.  `torsion_D_tensor` keeps the
-#: broadcast product instead: the two give arrays of different memory
-#: layout, which sets the summation order of later einsums, and the verify
-#: reports are pinned to the last bit.
-_TORSION_MASK = _HH[:, :, None] * _VERT_OUT[None, None, :]
+#: 1 on the slots of the reduced torsion (a, b horizontal, c vertical), else 0.
+_TORSION_MASK = np.zeros((7, 7, 7))
+_TORSION_MASK[3:, 3:, :3] = 1.0
 #: The 0-based index triples (a, b, c) in lexicographic order, as 3 arrays.
 _TRIPLES = np.indices((7, 7, 7)).reshape(3, -1)
 
@@ -120,8 +112,8 @@ def torsion_D_tensor(q, params: ModelParams) -> np.ndarray:
 
 
 def _reduced_torsion(C: np.ndarray) -> np.ndarray:
-    """`torsion_D_tensor` from the structure constants C."""
-    return -C * _HH[:, :, None] * _VERT_OUT[None, None, :]
+    """`torsion_D_tensor` from the structure constants C, or from dC."""
+    return -C * _TORSION_MASK
 
 
 def torsion_D(a: int, b: int, q, params: ModelParams) -> np.ndarray:
@@ -233,6 +225,17 @@ def candidate_structure_tensor(q, params: ModelParams) -> np.ndarray:
     return _skew_completion(torsion_D_tensor(q, params))
 
 
+def _connection_terms(conn, A) -> np.ndarray:
+    """sum over the slots s of a frame 3- or 4-tensor A of
+    conn[..., e, s, g] A[..., g in slot s], indexed [..., e, a, b, c(, d)]:
+    what a metric connection with <D_{X_e} X_a, X_g> = conn[..., e, a, g]
+    subtracts from the frame derivative of A."""
+    slots = "abcd"[:A.ndim - conn.ndim + 3]
+    return functools.reduce(operator.add, (
+        np.einsum(f"...e{s}g,...{slots.replace(s, 'g')}->...e{slots}", conn, A)
+        for s in slots))
+
+
 def _covariant_derivative(F, conn, A, dA) -> np.ndarray:
     """(D_{X_e} A)[..., e, a, b, c] of a frame 3-tensor A.
 
@@ -240,12 +243,7 @@ def _covariant_derivative(F, conn, A, dA) -> np.ndarray:
     conn[..., e, a, f] = <D_{X_e} X_a, X_f> the metric connection D.
     """
     frame_dir = np.einsum("...me,...mabc->...eabc", F, dA)
-    corr = (
-        np.einsum("...eaf,...fbc->...eabc", conn, A)
-        + np.einsum("...ebf,...afc->...eabc", conn, A)
-        + np.einsum("...ecf,...abf->...eabc", conn, A)
-    )
-    return frame_dir - corr
+    return frame_dir - _connection_terms(conn, A)
 
 
 def ambrose_singer_check(q, params: ModelParams) -> np.ndarray:
@@ -267,7 +265,7 @@ def _residuals(fr) -> np.ndarray:
     """The residuals (..., 3) at the points of jet fr, from its curvature."""
     R, nabR = fr.R, fr.nabla_R
     S = _skew_completion(_reduced_torsion(fr.C))
-    dS = _skew_completion(-fr.dC * _TORSION_MASK)
+    dS = _skew_completion(_reduced_torsion(fr.dC))
     nabS = _covariant_derivative(fr.F, fr.gamma, S, dS)
 
     res_i = np.abs(S + np.einsum("...abc->...acb", S)).max(axis=(-3, -2, -1))
@@ -292,27 +290,33 @@ def _residuals(fr) -> np.ndarray:
     return np.stack([res_i, res_ii, res_iii], axis=-1)
 
 
-def torsion_parallelism_residual(
+def parallelism_residuals(
     q, params: ModelParams, connection: str = "canonical"
 ) -> np.ndarray:
-    """Max |(D'_e T)[a,b,c]| for the reduced torsion T under a connection D'.
+    """Max |(D'_e T)[a,b,c]| and max |(D'_e R)[a,b,c,d]| under a connection
+    D', shape (..., 2), for the reduced torsion T and the curvature R.
 
     connection="canonical": D' = nabla - S with S the candidate structure
-    tensor (the metric connection whose torsion is T); the residual vanishes
-    at m = 0.  connection="characteristic": D' = D, the type-projection
-    connection; its residual is O(l^2) even at m = 0, so D does not
-    parallelize the reduced torsion.
+    tensor (the metric connection whose torsion is T); both residuals
+    vanish at m = 0.  connection="characteristic": D' = D, the
+    type-projection connection; at the origin with m = 0 its residuals are
+    l^2 and l^3/2, so D parallelizes neither tensor.  The points are
+    evaluated in fixed chunks, as in `ambrose_singer_check`.
     """
-    fr = frame_jet(q, params)
-    if connection == "canonical":
-        conn = fr.gamma - candidate_structure_tensor(fr, params)
-    elif connection == "characteristic":
-        conn = char_connection_tensor(fr, params)
-    else:
+    if connection not in ("canonical", "characteristic"):
         raise ValueError(
             f"connection must be 'canonical' or 'characteristic', got {connection!r}"
         )
-    T = -fr.C * _TORSION_MASK
-    dT = -fr.dC * _TORSION_MASK
-    nabT = _covariant_derivative(fr.F, conn, T, dT)
-    return np.abs(nabT).max(axis=(-4, -3, -2, -1))
+
+    def body(fr):
+        T = _reduced_torsion(fr.C)
+        if connection == "canonical":
+            conn = fr.gamma - _skew_completion(T)
+        else:
+            conn = char_connection_tensor(fr, params)
+        nabT = _covariant_derivative(fr.F, conn, T, _reduced_torsion(fr.dC))
+        nabR = fr.nabla_R - _connection_terms(conn - fr.gamma, fr.R)
+        return (np.abs(nabT).max(axis=(-4, -3, -2, -1)),
+                np.abs(nabR).max(axis=(-5, -4, -3, -2, -1)))
+
+    return np.stack(frame_jet(q, params)._chunked(body), axis=-1)

@@ -31,6 +31,7 @@ from .curvature import (
     riemann_frame_coordinate,
     scalar_from_ricci,
 )
+from .errors import DomainViolation
 from .frames import (
     SAMPLE_BOX,
     SAMPLE_K_MIN,
@@ -57,13 +58,11 @@ from .geodesics import (
 from .homogeneous import (
     ambrose_singer_check,
     c12_trace,
-    candidate_structure_tensor,
-    char_connection_tensor,
     classify_structure,
     cyclic_sum,
     faithful_torsion_tensor,
+    parallelism_residuals,
     torsion_D_tensor,
-    torsion_parallelism_residual,
 )
 from .killing import (
     PARAM_NAMES_M0,
@@ -302,8 +301,9 @@ def _chk_sample(ctx):
     def body(fr):
         # the curvature first, so that every head and the Ambrose-Singer
         # check share it
-        gam, R = fr.gamma, fr.R
-        fr.nabla_R
+        with np.errstate(all="ignore"):
+            gam, R = fr.gamma, fr.R
+            _refuse_overflow(ctx, R, fr.nabla_R)
         if not heads:  # the first chunk
             heads.extend(_sample_heads(ctx, fr))
             if shared:
@@ -465,8 +465,8 @@ def _chk_sample(ctx):
     if shared:
         gaps0 = gaps[len(tables):]
     else:
-        gaps0 = ctx.jet0._chunked(lambda fr: table_gaps(fr, m0_tables))
         out += _m0_heads(ctx, ctx.jet0._rows(slice(0, 20)))
+        gaps0 = ctx.jet0._chunked(lambda fr: table_gaps(fr, m0_tables))
     out += [_table_record(ctx, spec, g, ctx.pts)
             for spec, g in zip(tables, gaps)]
     details = f"evaluated at (m, l) = (0, {params.l:g})"
@@ -505,13 +505,9 @@ def _sample_heads(ctx, fr):
         )
     )
 
-    sub = fr._rows(slice(0, 12))
     info = ctx.doc["structure_claims"]["characteristic_parallelism"]
-    resT = torsion_parallelism_residual(sub, ctx.params,
-                                        connection="characteristic")
-    resR = _curvature_parallelism_residual(
-        sub, char_connection_tensor(sub, ctx.params))
-    worst = max(float(np.abs(resT).max()), float(np.abs(resR).max()))
+    worst = float(parallelism_residuals(fr._rows(slice(0, 12)), ctx.params,
+                                        "characteristic").max())
     out.append(
         _claim(
             "torsion-parallelism-characteristic", worst, None, ctx.tol(1e-7),
@@ -532,9 +528,12 @@ def _m0_heads(ctx, fr):
     and the canonical connection on 12."""
     params0 = fr.params
     details = f"evaluated at (m, l) = (0, {ctx.params.l:g})"
-    # R on all of fr's points, so the 12-point head below shares it and
-    # builds nabla R of its own points only
-    fr.R
+    # R on all of fr's points first, so the 12-point head shares it and
+    # builds nabla R of its own points only; both before any printed value
+    with np.errstate(all="ignore"):
+        fr.R
+        sub = fr._rows(slice(0, 12))
+        _refuse_overflow(ctx, fr.R, sub.nabla_R)
     head = fr._rows(slice(0, 20))
     R0 = head.R
     env0 = pt.point_env(head.q, params0)
@@ -558,17 +557,10 @@ def _m0_heads(ctx, fr):
     ]
 
     # the connection that does the job at m = 0 (internal oracle check)
-    sub = fr._rows(slice(0, 12))
-    S0 = candidate_structure_tensor(sub, params0)
-    resT0 = torsion_parallelism_residual(sub, params0, connection="canonical")
-    resR0 = _curvature_parallelism_residual(sub, sub.gamma - S0)
     out.append(
         _passfail(
             "torsion-parallelism-canonical",
-            np.concatenate(
-                [np.abs(resT0).reshape(len(sub.q), -1),
-                 np.abs(resR0).reshape(len(sub.q), -1)], axis=1
-            ),
+            parallelism_residuals(sub, params0, "canonical"),
             ctx.tol(TOL_TABLE),
             "the canonical connection parallelizes curvature and torsion "
             "at m = 0", sub.q, details=details,
@@ -577,19 +569,13 @@ def _m0_heads(ctx, fr):
     return out
 
 
-def _curvature_parallelism_residual(fr, conn):
-    """Frame components of the curvature derivative at the points of jet fr
-    for a metric connection given by <nabla_e X_a, X_b> = conn[e, a, b],
-    from the jet's Levi-Civita gamma, R and nabla R."""
-    A = conn - fr.gamma
-    R = fr.R
-    corr = (
-        np.einsum("...eag,...gbcd->...eabcd", A, R)
-        + np.einsum("...ebg,...agcd->...eabcd", A, R)
-        + np.einsum("...ecg,...abgd->...eabcd", A, R)
-        + np.einsum("...edg,...abcg->...eabcd", A, R)
-    )
-    return fr.nabla_R - corr
+def _refuse_overflow(ctx, R, nabla_R):
+    """Stop the run when a curvature tensor the report reads overflowed:
+    such (m, l) can be neither checked nor compared with a printed table."""
+    if not (np.isfinite(R).all() and np.isfinite(nabla_R).all()):
+        raise DomainViolation(
+            f"the curvature at (m, l) = ({ctx.params.m:g}, {ctx.params.l:g}) "
+            "exceeds the floating-point range")
 
 
 def _table_gaps(table, oracle, fr):
@@ -924,8 +910,9 @@ def run_verify(
     """Run the whole registry and return the assembled report.
 
     Raises DomainViolation when no acceptable sample points exist for the
-    requested parameters, and ValueError for a non-finite m or l, for
-    samples < 1 or for a tol_scale that is not positive and finite.
+    requested parameters or their curvature overflows float64, and
+    ValueError for a non-finite m or l, for samples < 1 or for a tol_scale
+    that is not positive and finite.
     """
     if not (np.isfinite(m) and np.isfinite(l)):
         raise ValueError(f"m and l must be finite, got m={m!r}, l={l!r}")

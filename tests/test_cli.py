@@ -122,6 +122,36 @@ def test_verify_pathological_exit_2(capsys):
     assert "domain violation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m, l", [
+    ("1e200", "1"),     # C already overflows
+    ("0", "1e200"),     # R overflows, and so would l**2 in a table
+    ("1e-300", "1e300"),
+    ("0", "1e154"),     # R is finite, nabla R is not
+])
+def test_verify_curvature_overflow_exit_2(m, l, capsys):
+    code = main(["verify", "--m", m, "--l", l, "--samples", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"(m, l) = ({float(m):g}, {float(l):g})" in captured.err
+
+
+@pytest.mark.parametrize("argv, read, value", [
+    (["curvature", "--m", "0", "--l", "1",
+      "--point", "0", "0", "0", "-1e-3", "0", "0", "0"],
+     lambda out: json.loads(out)["point"][3], -1e-3),
+    (["classify", "--m", "-1e2", "--l", "1", "--format", "json"],
+     lambda out: json.loads(out)["m"], -1e2),
+    (["geodesic", "--init", *LINE_INIT[:3], "-1e-1", *LINE_INIT[4:],
+      "--n", "5"],
+     lambda out: float(out.splitlines()[1].split(",")[4]), -1e-1),
+], ids=["curvature-point", "classify-m", "geodesic-init"])
+def test_negative_values_in_exponent_form(argv, read, value, capsys):
+    assert main(argv) == 0
+    assert read(capsys.readouterr().out) == value
+
+
 # -- geodesic ----------------------------------------------------------------
 
 
@@ -178,6 +208,17 @@ def test_geodesic_stdout_when_no_out(capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith(CSV_HEADER)
     assert "status=complete" in captured.err
+
+
+def test_geodesic_json_stdout_ends_with_newline(capsys):
+    code = main([
+        "geodesic", "--mode", "heisenberg", "--init", *LINE_INIT, "--n", "5",
+        "--format", "json",
+    ])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.endswith("}\n")
+    assert len(json.loads(out)["rows"]) == 6
 
 
 def test_geodesic_domain_exit_code_3(tmp_path, capsys):

@@ -21,9 +21,9 @@ from ebcv.homogeneous import (
     cyclic_sum,
     faithful_torsion_tensor,
     nabla_p_torsion_tensor,
+    parallelism_residuals,
     torsion_D,
     torsion_D_tensor,
-    torsion_parallelism_residual,
 )
 
 PARAM_GRID = [
@@ -343,19 +343,22 @@ def test_ambrose_singer_detects_inhomogeneity_for_m_nonzero():
 
 
 def test_torsion_parallelism_residuals():
-    # canonical connection parallelizes the torsion at m = 0 ...
+    # canonical connection parallelizes the torsion and the curvature at
+    # m = 0 ...
     for l in (1.0, 2.0):
         p = ModelParams(0.0, l)
-        res = torsion_parallelism_residual(
+        res = parallelism_residuals(
             sample_domain_points(p, 10, seed=6), p, "canonical"
         )
+        assert res.shape == (10, 2)
         assert res.max() < 1e-12
-        # ... while the type-projection connection does not: the residual is
-        # exactly l^2 (witness component (D_{X_1}T)(X_4, X_6, X_3) = -l^2).
-        res = torsion_parallelism_residual(ORIGIN, p, "characteristic")
-        assert_allclose(res, l**2, atol=1e-12)
+        # ... while the type-projection connection does not: the residuals
+        # at the origin are exactly the printed witnesses l^2 (component
+        # (D_{X_1}T)(X_4, X_6, X_3) = -l^2) and l^3/2 (max |D R|)
+        res = parallelism_residuals(ORIGIN, p, "characteristic")
+        assert_allclose(res, [l**2, l**3 / 2], atol=1e-12)
 
 
 def test_torsion_parallelism_rejects_unknown_connection():
     with pytest.raises(ValueError):
-        torsion_parallelism_residual(ORIGIN, ModelParams(0.0, 1.0), "foo")
+        parallelism_residuals(ORIGIN, ModelParams(0.0, 1.0), "foo")
