@@ -107,28 +107,27 @@ def metric_taylor(q, params: ModelParams) -> MetricTaylor:
     return MetricTaylor(g, dg, d2g)
 
 
+def _first_kind(dg: np.ndarray) -> np.ndarray:
+    """2 Gamma_{r m n} = d_m g_rn + d_n g_rm - d_r g_mn from the metric
+    partials dg[..., r, m, n]; on their partials it gives its own."""
+    return (
+        np.einsum("...mrn->...rmn", dg)
+        + np.einsum("...nrm->...rmn", dg)
+        - dg
+    )
+
+
 def _christoffel_layers(mt: MetricTaylor, F: np.ndarray, dF: np.ndarray):
     """Gamma and dGamma in coordinates from exact metric Taylor data.
 
     The inverse metric and its partials come from the frame closed form
     G^-1 = F F^T (no linear solves anywhere).
     """
-    dg, d2g = mt.dg, mt.d2g
     ginv = np.einsum("...ma,...na->...mn", F, F)
     dginv = np.einsum("...ema,...na->...emn", dF, F) + np.einsum(
         "...ma,...ena->...emn", F, dF
     )
-
-    t0 = (
-        np.einsum("...mrn->...rmn", dg)
-        + np.einsum("...nrm->...rmn", dg)
-        - dg
-    )
-    t1 = (
-        np.einsum("...emrn->...ermn", d2g)
-        + np.einsum("...enrm->...ermn", d2g)
-        - d2g
-    )
+    t0, t1 = _first_kind(mt.dg), _first_kind(mt.d2g)
     gam = 0.5 * np.einsum("...lr,...rmn->...lmn", ginv, t0)
     dgam = 0.5 * (
         np.einsum("...elr,...rmn->...elmn", dginv, t0)
@@ -140,8 +139,9 @@ def _christoffel_layers(mt: MetricTaylor, F: np.ndarray, dF: np.ndarray):
 def christoffel(q, params: ModelParams) -> np.ndarray:
     """Coordinate Christoffel symbols Gamma[..., lam, mu, nu]."""
     fr = frame_jet(q, params)
-    gam, _ = _christoffel_layers(metric_taylor(fr.q, params), fr.F, fr.dF)
-    return gam
+    ginv = np.einsum("...ma,...na->...mn", fr.F, fr.F)
+    t0 = _first_kind(metric_taylor(fr.q, params).dg)
+    return 0.5 * np.einsum("...lr,...rmn->...lmn", ginv, t0)
 
 
 def riemann_frame_coordinate(q, params: ModelParams) -> np.ndarray:

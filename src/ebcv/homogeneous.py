@@ -156,24 +156,40 @@ def classify_structure(params: ModelParams, points) -> StructureClass:
     cyclic sum somewhere (witness scan in lexicographic triple order);
     "T2+T3" when only the c12 trace vanishes; a tensor that is numerically
     zero everywhere sampled is reported as "trivial".  The points are read
-    in chunks, each point reduced to max |T|, the c12 trace, the
-    antisymmetry residual and its first triple whose |sum| exceeds 1e-6; a
-    second pass finds the first point of that triple's largest |sum|.
+    in one chunked pass, each reduced to the five numbers of
+    `_torsion_summary`.
     """
     fr = frame_jet(points, params)
-    n_triples = _TRIPLES.shape[1]
+    (summary,) = fr._chunked(
+        lambda sub: (_torsion_summary(torsion_D_tensor(sub, params)),))
+    return _structure_class(summary, fr.q)
 
-    def per_point(sub):
-        T = torsion_D_tensor(sub, params)
-        over = np.abs(_cyclic_sums(T, *_TRIPLES)) > 1e-6
-        return (
-            np.abs(T).max(axis=(-3, -2, -1)),
-            np.abs(np.einsum("...rrc->...c", T)).max(axis=-1),
-            np.abs(T + np.einsum("...abc->...bac", T)).max(axis=(-3, -2, -1)),
-            np.where(over.any(axis=-1), over.argmax(axis=-1), n_triples),
-        )
 
-    size, c12, antisym, first = (np.ravel(r) for r in fr._chunked(per_point))
+def _torsion_summary(T: np.ndarray) -> np.ndarray:
+    """Each point's max |T|, max |c12 trace| and first-two-slot
+    antisymmetry residual of a reduced torsion T, its first triple (an
+    index into _TRIPLES; their number if none) whose |cyclic sum| exceeds
+    1e-6, and the cyclic sum there (0 if none), shape (..., 5)."""
+    sums = _cyclic_sums(T, *_TRIPLES)
+    over = np.abs(sums) > 1e-6
+    found = over.any(axis=-1)
+    first = over.argmax(axis=-1)
+    value = np.take_along_axis(sums, first[..., None], axis=-1)[..., 0]
+    return np.stack([
+        np.abs(T).max(axis=(-3, -2, -1)),
+        np.abs(np.einsum("...rrc->...c", T)).max(axis=-1),
+        np.abs(T + np.einsum("...abc->...bac", T)).max(axis=(-3, -2, -1)),
+        np.where(found, first, _TRIPLES.shape[1]),
+        np.where(found, value, 0.0),
+    ], axis=-1)
+
+
+def _structure_class(summary, points) -> StructureClass:
+    """The verdict of `classify_structure` from the `_torsion_summary` of
+    the points.  The witness triple is the first over all points; every
+    other point's cyclic sum on it is at most 1e-6, so the witness is the
+    first point of largest |sum| among those whose first triple it is."""
+    size, c12, antisym, first, value = np.reshape(summary, (-1, 5)).T
     if size.max() < TOL_EXACT:
         return StructureClass("trivial", None, None, None)
 
@@ -186,14 +202,10 @@ def classify_structure(params: ModelParams, points) -> StructureClass:
 
     witness = None
     k = int(first.min())
-    if k < n_triples:
-        triple = _TRIPLES[:, k]
-        (vals,) = fr._chunked(lambda sub: (
-            _cyclic_sums(torsion_D_tensor(sub, params), *triple),))
-        vals = np.ravel(vals)
-        idx = int(np.argmax(np.abs(vals)))
-        witness = (tuple(int(v) + 1 for v in triple),
-                   fr.q.reshape(-1, 7)[idx], float(vals[idx]))
+    if k < _TRIPLES.shape[1]:
+        idx = int(np.argmax(np.where(first == k, np.abs(value), -1.0)))
+        witness = (tuple(int(v) + 1 for v in _TRIPLES[:, k]),
+                   np.reshape(points, (-1, 7))[idx], float(value[idx]))
 
     if antisym == 0.0 and witness is not None:
         return StructureClass("T3", *witness)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -56,10 +56,10 @@ from .geodesics import (
     printed_heisenberg_rhs,
 )
 from .homogeneous import (
+    _cyclic_sums,
+    _structure_class,
+    _torsion_summary,
     ambrose_singer_check,
-    c12_trace,
-    classify_structure,
-    cyclic_sum,
     faithful_torsion_tensor,
     parallelism_residuals,
     torsion_D_tensor,
@@ -91,18 +91,6 @@ class CheckResult:
     details: str = ""
     printed: str | None = None
     oracle: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "status": self.status,
-            "max_residual": self.max_residual,
-            "witness": self.witness,
-            "reference": self.reference,
-            "details": self.details,
-            "printed": self.printed,
-            "oracle": self.oracle,
-        }
 
 
 @dataclass(frozen=True)
@@ -138,7 +126,7 @@ class VerifyReport:
                 "elapsed": self.elapsed,
                 "counts": self.counts,
             },
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
         }
 
     def to_text(self) -> str:
@@ -259,11 +247,12 @@ def _chk_sample(ctx):
     dF, C, dC, gamma, R and nabla R once for all of them.  The body returns
     max |residual| per point (`_pmax`), so one chunk's tensors exist at a
     time; `_summary` reduces that vector to the worst value and the first
-    point that attains it, as it would the whole array.  The records of the
-    first 8, 12 or 20 points read heads of the first chunk's jet, which
-    holds them (_CHUNK >= 20) and shares its curvature with them.  At
-    m != 0 a second pass reads the tables of the m = 0 sample, and the jet
-    of its first 20 points gives its head records."""
+    point that attains it, as it would the whole array.  The torsion
+    classification reduces each point to its `_torsion_summary`.  The
+    records of the first 8, 12 or 20 points read heads of the first chunk's
+    jet, which holds them (_CHUNK >= 20) and shares its curvature with
+    them.  The m = 0 sample's records come from one chunk body, which the
+    main body runs at m = 0 and a second pass runs at m != 0."""
     doc, params = ctx.doc, ctx.params
     claims = doc["structure_claims"]
     wit = claims["class_membership"]["t2_exclusion_witness"]
@@ -292,11 +281,19 @@ def _chk_sample(ctx):
     shared = ctx.jet0 is ctx.jet
     eye = np.eye(7)
     h = 1e-6
-    heads = []
+    heads, heads0 = [], []
 
     def table_gaps(fr, tables):
         return tuple(_table_gaps(table, tensor(fr, fr.params), fr)
                      for _, table, tensor, _, _ in tables)
+
+    def m0_body(fr):
+        # gamma first, so that the head records of the first chunk share it
+        with np.errstate(all="ignore"):
+            fr.gamma
+        if not heads0:  # the first chunk
+            heads0.extend(_m0_heads(ctx, fr._rows(slice(0, 20))))
+        return table_gaps(fr, m0_tables)
 
     def body(fr):
         # the curvature first, so that every head and the Ambrose-Singer
@@ -306,8 +303,7 @@ def _chk_sample(ctx):
             _refuse_overflow(ctx, R, fr.nabla_R)
         if not heads:  # the first chunk
             heads.extend(_sample_heads(ctx, fr))
-            if shared:
-                heads.extend(_m0_heads(ctx, fr))
+        gaps0 = m0_body(fr) if shared else ()
         # the Ambrose-Singer residuals next, while no other temporary is
         # held: their own peak is the body's largest after nabla R's
         as_eq = ambrose_singer_check(fr, params)
@@ -327,6 +323,7 @@ def _chk_sample(ctx):
         J = (np.einsum("...ma,...mbcd->...abcd", F, fr.dC)
              + np.einsum("...bce,...aed->...abcd", C, C))
         T = torsion_D_tensor(fr, params)
+        tors = _torsion_summary(T)
         mixed = T.copy()
         mixed[..., 3:, 3:, :] = 0.0  # keep only slots involving a vertical leg
         env = pt.point_env(fr.q, params)
@@ -348,8 +345,8 @@ def _chk_sample(ctx):
             gam + np.einsum("...eab->...eba", gam),
             gam - np.einsum("...abc->...bac", gam) - C,
             gam - gamma_frame_coordinate(fr, params),
-            c12_trace(fr, params),
-            cyclic_sum(1, 4, 5, fr, params) - pt.safe_eval(wit["value"], env),
+            tors[:, 1],
+            _cyclic_sums(T, 0, 3, 4) - pt.safe_eval(wit["value"], env),
             mixed,
             np.stack(sym, axis=1),
             ric - np.einsum("...ab->...ba", ric),
@@ -364,10 +361,9 @@ def _chk_sample(ctx):
             as_eq,
         )], axis=-1)
         coeffs = np.stack([C[..., a, b, c] for a, b, c in slots], axis=-1)
-        return (per_point, scal, coeffs) + table_gaps(
-            fr, tables + m0_tables if shared else tables)
+        return (per_point, scal, coeffs, tors) + table_gaps(fr, tables) + gaps0
 
-    per_point, scal, coeffs, *gaps = ctx.jet._chunked(body)
+    per_point, scal, coeffs, tors, *gaps = ctx.jet._chunked(body)
     *residuals, faithful, corollary, as_eq = per_point.T
     records = (  # (id, tolerance, reference) in the order of body's results
         ("frame-orthonormality", TOL_EXACT,
@@ -407,6 +403,13 @@ def _chk_sample(ctx):
     out = [_passfail(cid, res, ctx.tol(tol), reference, ctx.pts)
            for (cid, tol, reference), res in zip(records, residuals)]
     out += heads
+
+    cls = _structure_class(tors, ctx.pts)
+    out.append(_verdict(
+        "structure-class",
+        cls.label == ("trivial" if params.l == 0.0 else "T3"), None, None,
+        "torsion classification is deterministic and matches the printed "
+        "class", f"label={cls.label} witness_triple={cls.witness_triple}"))
 
     info = claims["mixed_torsion"]
     worst, witness, _ = _summary(faithful, ctx.pts)
@@ -462,11 +465,8 @@ def _chk_sample(ctx):
             )
         )
 
-    if shared:
-        gaps0 = gaps[len(tables):]
-    else:
-        out += _m0_heads(ctx, ctx.jet0._rows(slice(0, 20)))
-        gaps0 = ctx.jet0._chunked(lambda fr: table_gaps(fr, m0_tables))
+    gaps0 = gaps[len(tables):] if shared else ctx.jet0._chunked(m0_body)
+    out += heads0
     out += [_table_record(ctx, spec, g, ctx.pts)
             for spec, g in zip(tables, gaps)]
     details = f"evaluated at (m, l) = (0, {params.l:g})"
@@ -480,10 +480,13 @@ def _sample_heads(ctx, fr):
     fr of its first chunk: the coordinate route on 20 points, the second
     Bianchi identity on 8 and the characteristic connection on 12."""
     head = fr._rows(slice(0, 20))
+    with np.errstate(all="ignore"):
+        coordinate = riemann_frame_coordinate(head, ctx.params)
+    _refuse_overflow(ctx, coordinate)
     out = [
         _passfail(
             "riemann-frame-vs-coordinate-route",
-            head.R - riemann_frame_coordinate(head, ctx.params),
+            head.R - coordinate,
             ctx.tol(TOL_TABLE),
             "Cartan frame curvature matches the coordinate-Christoffel "
             "route", head.q,
@@ -522,20 +525,18 @@ def _sample_heads(ctx, fr):
     return out
 
 
-def _m0_heads(ctx, fr):
-    """The records of the first points of the m = 0 sample, from the jet fr
-    of its first 20 points or more: the printed spot values on 20 points
-    and the canonical connection on 12."""
-    params0 = fr.params
+def _m0_heads(ctx, head):
+    """The records of the first points of the m = 0 sample, from the jet of
+    its first 20 points: the printed spot values on all of them and the
+    canonical connection on the first 12."""
+    params0 = head.params
     details = f"evaluated at (m, l) = (0, {ctx.params.l:g})"
-    # R on all of fr's points first, so the 12-point head shares it and
-    # builds nabla R of its own points only; both before any printed value
+    # R on all 20 points first, so the 12-point head shares it and builds
+    # nabla R of its own points only; both before any printed value
     with np.errstate(all="ignore"):
-        fr.R
-        sub = fr._rows(slice(0, 12))
-        _refuse_overflow(ctx, fr.R, sub.nabla_R)
-    head = fr._rows(slice(0, 20))
-    R0 = head.R
+        R0 = head.R
+        sub = head._rows(slice(0, 12))
+        _refuse_overflow(ctx, R0, sub.nabla_R)
     env0 = pt.point_env(head.q, params0)
     ex = ctx.doc["curvature_tables"]["m0_examples"]["entries"]
     ric0 = ricci_from_riemann(R0)
@@ -569,10 +570,10 @@ def _m0_heads(ctx, fr):
     return out
 
 
-def _refuse_overflow(ctx, R, nabla_R):
+def _refuse_overflow(ctx, *tensors):
     """Stop the run when a curvature tensor the report reads overflowed:
     such (m, l) can be neither checked nor compared with a printed table."""
-    if not (np.isfinite(R).all() and np.isfinite(nabla_R).all()):
+    if not all(np.isfinite(t).all() for t in tensors):
         raise DomainViolation(
             f"the curvature at (m, l) = ({ctx.params.m:g}, {ctx.params.l:g}) "
             "exceeds the floating-point range")
@@ -614,21 +615,6 @@ def _table_record(ctx, spec, gaps, pts, details=""):
         json.dumps(table["entries"][key]),
         f"exact value differs by {worst:.6e} at the witness point",
     )
-
-
-# --------------------------------------------------------------------------
-# homogeneous-structure classification
-# --------------------------------------------------------------------------
-
-
-def _chk_structure_class(ctx):
-    cls = classify_structure(ctx.params, ctx.jet)
-    again = classify_structure(ctx.params, ctx.jet)
-    expected = "trivial" if ctx.params.l == 0.0 else "T3"
-    return [_verdict(
-        "structure-class", cls.label == again.label == expected, None, None,
-        "torsion classification is deterministic and matches the printed "
-        "class", f"label={cls.label} witness_triple={cls.witness_triple}")]
 
 
 # --------------------------------------------------------------------------
@@ -891,7 +877,6 @@ def _chk_sampling(ctx):
 
 _REGISTRY = (
     _chk_sample,
-    _chk_structure_class,
     _chk_killing,
     _chk_geodesic_tables,
     _chk_geodesic_flow,

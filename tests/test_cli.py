@@ -127,6 +127,8 @@ def test_verify_pathological_exit_2(capsys):
     ("0", "1e200"),     # R overflows, and so would l**2 in a table
     ("1e-300", "1e300"),
     ("0", "1e154"),     # R is finite, nabla R is not
+    ("0", "1e60"),      # R and nabla R are finite, the coordinate route not
+    ("0", "1e100"),
 ])
 def test_verify_curvature_overflow_exit_2(m, l, capsys):
     code = main(["verify", "--m", m, "--l", l, "--samples", "5"])

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from ebcv.curvature import scalar_curvature
-from ebcv.frames import ModelParams, levi_civita_tensor, sample_domain_points
+from ebcv.frames import (
+    FrameJet,
+    ModelParams,
+    levi_civita_tensor,
+    sample_domain_points,
+)
 from ebcv.killing import frame_unit_field
 from ebcv.homogeneous import (
     P_SIGNS,
@@ -246,6 +251,21 @@ def test_chunked_classification_matches_the_whole_sample(p):
     assert verdict.witness_value == value
 
 
+def test_classification_reads_the_points_in_one_pass(monkeypatch):
+    p = ModelParams(1.0, 1.0)
+    pts = _pts(p, n=100, seed=4)
+    passes = []
+    chunked = FrameJet._chunked
+
+    def counting(fr, body):
+        passes.append(fr.q.shape)
+        return chunked(fr, body)
+
+    monkeypatch.setattr(FrameJet, "_chunked", counting)
+    assert classify_structure(p, pts).label == "T3"
+    assert passes == [pts.shape]
+
+
 def _classify_peak(p, pts):
     tracemalloc.start()
     try:
@@ -256,7 +276,7 @@ def _classify_peak(p, pts):
 
 
 def test_classification_memory_does_not_grow_with_the_sample():
-    # a chunk's torsion at a time, and four numbers per point
+    # a chunk's torsion at a time, and five numbers per point
     p = ModelParams(1.0, 1.0)
     pts = _pts(p, n=2048, seed=6)
     small, large = _classify_peak(p, pts[:64]), _classify_peak(p, pts)

@@ -114,14 +114,13 @@ def test_byte_determinism_given_seed():
 
 def _count_points(monkeypatch, owner, name):
     """The point count of each call of the method or kept tensor name of
-    owner, and for a method, the module that called it."""
+    owner."""
     calls = []
     attr = vars(owner)[name]
     fn = getattr(attr, "func", attr)  # what a kept tensor is built by
 
     def counting(fr, *args):
-        caller = sys._getframe(1).f_globals["__name__"]
-        calls.append((fr.q.size // 7, caller))
+        calls.append(fr.q.size // 7)
         return fn(fr, *args)
 
     if fn is attr:
@@ -131,12 +130,15 @@ def _count_points(monkeypatch, owner, name):
     return calls
 
 
-@pytest.mark.parametrize("m, l, passes", [(1.0, 1.0, 2), (0.0, 1.0, 1)],
-                         ids=["general", "m0"])
+@pytest.mark.parametrize("m, l, passes",
+                         [(1.0, 1.0, 2), (0.0, 1.0, 1), (1.0, 0.0, 2)],
+                         ids=["general", "m0", "l0"])
 def test_verify_reads_each_sample_in_one_pass(monkeypatch, m, l, passes):
-    # every per-point record comes from one chunked pass over the sample,
-    # plus one over the m = 0 sample when it is another; no public
-    # curvature entry point runs
+    # every per-point record, the torsion classification included, comes
+    # from one chunked pass over the sample, plus one over the m = 0 sample
+    # when it is another, whatever module reads it; no public curvature
+    # entry point runs
+    samples = 40
     public = []
     chunked = _count_points(monkeypatch, ebcv.frames.FrameJet, "_chunked")
     riemann_frame = ebcv.curvature.riemann_frame
@@ -147,30 +149,34 @@ def test_verify_reads_each_sample_in_one_pass(monkeypatch, m, l, passes):
 
     monkeypatch.setattr(ebcv.verify, "riemann_frame", recording, raising=False)
     monkeypatch.setattr(ebcv.curvature, "riemann_frame", recording)
-    rep = run_verify(m, l, samples=40, seed=0)
+    rep = run_verify(m, l, samples=samples, seed=0)
     assert rep.counts["fail"] == 0
     assert not public
-    assert [n for n, caller in chunked if caller == "ebcv.verify"] == (
-        [40] * passes)
+    assert chunked.count(samples) == passes
 
 
-@pytest.mark.parametrize("m, l, again_R, again_nabla",
-                         [(1.0, 1.0, 20, 12), (0.0, 1.0, 0, 0)],
+@pytest.mark.parametrize("m, l, again_R, again_nabla, all_C",
+                         [(1.0, 1.0, 20, 12, 161), (0.0, 1.0, 0, 0, 121)],
                          ids=["general", "m0"])
 def test_r_is_built_once_per_sample_point(monkeypatch, m, l, again_R,
-                                          again_nabla):
+                                          again_nabla, all_C):
     # R and nabla R of every sample point come from its one chunked pass,
     # whose first chunk also serves the records of the first 20 points; only
     # the first 20 points of a distinct m = 0 sample get R besides, and only
-    # the 12 of them that the canonical connection reads get nabla R
+    # the 12 of them that the canonical connection reads get nabla R.  C is
+    # built once per point of the sample and of a distinct m = 0 sample;
+    # the rest is the 40-point Killing sample, 40 one-point Poisson states
+    # and the one point of the Heisenberg bracket
     samples = 40  # more than one curvature chunk
     jet = ebcv.frames.FrameJet
     riemann = _count_points(monkeypatch, jet, "R")
     nabla = _count_points(monkeypatch, jet, "nabla_R")
+    brackets = _count_points(monkeypatch, jet, "C")
     rep = run_verify(m, l, samples=samples, seed=0)
     assert rep.counts["fail"] == 0
-    assert sum(n for n, _ in riemann) == samples + again_R
-    assert sum(n for n, _ in nabla) == samples + again_nabla
+    assert sum(riemann) == samples + again_R
+    assert sum(nabla) == samples + again_nabla
+    assert sum(brackets) == all_C
 
 
 # how far a fresh process's peak RSS rises over one report (in KB on Linux)
