@@ -1,0 +1,72 @@
+#!/usr/bin/env python3
+"""Say which records differ between two `ebcv verify --format json` reports,
+or between two directories of them such as `scripts/report_matrix.py` writes.
+
+    python scripts/report_diff.py BEFORE AFTER
+
+Prints one line per record that differs in any field: the report's file
+name (for two directories), the check id, both statuses and both
+``max_residual`` values.  A record, or a report file, found on one side
+only is a line too, with ``absent`` for its missing side.  Exits 1 when a
+check id or a status differs, and 0 when every difference keeps both: a
+record whose residual or witness moved is listed but does not fail.
+"""
+
+import argparse
+import json
+import pathlib
+import sys
+
+
+def _records(path: pathlib.Path) -> dict:
+    """The records of a report, by check id."""
+    return {rec["id"]: rec for rec in json.loads(path.read_text())["checks"]}
+
+
+def _diff(before: dict, after: dict, prefix: str) -> tuple[list, bool]:
+    """The lines for the records that differ, and whether an id or a status
+    did."""
+    lines, moved = [], False
+    for cid in list(before) + [c for c in after if c not in before]:
+        old, new = before.get(cid), after.get(cid)
+        if old == new:
+            continue
+        status = [r["status"] if r else "absent" for r in (old, new)]
+        residual = [repr(r["max_residual"]) if r else "-" for r in (old, new)]
+        moved = moved or old is None or new is None or status[0] != status[1]
+        lines.append(f"{prefix}{cid}: {status[0]} -> {status[1]}; "
+                     f"max_residual {residual[0]} -> {residual[1]}")
+    return lines, moved
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("before", type=pathlib.Path)
+    parser.add_argument("after", type=pathlib.Path)
+    args = parser.parse_args(argv)
+    before, after = args.before, args.after
+    if before.is_dir() and after.is_dir():
+        pairs = [(before / name, after / name, f"{name}: ") for name in sorted(
+            {p.name for p in before.iterdir()} | {p.name for p in after.iterdir()})]
+    elif before.is_file() and after.is_file():
+        pairs = [(before, after, "")]
+    else:
+        parser.error(f"{before} and {after} must be two report files or two "
+                     "directories")
+
+    moved = False
+    for old, new, prefix in pairs:
+        if not (old.is_file() and new.is_file()):
+            print(f"{prefix}report {'absent' if not old.is_file() else 'present'}"
+                  f" -> {'absent' if not new.is_file() else 'present'}")
+            moved = True
+            continue
+        lines, changed = _diff(_records(old), _records(new), prefix)
+        moved = moved or changed
+        for line in lines:
+            print(line)
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,6 +4,10 @@ The primary route is Cartan's, kept on the frame jet (`FrameJet.R`): R
 comes from the jet's structure constants C, the Koszul connection gamma and
 its frame derivatives X_x gamma = Koszul(X_x C); `FrameJet.nabla_R`
 differentiates that formula once more, through the second partials d2C.
+The frame depends only on the horizontal coordinates u = (w, x, y, z), so
+the jet keeps the partials of C along u alone, and X_x C and X_e X_x C
+vanish unless x and e are horizontal (X_4..X_7, where X = K d_u); the
+vertical slices of nabla R are its gamma.R terms alone.
 With ``gamma[x, y, z] = <nabla_{X_x} X_y, X_z>``,
 
     R[a,b,c,d] = X_a gamma_bdc - X_b gamma_adc + gamma_bdf gamma_afc

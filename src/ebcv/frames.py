@@ -97,17 +97,34 @@ def _twist_block(q: np.ndarray, params: ModelParams) -> np.ndarray:
 #: 64 run alike; smaller ones run slower.
 _CHUNK = 32
 
+#: The horizontal directions: u_h is the coordinate 3 + h.
+_H4 = np.arange(4)
+
 
 class FrameJet:
     """The frame layer at a point set, each tensor built once.
 
     The domain is checked once, on construction (K > 0).  ``F``, ``Om``,
     ``dF``, ``C``, ``dC``, ``gamma``, ``R`` and ``nabla_R`` are built on
-    first use and then kept, read-only; ``d2C`` and ``d2F`` are built on
-    every read, so the largest derivative tensors are not held.  ``q``, ``params`` and ``K`` hold the points, the parameters
-    and the conformal factor.  Pass a jet wherever a function takes points
-    ``q`` to share these tensors between calls (see `frame_jet`); read the
-    curvature of many points through `_chunked`, which bounds the memory.
+    first use and then kept, read-only; ``d2C`` is built on every read, so
+    the largest derivative tensor is not held.  ``q``, ``params`` and ``K``
+    hold the points, the parameters and the conformal factor.
+
+    The frame depends on u = (w, x, y, z) only, so the partials of C are
+    kept along u alone: ``dC`` has shape (..., 4, 7, 7, 7) and ``d2C``
+    (..., 4, 4, 7, 7, 7), index h standing for u_h, the coordinate 3 + h.
+    ``dF`` keeps all 7 directions, as the coordinate route reads it.  The
+    second partials of F are the constant d_h d_k F = 2m delta_hk on its
+    4 x 4 block and enter ``d2C`` in closed form.  As F[3:, :3] = 0 and
+    F[3:, 3:] = K I, the frame derivatives are X_e C = K d_{e-3} C and
+
+        X_e X_x C = K^2 d2C[e-3, x-3] + 2m K u_{e-3} dC[x-3]
+
+    for horizontal e and x, and zero when e or x is vertical.
+
+    Pass a jet wherever a function takes points ``q`` to share these
+    tensors between calls (see `frame_jet`); read the curvature of many
+    points through `_chunked`, which bounds the memory.
     """
 
     def __init__(self, q, params: ModelParams):
@@ -188,19 +205,6 @@ class FrameJet:
             )
         return dF
 
-    @property
-    def d2F(self) -> np.ndarray:
-        """Exact second partials d2F[e, f, mu, a].
-
-        Only K contributes, with the constant 2m, so the array has no batch
-        axes; it broadcasts against batched operands.
-        """
-        d2F = np.zeros((7, 7, 7, 7))
-        for b in range(4):
-            for a in range(4):
-                d2F[3 + b, 3 + b, 3 + a, 3 + a] = 2.0 * self.params.m
-        return d2F
-
     @_kept
     def C(self) -> np.ndarray:
         """C[..., a, b, c] with [X_{a+1}, X_{b+1}] = sum_c C[a,b,c] X_{c+1}.
@@ -215,36 +219,48 @@ class FrameJet:
 
     @_kept
     def dC(self) -> np.ndarray:
-        """Exact partials dC[..., e, a, b, c] of the structure constants."""
+        """Exact partials dC[..., h, a, b, c] of the structure constants
+        along u_h, the coordinate 3 + h (along r, s and t they are zero)."""
         F, dF, Om = self.F, self.dF, self.Om
-        dOm = -np.einsum("...an,...enm,...mu->...eau", Om, dF, Om)
+        dFh = dF[..., 3:, :, :]
+        dOm = -np.einsum("...an,...hnm,...mu->...hau", Om, dFh, Om)
         V = np.einsum("...na,...nmb->...mab", F, dF)
         brk = V - np.swapaxes(V, -1, -2)
-        dV = np.einsum("...ena,...nmb->...emab", dF, dF) + np.einsum(
-            "...na,...enmb->...emab", F, self.d2F
-        )
+        dV = np.einsum("...hna,...nmb->...hmab", dFh, dF)
+        # + sum_n F[n, a] d_h d_n F[m, b] = 2m K at a = 3 + h, m = b = 3 + j
+        h, j = _H4[:, None], _H4
+        dV[..., h, 3 + j, 3 + h, 3 + j] += (
+            2.0 * self.params.m * self.K[..., None, None])
         dbrk = dV - np.swapaxes(dV, -1, -2)
-        return np.einsum("...ecm,...mab->...eabc", dOm, brk) + np.einsum(
-            "...cm,...emab->...eabc", Om, dbrk
+        return np.einsum("...hcm,...mab->...habc", dOm, brk) + np.einsum(
+            "...cm,...hmab->...habc", Om, dbrk
         )
 
     @property
     def d2C(self) -> np.ndarray:
-        """Exact second partials d2C[..., e, f, a, b, c] of the structure
-        constants: F C = [X_a, X_b] differentiated twice (d3F = 0)."""
-        dF, d2F, C, dC = self.dF, self.d2F, self.C, self.dC
-        d2V = (
-            np.einsum("efna,...nmb->...efmab", d2F, dF, optimize=True)
-            + np.einsum("...ena,fnmb->...efmab", dF, d2F, optimize=True)
-            + np.einsum("...fna,enmb->...efmab", dF, d2F, optimize=True)
-        )
-        dFdC = np.einsum("...emc,...fabc->...efmab", dF, dC, optimize=True)
-        rhs = (
-            d2V - np.swapaxes(d2V, -1, -2)
-            - np.einsum("efmc,...abc->...efmab", d2F, C, optimize=True)
-            - dFdC - np.swapaxes(dFdC, -5, -4)
-        )
-        return np.einsum("...cm,...efmab->...efabc", self.Om, rhs,
+        """Exact second partials d2C[..., h, k, a, b, c] of the structure
+        constants along u_h and u_k: F C = [X_a, X_b] = V - V^T differentiated
+        twice (d3F = 0), where d_h d_k F = 2m delta_hk on the 4 x 4 block of
+        F is applied in closed form."""
+        m2 = 2.0 * self.params.m
+        dFh, C, dC = self.dF[..., 3:, :, :], self.C, self.dC
+        # d2V[h, k, m, a, b] = 2m delta_hk [a in H] d_{a-3} F[m, b]
+        #                      + 2m [m = b in H] (d_h F[3+k, a] + d_k F[3+h, a])
+        d2V = np.zeros(self.K.shape + (4, 4, 7, 7, 7))
+        d2V[..., _H4, _H4, :, 3:, :] = (
+            m2 * np.swapaxes(dFh, -3, -2))[..., None, :, :, :]
+        w = m2 * dFh[..., 3:, :]
+        for j in range(4):
+            d2V[..., 3 + j, :, 3 + j] += w
+            d2V[..., 3 + j, :, 3 + j] += np.swapaxes(w, -3, -2)
+        rhs = d2V - np.swapaxes(d2V, -1, -2)
+        # - d_h d_k F C = 2m delta_hk [m in H] C[a, b, m]
+        rhs[..., _H4, _H4, 3:, :, :] -= (
+            m2 * np.moveaxis(C[..., 3:], -1, -3))[..., None, :, :, :]
+        dFdC = np.einsum("...hmc,...kabc->...hkmab", dFh, dC, optimize=True)
+        rhs -= dFdC
+        rhs -= np.swapaxes(dFdC, -5, -4)
+        return np.einsum("...cm,...hkmab->...hkabc", self.Om, rhs,
                          optimize=True)
 
     @_kept
@@ -257,10 +273,12 @@ class FrameJet:
         return _koszul(self.C)
 
     def _x_derivatives(self):
-        """xC[..., e, a, b, c] = X_{e+1} C_abc and xgam = Koszul(xC), the
-        frame derivatives of C and gamma.  Built on each call, not kept:
-        holding them beside R and nabla R raises the peak of a chunk."""
-        xC = np.einsum("...me,...mabc->...eabc", self.F, self.dC)
+        """xC[..., h, a, b, c] = X_{4+h} C_abc = K dC_h and xgam =
+        Koszul(xC), the frame derivatives of C and gamma along the
+        horizontal frame; along X_1..X_3 both are zero.  Built on each
+        call, not kept: holding them beside R and nabla R raises the peak
+        of a chunk."""
+        xC = self.K[..., None, None, None, None] * self.dC
         return xC, _koszul(xC)
 
     @_kept
@@ -268,8 +286,8 @@ class FrameJet:
         """Frame curvature R[..., a, b, c, d] = <R(X_a, X_b) X_d, X_c> by
         Cartan's structure equations (see `curvature`)."""
         C, gam, (_, xgam) = self.C, self.gamma, self._x_derivatives()
-        S = np.einsum("...abdc->...abcd", xgam) + np.einsum(
-            "...bdf,...afc->...abcd", gam, gam)
+        S = np.einsum("...bdf,...afc->...abcd", gam, gam)
+        S[..., 3:, :, :, :] += np.einsum("...abdc->...abcd", xgam)
         return (S - np.einsum("...bacd->...abcd", S)
                 - np.einsum("...abf,...fdc->...abcd", C, gam))
 
@@ -277,30 +295,32 @@ class FrameJet:
     def nabla_R(self) -> np.ndarray:
         """(nabla_{X_e} R)[..., e, a, b, c, d]: R's formula differentiated
         once more, X_e X_x gamma from d2C and the products by the Leibniz
-        rule."""
-        F, C, gam, riem = self.F, self.C, self.gamma, self.R
+        rule.  The derivative terms are built for horizontal e only, and
+        the terms gamma.R for every e are subtracted in place."""
+        C, gam, riem, K = self.C, self.gamma, self.R, self.K
         xC, xgam = self._x_derivatives()
-        # X_e X_x C = F^mu_e F^nu_x d2C_{mu nu} + (X_e F^nu_x) dC_nu
-        xxgam = _koszul(
-            np.einsum("...me,...nx,...mnabc->...exabc", F, F, self.d2C,
-                      optimize=True)
-            + np.einsum("...me,...mnx,...nabc->...exabc", F, self.dF,
-                        self.dC, optimize=True)
-        )
-        xS = (
-            np.einsum("...eabdc->...eabcd", xxgam)
-            + np.einsum("...ebdf,...afc->...eabcd", xgam, gam, optimize=True)
-            + np.einsum("...bdf,...eafc->...eabcd", gam, xgam, optimize=True)
-        )
-        return (
-            xS - np.einsum("...ebacd->...eabcd", xS)
-            - np.einsum("...eabf,...fdc->...eabcd", xC, gam, optimize=True)
-            - np.einsum("...abf,...efdc->...eabcd", C, xgam, optimize=True)
-            - np.einsum("...eaf,...fbcd->...eabcd", gam, riem, optimize=True)
-            - np.einsum("...ebf,...afcd->...eabcd", gam, riem, optimize=True)
-            - np.einsum("...ecf,...abfd->...eabcd", gam, riem, optimize=True)
-            - np.einsum("...edf,...abcf->...eabcd", gam, riem, optimize=True)
-        )
+        # X_e X_x C = K (K d2C_ex) + (K 2m u_e) dC_x for horizontal e and
+        # x (X = K d_u there), zero for vertical e or x
+        k = K[..., None, None, None, None, None]
+        ku = K[..., None] * (2.0 * self.params.m * self.q[..., 3:])
+        xxgam = _koszul(k * (k * self.d2C)
+                        + ku[..., :, None, None, None, None]
+                        * self.dC[..., None, :, :, :, :])
+        xS = np.einsum("...ebdf,...afc->...eabcd", xgam, gam, optimize=True)
+        xS[..., 3:, :, :, :] += np.einsum("...eabdc->...eabcd", xxgam)
+        del xxgam
+        xS += np.einsum("...bdf,...eafc->...eabcd", gam, xgam, optimize=True)
+        out = np.zeros(K.shape + (7, 7, 7, 7, 7))
+        hor = out[..., 3:, :, :, :, :]
+        np.subtract(xS, np.einsum("...ebacd->...eabcd", xS), out=hor)
+        del xS
+        hor -= np.einsum("...eabf,...fdc->...eabcd", xC, gam, optimize=True)
+        hor -= np.einsum("...abf,...efdc->...eabcd", C, xgam, optimize=True)
+        out -= np.einsum("...eaf,...fbcd->...eabcd", gam, riem, optimize=True)
+        out -= np.einsum("...ebf,...afcd->...eabcd", gam, riem, optimize=True)
+        out -= np.einsum("...ecf,...abfd->...eabcd", gam, riem, optimize=True)
+        out -= np.einsum("...edf,...abcf->...eabcd", gam, riem, optimize=True)
+        return out
 
 
 def _koszul(C: np.ndarray) -> np.ndarray:

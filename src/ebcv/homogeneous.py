@@ -49,7 +49,6 @@ residuals honestly rather than masking them.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,19 +242,24 @@ def _connection_terms(conn, A) -> np.ndarray:
     what a metric connection with <D_{X_e} X_a, X_g> = conn[..., e, a, g]
     subtracts from the frame derivative of A."""
     slots = "abcd"[:A.ndim - conn.ndim + 3]
-    return functools.reduce(operator.add, (
-        np.einsum(f"...e{s}g,...{slots.replace(s, 'g')}->...e{slots}", conn, A)
+    return functools.reduce(lambda out, term: np.add(out, term, out=out), (
+        np.einsum(f"...e{s}g,...{slots.replace(s, 'g')}->...e{slots}", conn, A,
+                  optimize=True)
         for s in slots))
 
 
-def _covariant_derivative(F, conn, A, dA) -> np.ndarray:
+def _covariant_derivative(K, conn, A, dA) -> np.ndarray:
     """(D_{X_e} A)[..., e, a, b, c] of a frame 3-tensor A.
 
-    dA[..., mu, a, b, c] holds the coordinate partials of A and
-    conn[..., e, a, f] = <D_{X_e} X_a, X_f> the metric connection D.
+    dA[..., h, a, b, c] holds the partials of A along u_h (coordinate
+    3 + h), the only coordinates A depends on, so X_e A = K dA_{e-3} for
+    horizontal e and 0 for vertical e.  conn[..., e, a, f] = <D_{X_e} X_a,
+    X_f> is the metric connection D and K the conformal factor.
     """
-    frame_dir = np.einsum("...me,...mabc->...eabc", F, dA)
-    return frame_dir - _connection_terms(conn, A)
+    out = _connection_terms(conn, A)
+    np.negative(out, out=out)
+    out[..., 3:, :, :, :] += K[..., None, None, None, None] * dA
+    return out
 
 
 def ambrose_singer_check(q, params: ModelParams) -> np.ndarray:
@@ -278,25 +282,25 @@ def _residuals(fr) -> np.ndarray:
     R, nabR = fr.R, fr.nabla_R
     S = _skew_completion(_reduced_torsion(fr.C))
     dS = _skew_completion(_reduced_torsion(fr.dC))
-    nabS = _covariant_derivative(fr.F, fr.gamma, S, dS)
+    nabS = _covariant_derivative(fr.K, fr.gamma, S, dS)
 
     res_i = np.abs(S + np.einsum("...abc->...acb", S)).max(axis=(-3, -2, -1))
 
-    rhs_ii = (
-        np.einsum("...efc,...abfd->...eabcd", S, R)
-        - np.einsum("...abcf,...edf->...eabcd", R, S)
-        - np.einsum("...eaf,...fbcd->...eabcd", S, R)
-        - np.einsum("...ebf,...afcd->...eabcd", S, R)
-    )
-    res_ii = np.abs(nabR - rhs_ii).max(axis=(-5, -4, -3, -2, -1))
+    # the right side of (ii), then its gap to nabla R, in one array
+    gap = np.einsum("...efc,...abfd->...eabcd", S, R, optimize=True)
+    gap -= np.einsum("...abcf,...edf->...eabcd", R, S, optimize=True)
+    gap -= np.einsum("...eaf,...fbcd->...eabcd", S, R, optimize=True)
+    gap -= np.einsum("...ebf,...afcd->...eabcd", S, R, optimize=True)
+    np.subtract(nabR, gap, out=gap)
+    res_ii = np.abs(gap, out=gap).max(axis=(-5, -4, -3, -2, -1))
 
     # (nabla_e S)_f as an endomorphism acting on X_d with output slot c is
     # nabS[e, f, d, c]; match slots with the commutator form.
     lhs_iii = np.einsum("...efdc->...efcd", nabS)
     rhs_iii = (
-        np.einsum("...egc,...fdg->...efcd", S, S)
-        - np.einsum("...fgc,...edg->...efcd", S, S)
-        - np.einsum("...efg,...gdc->...efcd", S, S)
+        np.einsum("...egc,...fdg->...efcd", S, S, optimize=True)
+        - np.einsum("...fgc,...edg->...efcd", S, S, optimize=True)
+        - np.einsum("...efg,...gdc->...efcd", S, S, optimize=True)
     )
     res_iii = np.abs(lhs_iii - rhs_iii).max(axis=(-4, -3, -2, -1))
     return np.stack([res_i, res_ii, res_iii], axis=-1)
@@ -326,9 +330,10 @@ def parallelism_residuals(
             conn = fr.gamma - _skew_completion(T)
         else:
             conn = char_connection_tensor(fr, params)
-        nabT = _covariant_derivative(fr.F, conn, T, _reduced_torsion(fr.dC))
-        nabR = fr.nabla_R - _connection_terms(conn - fr.gamma, fr.R)
+        nabT = _covariant_derivative(fr.K, conn, T, _reduced_torsion(fr.dC))
+        nabR = _connection_terms(conn - fr.gamma, fr.R)
+        np.subtract(fr.nabla_R, nabR, out=nabR)
         return (np.abs(nabT).max(axis=(-4, -3, -2, -1)),
-                np.abs(nabR).max(axis=(-5, -4, -3, -2, -1)))
+                np.abs(nabR, out=nabR).max(axis=(-5, -4, -3, -2, -1)))
 
     return np.stack(frame_jet(q, params)._chunked(body), axis=-1)

@@ -320,7 +320,7 @@ def _chk_sample(ctx):
         vec = np.einsum("...ma,...mnb->...nab", F, dF) - np.einsum(
             "...mb,...mna->...nab", F, dF
         )
-        J = (np.einsum("...ma,...mbcd->...abcd", F, fr.dC)
+        J = (np.einsum("...ha,...hbcd->...abcd", F[..., 3:, :], fr.dC)
              + np.einsum("...bce,...aed->...abcd", C, C))
         T = torsion_D_tensor(fr, params)
         tors = _torsion_summary(T)

@@ -17,7 +17,7 @@ from ebcv.curvature import (
     riemann_frame_coordinate,
     scalar_curvature,
 )
-from ebcv.homogeneous import ambrose_singer_check
+from ebcv.homogeneous import ambrose_singer_check, parallelism_residuals
 
 PARAM_GRID = [
     ModelParams(0.0, 1.0),
@@ -317,14 +317,17 @@ def test_chunking_is_invisible(m, l):
     # count (1, 33 and 200 do not divide the chunk) and the batch shape
     p = ModelParams(m, l)
     pts = sample_domain_points(p, 200, seed=5)
-    keys = ("gamma", "R", "nabla_R", "riemann_frame", "as_check")
+    keys = ("gamma", "R", "nabla_R", "riemann_frame", "as_check",
+            "canonical", "characteristic")
 
     def values(q):
         # the jet's tensors through the chunk map, then the entry points
         tensors = FrameJet(q, p)._chunked(
             lambda fr: (fr.gamma, fr.R, fr.nabla_R))
-        return dict(zip(keys, tensors + (riemann_frame(q, p),
-                                         ambrose_singer_check(q, p))))
+        return dict(zip(keys, tensors + (
+            riemann_frame(q, p), ambrose_singer_check(q, p),
+            parallelism_residuals(q, p, "canonical"),
+            parallelism_residuals(q, p, "characteristic"))))
 
     alone = [values(q) for q in pts]
     want = {key: np.stack([v[key] for v in alone]) for key in keys}

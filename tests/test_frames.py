@@ -129,18 +129,26 @@ def test_orthonormality():
 
 
 def test_frame_derivs_match_fd():
-    p = ModelParams(0.8, -1.1)
-    pts = sample_domain_points(p, 5, seed=9)
-    jet = FrameJet(pts, p)
-    dF, dC, d2C = jet.dF, jet.dC, jet.d2C
-    for k in range(pts.shape[0]):
-        fd = oracles.fd_gradient(lambda qq: oracles.frame_oracle(qq, p.m, p.l),
-                                 pts[k])
-        np.testing.assert_allclose(dF[k], fd, atol=1e-9)
-        fd = oracles.fd_gradient(lambda qq: structure_constants(qq, p), pts[k])
-        np.testing.assert_allclose(dC[k], fd, atol=1e-9)
-        fd = oracles.fd_gradient(lambda qq: FrameJet(qq, p).dC, pts[k])
-        np.testing.assert_allclose(d2C[k], fd, atol=1e-9)
+    # dC and d2C hold the partials along u_h = coordinate 3 + h only; along
+    # r, s and t the central differences of C and dC vanish
+    for p in (ModelParams(0.8, -1.1), ModelParams(-0.5, 0.0)):
+        pts = sample_domain_points(p, 5, seed=9)
+        jet = FrameJet(pts, p)
+        dF, dC, d2C = jet.dF, jet.dC, jet.d2C
+        assert dC.shape == (5, 4, 7, 7, 7) and d2C.shape == (5, 4, 4, 7, 7, 7)
+        for k in range(pts.shape[0]):
+            fd = oracles.fd_gradient(
+                lambda qq: oracles.frame_oracle(qq, p.m, p.l), pts[k])
+            np.testing.assert_allclose(dF[k], fd, atol=1e-9)
+            fd = oracles.fd_gradient(lambda qq: structure_constants(qq, p),
+                                     pts[k])
+            np.testing.assert_allclose(dC[k], fd[3:], atol=1e-9)
+            assert np.abs(fd[:3]).max() <= 1e-12
+            # fd[e, h] = d_e dC_h, so d2C[h, k] = fd[3 + k, h]
+            fd = oracles.fd_gradient(lambda qq: FrameJet(qq, p).dC, pts[k])
+            np.testing.assert_allclose(d2C[k], np.swapaxes(fd[3:], 0, 1),
+                                       atol=1e-9)
+            assert np.abs(fd[:3]).max() <= 1e-12
 
 
 def test_frame_jet_is_shared_only_for_its_own_params():

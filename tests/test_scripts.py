@@ -60,6 +60,37 @@ def test_report_matrix_writes_every_report_without_elapsed(tmp_path, capsys):
     assert got == want
 
 
+def _write_report(path, records):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    checks = [{"id": cid, "status": status, "max_residual": residual}
+              for cid, status, residual in records]
+    path.write_text(json.dumps({"checks": checks, "summary": {}}))
+
+
+def test_report_diff_lists_moved_records_and_fails_on_status(tmp_path, capsys):
+    diff = _load_script("report_diff")
+    before, after = tmp_path / "before", tmp_path / "after"
+    base = [("a", "pass", 1e-16), ("b", "paper-discrepancy", 0.5)]
+    _write_report(before / "r.json", base)
+    _write_report(after / "r.json", base)
+    assert diff.main([str(before), str(after)]) == 0
+    assert capsys.readouterr().out == ""
+    # a residual that moves at the same status is listed, and passes
+    _write_report(after / "r.json", [base[0], ("b", "paper-discrepancy", 0.25)])
+    assert diff.main([str(before / "r.json"), str(after / "r.json")]) == 0
+    assert capsys.readouterr().out == (
+        "b: paper-discrepancy -> paper-discrepancy; max_residual 0.5 -> 0.25\n")
+    # a status that changes, a record and a report on one side only fail
+    _write_report(after / "r.json", [("a", "fail", 0.1), base[1], ("c", "pass", 0.0)])
+    _write_report(after / "s.json", base)
+    assert diff.main([str(before), str(after)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "r.json: a: pass -> fail; max_residual 1e-16 -> 0.1",
+        "r.json: c: absent -> pass; max_residual - -> 0.0",
+        "s.json: report absent -> present",
+    ]
+
+
 @pytest.mark.parametrize("script, argv", [
     ("geodesic_gallery", ["--n", "0"]),
     ("geodesic_gallery", ["--h", "0"]),
@@ -70,6 +101,7 @@ def test_report_matrix_writes_every_report_without_elapsed(tmp_path, capsys):
     ("convergence_study", ["--span", "0.001"]),
     ("geodesic_gallery", ["--n", str(MAX_STEPS + 1)]),
     ("report_matrix", ["--samples", "0", "--out", "matrix"]),
+    ("report_diff", ["missing-before", "missing-after"]),
 ])
 def test_invalid_arguments_exit_2(script, argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # the gallery writes to ./gallery by default
