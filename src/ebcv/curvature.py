@@ -2,8 +2,9 @@
 
 The primary route is Cartan's, kept on the frame jet (`FrameJet.R`): R
 comes from the jet's structure constants C, the Koszul connection gamma and
-its frame derivatives X_x gamma = Koszul(X_x C); `FrameJet.nabla_R`
-differentiates that formula once more, through the second partials d2C.
+its frame derivatives X_x gamma = Koszul(X_x C); `FrameJet.xR`
+differentiates that formula once more, through the second partials d2C,
+and `FrameJet.nabla_R` subtracts the gamma.R terms from it.
 The frame depends only on the horizontal coordinates u = (w, x, y, z), so
 the jet keeps the partials of C along u alone, and X_x C and X_e X_x C
 vanish unless x and e are horizontal (X_4..X_7, where X = K d_u); the

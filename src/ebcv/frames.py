@@ -19,7 +19,7 @@ imaginary quaternion units on the horizontal coordinates.
 All functions accept a single point of shape ``(7,)`` or a batch ``(..., 7)``
 and broadcast accordingly.  They also accept a `FrameJet` of the points,
 which builds F, its coframe, the structure constants, the Koszul
-connection, the curvature R and its covariant derivative once and shares
+connection, the curvature R and its derivatives once and shares
 them between calls.  Derivatives of the frame coefficients are exact closed
 forms (every entry is polynomial in the coordinates), so downstream
 bracket, connection and curvature values carry no finite-difference error.
@@ -105,10 +105,10 @@ class FrameJet:
     """The frame layer at a point set, each tensor built once.
 
     The domain is checked once, on construction (K > 0).  ``F``, ``Om``,
-    ``dF``, ``C``, ``dC``, ``gamma``, ``R`` and ``nabla_R`` are built on
-    first use and then kept, read-only; ``d2C`` is built on every read, so
-    the largest derivative tensor is not held.  ``q``, ``params`` and ``K``
-    hold the points, the parameters and the conformal factor.
+    ``dF``, ``C``, ``dC``, ``gamma``, ``R``, ``xR`` and ``nabla_R`` are
+    built on first use and then kept, read-only; ``d2C`` is built on every
+    read, so the largest derivative tensor is not held.  ``q``, ``params``
+    and ``K`` hold the points, the parameters and the conformal factor.
 
     The frame depends on u = (w, x, y, z) only, so the partials of C are
     kept along u alone: ``dC`` has shape (..., 4, 7, 7, 7) and ``d2C``
@@ -120,7 +120,11 @@ class FrameJet:
 
         X_e X_x C = K^2 d2C[e-3, x-3] + 2m K u_{e-3} dC[x-3]
 
-    for horizontal e and x, and zero when e or x is vertical.
+    for horizontal e and x, and zero when e or x is vertical.  So is X_e R,
+    kept as ``xR`` (..., 4, 7, 7, 7, 7) on the horizontal e alone: every
+    covariant derivative of R, under the Levi-Civita connection
+    (``nabla_R``) or another metric connection (`_covariant`), is that one
+    block minus its connection terms.
 
     Pass a jet wherever a function takes points ``q`` to share these
     tensors between calls (see `frame_jet`); read the curvature of many
@@ -276,8 +280,8 @@ class FrameJet:
         """xC[..., h, a, b, c] = X_{4+h} C_abc = K dC_h and xgam =
         Koszul(xC), the frame derivatives of C and gamma along the
         horizontal frame; along X_1..X_3 both are zero.  Built on each
-        call, not kept: holding them beside R and nabla R raises the peak
-        of a chunk."""
+        call, not kept: holding them beside R and X R raises the peak of a
+        chunk."""
         xC = self.K[..., None, None, None, None] * self.dC
         return xC, _koszul(xC)
 
@@ -292,12 +296,12 @@ class FrameJet:
                 - np.einsum("...abf,...fdc->...abcd", C, gam))
 
     @_kept
-    def nabla_R(self) -> np.ndarray:
-        """(nabla_{X_e} R)[..., e, a, b, c, d]: R's formula differentiated
-        once more, X_e X_x gamma from d2C and the products by the Leibniz
-        rule.  The derivative terms are built for horizontal e only, and
-        the terms gamma.R for every e are subtracted in place."""
-        C, gam, riem, K = self.C, self.gamma, self.R, self.K
+    def xR(self) -> np.ndarray:
+        """xR[..., h, a, b, c, d] = X_{4+h} R_abcd, the frame derivatives of
+        R along the horizontal frame (along X_1..X_3 they are zero): R's
+        formula differentiated once more, X_e X_x gamma from d2C and the
+        products by the Leibniz rule."""
+        C, gam, K = self.C, self.gamma, self.K
         xC, xgam = self._x_derivatives()
         # X_e X_x C = K (K d2C_ex) + (K 2m u_e) dC_x for horizontal e and
         # x (X = K d_u there), zero for vertical e or x
@@ -310,17 +314,35 @@ class FrameJet:
         xS[..., 3:, :, :, :] += np.einsum("...eabdc->...eabcd", xxgam)
         del xxgam
         xS += np.einsum("...bdf,...eafc->...eabcd", gam, xgam, optimize=True)
-        out = np.zeros(K.shape + (7, 7, 7, 7, 7))
-        hor = out[..., 3:, :, :, :, :]
-        np.subtract(xS, np.einsum("...ebacd->...eabcd", xS), out=hor)
+        out = xS - np.einsum("...ebacd->...eabcd", xS)
         del xS
-        hor -= np.einsum("...eabf,...fdc->...eabcd", xC, gam, optimize=True)
-        hor -= np.einsum("...abf,...efdc->...eabcd", C, xgam, optimize=True)
-        out -= np.einsum("...eaf,...fbcd->...eabcd", gam, riem, optimize=True)
-        out -= np.einsum("...ebf,...afcd->...eabcd", gam, riem, optimize=True)
-        out -= np.einsum("...ecf,...abfd->...eabcd", gam, riem, optimize=True)
-        out -= np.einsum("...edf,...abcf->...eabcd", gam, riem, optimize=True)
+        out -= np.einsum("...eabf,...fdc->...eabcd", xC, gam, optimize=True)
+        out -= np.einsum("...abf,...efdc->...eabcd", C, xgam, optimize=True)
         return out
+
+    @_kept
+    def nabla_R(self) -> np.ndarray:
+        """(nabla_{X_e} R)[..., e, a, b, c, d]: `_covariant` of R under the
+        Levi-Civita connection gamma."""
+        return _covariant(self.gamma, self.R, self.xR)
+
+
+def _covariant(conn, A, xA) -> np.ndarray:
+    """(D_{X_e} A)[..., e, a, b, c(, d)] of a frame 3- or 4-tensor A under
+    the metric connection D with <D_{X_e} X_a, X_g> = conn[..., e, a, g].
+
+    xA[..., h, a, ...] = X_{4+h} A holds the frame derivatives of A along
+    the horizontal frame; A depends on u alone, so along X_1..X_3 they are
+    zero.  From X_e A the terms conn[e, s, g] A[.., g in slot s, ..] are
+    subtracted in place, one slot at a time.
+    """
+    slots = "abcd"[:A.ndim - conn.ndim + 3]
+    out = np.zeros(conn.shape[:-2] + A.shape[conn.ndim - 3:])
+    out[(..., slice(3, None)) + (slice(None),) * len(slots)] = xA
+    for s in slots:
+        out -= np.einsum(f"...e{s}g,...{slots.replace(s, 'g')}->...e{slots}",
+                         conn, A, optimize=True)
+    return out
 
 
 def _koszul(C: np.ndarray) -> np.ndarray:

@@ -37,18 +37,26 @@ candidate built from the reduced torsion,
     (ii)  (nabla_X R)(Y, Z) = [S_X, R(Y,Z)] - R(S_X Y, Z) - R(Y, S_X Z),
     (iii) (nabla_X S)_Y = [S_X, S_Y] - S_{S_X Y}.
 
+(ii) and (iii) say that the canonical connection nabla~ = nabla - S
+parallelizes R and S (Ambrose and Singer 1958; Tricerri and Vanhecke 1983),
+and are computed so: max |nabla~ R| and max |nabla~ S|, from X R on the jet
+and `frames._covariant`.  For every (m, l), nabla - S equals nabla on the
+all-horizontal block (e, a, g >= 4) and is exactly 0 elsewhere.  The
+contraction (nabla - S).R stays dense all the same: it is what lets the
+check see a wrong S.
+
 At m = 0 the metric is a left-invariant nilpotent-group metric, the
 candidate coincides with the full Levi-Civita frame tensor (the difference
-tensor of the connection that parallelizes the left-invariant frame), and
-all three residuals vanish to machine precision.  For m != 0 and l != 0 the
-scalar curvature 48m - (3/2) l^2 (K^2 + 1) is non-constant, so the metric is
-not homogeneous and NO tensor can satisfy (ii); the checker reports the O(1)
-residuals honestly rather than masking them.
+tensor of the connection that parallelizes the left-invariant frame), so
+nabla - S and X R are 0 and all three residuals read exactly 0.  For
+m != 0 and l != 0 the scalar curvature 48m - (3/2) l^2 (K^2 + 1) is
+non-constant, so the metric is not homogeneous and NO tensor can satisfy
+(ii); the checker reports the O(1) residuals honestly rather than masking
+them.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +65,7 @@ from .errors import InconclusiveClassification
 from .frames import (
     ModelParams,
     _check_frame_index,
+    _covariant,
     frame_jet,
     levi_civita_tensor,
     structure_constants,
@@ -236,74 +245,41 @@ def candidate_structure_tensor(q, params: ModelParams) -> np.ndarray:
     return _skew_completion(torsion_D_tensor(q, params))
 
 
-def _connection_terms(conn, A) -> np.ndarray:
-    """sum over the slots s of a frame 3- or 4-tensor A of
-    conn[..., e, s, g] A[..., g in slot s], indexed [..., e, a, b, c(, d)]:
-    what a metric connection with <D_{X_e} X_a, X_g> = conn[..., e, a, g]
-    subtracts from the frame derivative of A."""
-    slots = "abcd"[:A.ndim - conn.ndim + 3]
-    return functools.reduce(lambda out, term: np.add(out, term, out=out), (
-        np.einsum(f"...e{s}g,...{slots.replace(s, 'g')}->...e{slots}", conn, A,
-                  optimize=True)
-        for s in slots))
-
-
-def _covariant_derivative(K, conn, A, dA) -> np.ndarray:
-    """(D_{X_e} A)[..., e, a, b, c] of a frame 3-tensor A.
-
-    dA[..., h, a, b, c] holds the partials of A along u_h (coordinate
-    3 + h), the only coordinates A depends on, so X_e A = K dA_{e-3} for
-    horizontal e and 0 for vertical e.  conn[..., e, a, f] = <D_{X_e} X_a,
-    X_f> is the metric connection D and K the conformal factor.
-    """
-    out = _connection_terms(conn, A)
-    np.negative(out, out=out)
-    out[..., 3:, :, :, :] += K[..., None, None, None, None] * dA
-    return out
-
-
 def ambrose_singer_check(q, params: ModelParams) -> np.ndarray:
     """Max residuals (3 values) of the homogeneity conditions at q.
 
-    The candidate is `candidate_structure_tensor` (the metric connection
-    with the reduced torsion).  Returns max |residual| over all frame-index
-    combinations, shape (..., 3).  Residual (i) vanishes by construction;
-    (ii) and (iii) vanish at m = 0 and are O(1) for m != 0, l != 0 where the
-    metric is not homogeneous.  The points are evaluated in fixed chunks,
-    curvature included, so the call holds the curvature of one chunk at a
-    time; a chunk shares whatever the jet of q has already built.
+    The candidate S is `candidate_structure_tensor` (the metric connection
+    with the reduced torsion T).  (i) is max |S_abc + S_acb|, and (ii) and
+    (iii) are max |nabla~ R| and max |nabla~ S| under the canonical
+    connection nabla~ = nabla - S (see the module docstring), where
+    nabla~ S is the skew completion of nabla~ T, as S is that of T.
+    Returns max |residual| over all frame-index combinations, shape
+    (..., 3).  Residual (i) vanishes by construction; (ii) and (iii) vanish
+    at m = 0 and are O(1) for m != 0, l != 0 where the metric is not
+    homogeneous.  The points are evaluated in fixed chunks, curvature
+    included, so the call holds the curvature of one chunk at a time; a
+    chunk shares whatever the jet of q has already built.
     """
-    (res,) = frame_jet(q, params)._chunked(lambda fr: (_residuals(fr),))
+    def body(fr):
+        S = _skew_completion(_reduced_torsion(fr.C))
+        nabT, nabR = _parallelism(fr, fr.gamma - S)
+        return (np.stack([
+            np.abs(S + np.einsum("...abc->...acb", S)).max(axis=(-3, -2, -1)),
+            np.abs(nabR, out=nabR).max(axis=(-5, -4, -3, -2, -1)),
+            np.abs(_skew_completion(nabT)).max(axis=(-4, -3, -2, -1)),
+        ], axis=-1),)
+
+    (res,) = frame_jet(q, params)._chunked(body)
     return res
 
 
-def _residuals(fr) -> np.ndarray:
-    """The residuals (..., 3) at the points of jet fr, from its curvature."""
-    R, nabR = fr.R, fr.nabla_R
-    S = _skew_completion(_reduced_torsion(fr.C))
-    dS = _skew_completion(_reduced_torsion(fr.dC))
-    nabS = _covariant_derivative(fr.K, fr.gamma, S, dS)
-
-    res_i = np.abs(S + np.einsum("...abc->...acb", S)).max(axis=(-3, -2, -1))
-
-    # the right side of (ii), then its gap to nabla R, in one array
-    gap = np.einsum("...efc,...abfd->...eabcd", S, R, optimize=True)
-    gap -= np.einsum("...abcf,...edf->...eabcd", R, S, optimize=True)
-    gap -= np.einsum("...eaf,...fbcd->...eabcd", S, R, optimize=True)
-    gap -= np.einsum("...ebf,...afcd->...eabcd", S, R, optimize=True)
-    np.subtract(nabR, gap, out=gap)
-    res_ii = np.abs(gap, out=gap).max(axis=(-5, -4, -3, -2, -1))
-
-    # (nabla_e S)_f as an endomorphism acting on X_d with output slot c is
-    # nabS[e, f, d, c]; match slots with the commutator form.
-    lhs_iii = np.einsum("...efdc->...efcd", nabS)
-    rhs_iii = (
-        np.einsum("...egc,...fdg->...efcd", S, S, optimize=True)
-        - np.einsum("...fgc,...edg->...efcd", S, S, optimize=True)
-        - np.einsum("...efg,...gdc->...efcd", S, S, optimize=True)
-    )
-    res_iii = np.abs(lhs_iii - rhs_iii).max(axis=(-4, -3, -2, -1))
-    return np.stack([res_i, res_ii, res_iii], axis=-1)
+def _parallelism(fr, conn) -> tuple:
+    """(D'_e T)[..., e, a, b, c] and (D'_e R)[..., e, a, b, c, d] at the
+    points of jet fr, for the reduced torsion T, the curvature R and the
+    metric connection <D'_{X_e} X_a, X_g> = conn[..., e, a, g]."""
+    T = _reduced_torsion(fr.C)
+    xT = fr.K[..., None, None, None, None] * _reduced_torsion(fr.dC)
+    return _covariant(conn, T, xT), _covariant(conn, fr.R, fr.xR)
 
 
 def parallelism_residuals(
@@ -312,8 +288,9 @@ def parallelism_residuals(
     """Max |(D'_e T)[a,b,c]| and max |(D'_e R)[a,b,c,d]| under a connection
     D', shape (..., 2), for the reduced torsion T and the curvature R.
 
-    connection="canonical": D' = nabla - S with S the candidate structure
-    tensor (the metric connection whose torsion is T); both residuals
+    connection="canonical": D' = nabla~ = nabla - S with S the candidate
+    structure tensor (the metric connection whose torsion is T), so the
+    curvature residual is (ii) of `ambrose_singer_check`; both residuals
     vanish at m = 0.  connection="characteristic": D' = D, the
     type-projection connection; at the origin with m = 0 its residuals are
     l^2 and l^3/2, so D parallelizes neither tensor.  The points are
@@ -325,14 +302,11 @@ def parallelism_residuals(
         )
 
     def body(fr):
-        T = _reduced_torsion(fr.C)
         if connection == "canonical":
-            conn = fr.gamma - _skew_completion(T)
+            conn = fr.gamma - _skew_completion(_reduced_torsion(fr.C))
         else:
             conn = char_connection_tensor(fr, params)
-        nabT = _covariant_derivative(fr.K, conn, T, _reduced_torsion(fr.dC))
-        nabR = _connection_terms(conn - fr.gamma, fr.R)
-        np.subtract(fr.nabla_R, nabR, out=nabR)
+        nabT, nabR = _parallelism(fr, conn)
         return (np.abs(nabT).max(axis=(-4, -3, -2, -1)),
                 np.abs(nabR, out=nabR).max(axis=(-5, -4, -3, -2, -1)))
 

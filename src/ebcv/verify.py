@@ -244,7 +244,8 @@ def _claim(cid, worst, witness, tol, reference, holds, note, printed, oracle):
 def _chk_sample(ctx):
     """Every record read from the points of the sample, from one
     `FrameJet._chunked` pass over its jet.  Each chunk's jet builds F, Om,
-    dF, C, dC, gamma, R and nabla R once for all of them.  The body returns
+    dF, C, dC, gamma, R and X R once for all of them, and nabla R only on
+    the 8 points of the second Bianchi identity.  The body returns
     max |residual| per point (`_pmax`), so one chunk's tensors exist at a
     time; `_summary` reduces that vector to the worst value and the first
     point that attains it, as it would the whole array.  The torsion
@@ -296,17 +297,18 @@ def _chk_sample(ctx):
         return table_gaps(fr, m0_tables)
 
     def body(fr):
-        # the curvature first, so that every head and the Ambrose-Singer
-        # check share it
+        # the curvature and X R first, so that every head and the
+        # Ambrose-Singer check share them; the check next, while no other
+        # temporary is held: its peak is the body's largest.  A non-finite
+        # R or X R shows in its residual.
         with np.errstate(all="ignore"):
             gam, R = fr.gamma, fr.R
-            _refuse_overflow(ctx, R, fr.nabla_R)
+            fr.xR
+            as_eq = ambrose_singer_check(fr, params)
+        _refuse_overflow(ctx, R, as_eq)
         if not heads:  # the first chunk
             heads.extend(_sample_heads(ctx, fr))
         gaps0 = m0_body(fr) if shared else ()
-        # the Ambrose-Singer residuals next, while no other temporary is
-        # held: their own peak is the body's largest after nabla R's
-        as_eq = ambrose_singer_check(fr, params)
         F, Om, C = fr.F, fr.Om, fr.C
         G = np.einsum("...ma,...mn,...nb->...ab", F, metric_matrix(fr, params), F)
         # independent finite-difference differentiation of the frame columns
@@ -479,10 +481,11 @@ def _sample_heads(ctx, fr):
     """The records of the first points of the sample, from heads of the jet
     fr of its first chunk: the coordinate route on 20 points, the second
     Bianchi identity on 8 and the characteristic connection on 12."""
-    head = fr._rows(slice(0, 20))
+    head, bianchi = fr._rows(slice(0, 20)), fr._rows(slice(0, 8))
     with np.errstate(all="ignore"):
         coordinate = riemann_frame_coordinate(head, ctx.params)
-    _refuse_overflow(ctx, coordinate)
+        nab = bianchi.nabla_R
+    _refuse_overflow(ctx, coordinate, nab)
     out = [
         _passfail(
             "riemann-frame-vs-coordinate-route",
@@ -493,8 +496,6 @@ def _sample_heads(ctx, fr):
         )
     ]
 
-    head = fr._rows(slice(0, 8))
-    nab = head.nabla_R
     cyc = (
         nab
         + np.einsum("...abecd->...eabcd", nab)
@@ -504,7 +505,7 @@ def _sample_heads(ctx, fr):
         _passfail(
             "curvature-second-bianchi", cyc, ctx.tol(TOL_TABLE),
             "cyclic sum of the covariant curvature derivative vanishes",
-            head.q,
+            bianchi.q,
         )
     )
 
@@ -532,7 +533,7 @@ def _m0_heads(ctx, head):
     params0 = head.params
     details = f"evaluated at (m, l) = (0, {ctx.params.l:g})"
     # R on all 20 points first, so the 12-point head shares it and builds
-    # nabla R of its own points only; both before any printed value
+    # X R and nabla R of its own points only; both before any printed value
     with np.errstate(all="ignore"):
         R0 = head.R
         sub = head._rows(slice(0, 12))

@@ -132,3 +132,55 @@ def riemann_oracle(q, m, l, h=1e-4):
     Rlow = np.einsum("pr,rsmn->psmn", G, Rup)
     F = frame_oracle(q, m, l)
     return np.einsum("psmn,pc,sd,ma,nb->abcd", Rlow, F, F, F, F)
+
+
+# --- Ambrose-Singer equations in commutator form ---------------------------
+
+
+def ambrose_singer_commutator_oracle(fr):
+    """Max residuals (..., 3) of the Ambrose-Singer equations at the points
+    of a frame jet, in the commutator form of their statement:
+
+        (i)   S_abc + S_acb = 0,
+        (ii)  nabla_e R_abcd = S_efc R_abfd - R_abcf S_edf
+                               - S_eaf R_fbcd - S_ebf R_afcd,
+        (iii) (nabla_e S)_fdc = S_egc S_fdg - S_fgc S_edg - S_efg S_gdc,
+
+    with nabla the Levi-Civita connection and S the skew completion of the
+    reduced torsion -V[X_a, X_b] (a, b horizontal, V the vertical part).
+    It reads C, dC, gamma, R and nabla R from the jet and builds S, its
+    partials and nabla S here.
+    """
+    def skew(T):  # (1/2)(-T_abc + T_bca - T_cab)
+        return 0.5 * (-T + np.einsum("...bca->...abc", T)
+                      - np.einsum("...cab->...abc", T))
+
+    def reduced(C):  # -C on (a, b horizontal, c vertical), else 0
+        T = np.zeros_like(C)
+        T[..., 3:, 3:, :3] = -C[..., 3:, 3:, :3]
+        return T
+
+    def ein(spec, *ops):  # pairwise through batched matmul, as numpy routes it
+        return np.einsum(spec, *ops, optimize=True)
+
+    gam, R, nabR = fr.gamma, fr.R, fr.nabla_R
+    S = skew(reduced(fr.C))
+    nabS = -(ein("...eag,...gbc->...eabc", gam, S)
+             + ein("...ebg,...agc->...eabc", gam, S)
+             + ein("...ecg,...abg->...eabc", gam, S))
+    # X_e S = K d_{e-3} S on horizontal e, zero on vertical e
+    nabS[..., 3:, :, :, :] += fr.K[..., None, None, None, None] * skew(
+        reduced(fr.dC))
+
+    res_i = np.abs(S + np.einsum("...abc->...acb", S)).max(axis=(-3, -2, -1))
+    rhs_ii = (ein("...efc,...abfd->...eabcd", S, R)
+              - ein("...abcf,...edf->...eabcd", R, S)
+              - ein("...eaf,...fbcd->...eabcd", S, R)
+              - ein("...ebf,...afcd->...eabcd", S, R))
+    res_ii = np.abs(nabR - rhs_ii).max(axis=(-5, -4, -3, -2, -1))
+    rhs_iii = (ein("...egc,...fdg->...efcd", S, S)
+               - ein("...fgc,...edg->...efcd", S, S)
+               - ein("...efg,...gdc->...efcd", S, S))
+    res_iii = np.abs(np.einsum("...efdc->...efcd", nabS) - rhs_iii).max(
+        axis=(-4, -3, -2, -1))
+    return np.stack([res_i, res_ii, res_iii], axis=-1)

@@ -129,6 +129,10 @@ def test_verify_pathological_exit_2(capsys):
     ("0", "1e154"),     # R is finite, nabla R is not
     ("0", "1e60"),      # R and nabla R are finite, the coordinate route not
     ("0", "1e100"),
+    ("1", "1e154"),     # R is finite, the Ambrose-Singer residual not
+    ("1e150", "1e-3"),
+    ("1e-3", "1e154"),  # so is that residual; the coordinate route and
+    ("1e-6", "1e120"),  # nabla R of the first points are not
 ])
 def test_verify_curvature_overflow_exit_2(m, l, capsys):
     code = main(["verify", "--m", m, "--l", l, "--samples", "5"])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import oracles
 from ebcv.curvature import scalar_curvature
 from ebcv.frames import (
     FrameJet,
@@ -360,6 +361,43 @@ def test_ambrose_singer_detects_inhomogeneity_for_m_nonzero():
     res = ambrose_singer_check(pts, p)
     assert res[..., 1].max() > 0.1
     assert res[..., 2].max() > 0.1
+
+
+@pytest.mark.parametrize("m, l", [(0.0, 1.0), (1.0, 1.0), (1.0, 0.0),
+                                  (-0.5, 1.0), (0.5, -1.5), (3.0, 2.0)])
+def test_ambrose_singer_check_matches_the_commutator_form(m, l):
+    # two routes to (ii) and (iii): the parallelism of R and S under
+    # nabla - S, and nabla R and nabla S against their commutator forms;
+    # (i) and (iii) agree bit for bit, (ii) to 4 ulp of its size.  40
+    # points, so that the sample spans two chunks
+    p = ModelParams(m, l)
+    fr = FrameJet(sample_domain_points(p, 40, seed=17), p)
+    got = ambrose_singer_check(fr, p)
+    (want,) = fr._chunked(
+        lambda sub: (oracles.ambrose_singer_commutator_oracle(sub),))
+    assert_array_equal(got[:, [0, 2]], want[:, [0, 2]])
+    ulp = np.spacing(np.maximum(got[:, 1], want[:, 1]))
+    assert np.all(np.abs(got[:, 1] - want[:, 1]) <= 4 * ulp)
+
+
+@pytest.mark.parametrize("m, l", [(-0.5, 1.0), (0.5, -1.5), (3.0, 2.0),
+                                  (-1.0, 0.3), (0.0, 0.0), (2.0, 0.0),
+                                  (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)])
+def test_canonical_connection_is_levi_civita_on_the_horizontal_block(m, l):
+    # nabla - S keeps gamma on the all-horizontal block and is exactly 0
+    # elsewhere; at m = 0 it vanishes, and so does X R, so that residuals
+    # (ii) and (iii) read exactly 0 there
+    p = ModelParams(m, l)
+    fr = FrameJet(sample_domain_points(p, 64, seed=5), p)
+    conn = fr.gamma - candidate_structure_tensor(fr, p)
+    block = np.zeros((7, 7, 7), dtype=bool)
+    block[3:, 3:, 3:] = True
+    assert_array_equal(conn[..., block], fr.gamma[..., block])
+    assert not conn[..., ~block].any()
+    if m == 0.0:
+        assert not conn.any()
+        assert not fr.xR.any()
+        assert not ambrose_singer_check(fr, p)[:, 1:].any()
 
 
 def test_torsion_parallelism_residuals():

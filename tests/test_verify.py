@@ -155,27 +155,31 @@ def test_verify_reads_each_sample_in_one_pass(monkeypatch, m, l, passes):
     assert chunked.count(samples) == passes
 
 
-@pytest.mark.parametrize("m, l, again_R, again_nabla, all_C",
+@pytest.mark.parametrize("m, l, again_R, again_x, all_C",
                          [(1.0, 1.0, 20, 12, 161), (0.0, 1.0, 0, 0, 121)],
                          ids=["general", "m0"])
 def test_r_is_built_once_per_sample_point(monkeypatch, m, l, again_R,
-                                          again_nabla, all_C):
-    # R and nabla R of every sample point come from its one chunked pass,
-    # whose first chunk also serves the records of the first 20 points; only
-    # the first 20 points of a distinct m = 0 sample get R besides, and only
-    # the 12 of them that the canonical connection reads get nabla R.  C is
+                                          again_x, all_C):
+    # R and X R of every sample point come from its one chunked pass, whose
+    # first chunk also serves the records of the first 20 points; only the
+    # first 20 points of a distinct m = 0 sample get R besides, and only
+    # the 12 of them that the canonical connection reads get X R.  nabla R
+    # is built on two heads alone: the 8 points of the second Bianchi
+    # identity and the 12 of the canonical connection at m = 0.  C is
     # built once per point of the sample and of a distinct m = 0 sample;
     # the rest is the 40-point Killing sample, 40 one-point Poisson states
     # and the one point of the Heisenberg bracket
     samples = 40  # more than one curvature chunk
     jet = ebcv.frames.FrameJet
     riemann = _count_points(monkeypatch, jet, "R")
+    x_riemann = _count_points(monkeypatch, jet, "xR")
     nabla = _count_points(monkeypatch, jet, "nabla_R")
     brackets = _count_points(monkeypatch, jet, "C")
     rep = run_verify(m, l, samples=samples, seed=0)
     assert rep.counts["fail"] == 0
     assert sum(riemann) == samples + again_R
-    assert sum(nabla) == samples + again_nabla
+    assert sum(x_riemann) == samples + again_x
+    assert nabla == [8, 12]
     assert sum(brackets) == all_C
 
 
