@@ -7,9 +7,12 @@ or between two directories of them such as `scripts/report_matrix.py` writes.
 Prints one line per record that differs in any field: the report's file
 name (for two directories), the check id, both statuses and both
 ``max_residual`` values.  A record, or a report file, found on one side
-only is a line too, with ``absent`` for its missing side.  Exits 1 when a
-check id or a status differs, and 0 when every difference keeps both: a
-record whose residual or witness moved is listed but does not fail.
+only is a line too, with ``absent`` for its missing side.  A file that is
+not a verify report, such as ``tests/data/integrate_contract.json`` beside
+the reports of ``tests/data/``, is compared byte for byte and listed as
+``differs`` when it does.  Exits 1 when a check id, a status or such a file
+differs, and 0 when every difference keeps them: a record whose residual or
+witness moved is listed but does not fail.
 """
 
 import argparse
@@ -18,9 +21,16 @@ import pathlib
 import sys
 
 
-def _records(path: pathlib.Path) -> dict:
-    """The records of a report, by check id."""
-    return {rec["id"]: rec for rec in json.loads(path.read_text())["checks"]}
+def _records(path: pathlib.Path) -> dict | None:
+    """The records of a report, by check id, or None for a file that is not
+    a verify report."""
+    try:
+        report = json.loads(path.read_bytes())
+    except ValueError:  # not JSON, or not text
+        return None
+    if not isinstance(report, dict) or "checks" not in report:
+        return None
+    return {rec["id"]: rec for rec in report["checks"]}
 
 
 def _diff(before: dict, after: dict, prefix: str) -> tuple[list, bool]:
@@ -61,7 +71,13 @@ def main(argv=None) -> int:
                   f" -> {'absent' if not new.is_file() else 'present'}")
             moved = True
             continue
-        lines, changed = _diff(_records(old), _records(new), prefix)
+        records = _records(old), _records(new)
+        if None in records:
+            if old.read_bytes() != new.read_bytes():
+                print(f"{prefix}differs")
+                moved = True
+            continue
+        lines, changed = _diff(*records, prefix)
         moved = moved or changed
         for line in lines:
             print(line)

@@ -74,8 +74,6 @@ CIRCLE_RESIDUAL_TOL = 1e-4
 #: allocate their samples up front (the closed form ~0.5 GB at this count)
 MAX_STEPS = 1_000_000
 
-_ZERO3 = np.zeros(3)
-
 _HEIS = ModelParams(0.0, 1.0)
 
 #: the six horizontal frame pairs, 1-based (X_4..X_7)
@@ -156,30 +154,49 @@ def frame_momenta(q, p, params: ModelParams) -> np.ndarray:
 # --- generic Hamiltonian right-hand side -----------------------------------
 
 
-def _flow(
-    y: np.ndarray, m: float, Jl: np.ndarray, riemannian: bool
-) -> Tuple[float, float, np.ndarray]:
-    """K, the energy H and the exact derivative of y = (q, p), no domain checks.
+def _vertical_block(pv: np.ndarray, Jl: np.ndarray) -> np.ndarray:
+    """The p_r, p_s, p_t part of the matrix M of `_flow`:
+    sum_i p_i (d B[i, b] / d u_c)."""
+    return pv.dot(Jl.reshape(3, 16)).reshape(4, 4)
 
-    ``Jl`` is ``(l/2) J_TWIST``, scaled once by the caller.  K and the
-    horizontal momenta are computed once and serve all three.  Uses the
-    block structure of the frame: columns 4..7 have vertical part
+
+def _flow(
+    y: np.ndarray,
+    m: float,
+    Jl: np.ndarray,
+    Mv: np.ndarray,
+    riemannian: bool,
+    out: np.ndarray,
+) -> Tuple[float, float]:
+    """K and the energy H at y = (q, p); the exact derivative of y goes to out.
+
+    ``Jl`` is ``(l/2) J_TWIST`` as a (12, 4) matrix, scaled once by the
+    caller, and ``Mv`` is `_vertical_block` of the p_r, p_s, p_t of y, which
+    the flow never moves, so a caller builds it once per trajectory.
+    ``out`` is the caller's 14-vector: its rows 7:10, the derivatives of
+    p_r, p_s, p_t, are never written, and the caller keeps them at +0.0.
+    K and the horizontal momenta are computed once and serve all three.
+    Uses the block structure of the frame: columns 4..7 have vertical part
     B[i, b] = (l/2) (J_i u)_b and horizontal part K*I; only the u-derivatives
     of F are nonzero, so p_r, p_s, p_t are conserved identically.  Every sum
-    of three or four terms is a BLAS product, which fixes its rounding.
+    of three or four terms is a BLAS product, which fixes its rounding;
+    ``ndarray.dot`` makes the same BLAS call as ``@`` without the dispatch
+    of the matmul ufunc.
     """
     u, pv, ph = y[3:7], y[7:10], y[10:]
-    K = 1.0 + m * float(u @ u)
-    B = Jl @ u  # (3, 4): rows i, columns b
-    Ph = pv @ B + K * ph  # horizontal frame momenta P_{4..7}
-    H = 0.5 * float(Ph @ Ph)
-    qv = B @ Ph
+    K = 1.0 + m * float(u.dot(u))
+    B = Jl.dot(u).reshape(3, 4)  # rows i, columns b
+    Ph = pv.dot(B) + K * ph  # horizontal frame momenta P_{4..7}
+    H = 0.5 * float(Ph.dot(Ph))
+    qv = B.dot(Ph, out=out[:3])
     # M[b, c] = sum_nu (d F[nu, 3+b] / d u_c) p_nu
-    M = (pv @ Jl.reshape(3, 16)).reshape(4, 4) + (2.0 * m) * (ph[:, None] * u)
+    M = Mv + (2.0 * m) * (ph[:, None] * u)
     if riemannian:
-        H += 0.5 * float(pv @ pv)
+        H += 0.5 * float(pv.dot(pv))
         qv += pv  # vertical frame fields are the coordinate fields
-    return K, H, np.concatenate((qv, K * Ph, _ZERO3, -(Ph @ M)))
+    np.multiply(K, Ph, out=out[3:7])
+    np.negative(Ph.dot(M), out=out[10:])
+    return K, H
 
 
 def hamiltonian(state: CotangentState, params: ModelParams, mode) -> float:
@@ -205,8 +222,10 @@ def hamilton_rhs(
     mode = _coerce_mode(mode)
     _check_mode_params(mode, params)
     y = np.concatenate((state.q, state.p))
+    Jl = (0.5 * params.l * J_TWIST).reshape(12, 4)
     riem = mode is GeodesicMode.RIEMANNIAN
-    K, _, ydot = _flow(y, params.m, 0.5 * params.l * J_TWIST, riem)
+    ydot = np.zeros(14)
+    K, _ = _flow(y, params.m, Jl, _vertical_block(state.p[:3], Jl), riem, ydot)
     if not np.isfinite(K) or K <= 0.0:
         raise DomainViolation("conformal factor K <= 0: point outside the chart")
     return ydot[:7], ydot[7:]
@@ -340,45 +359,65 @@ def integrate(s0: CotangentState, params: ModelParams, mode, h: float, n: int) -
     mode = _coerce_mode(mode)
     _check_mode_params(mode, params)
     _check_grid(h, n)
-    flow_args = (params.m, 0.5 * params.l * J_TWIST, mode is GeodesicMode.RIEMANNIAN)
+    m, Jl = params.m, (0.5 * params.l * J_TWIST).reshape(12, 4)
+    riem = mode is GeodesicMode.RIEMANNIAN
     ys = np.empty((n + 1, 14))  # one row (q, p) per sample
     Hs = np.empty(n + 1)
+    # the four stage derivatives; _flow leaves their rows 7:10 at +0.0
+    dys = np.zeros((4, 14))
+    ya = np.empty(14)  # a stage point, then the weighted sum of the stages
+    # 0 * x is NaN exactly when x is not finite, so v.dot(zero) is finite
+    # exactly when every entry of v is
+    zero = np.zeros(14)
+    steps = tuple(coeff * h for coeff in (0.5, 0.5, 1.0))
     status = "complete"
     exit_step: Optional[int] = None
     kept = n + 1
 
-    y = np.concatenate((s0.q, s0.p))
+    y = ys[0]
+    y[:7], y[7:] = s0.q, s0.p
+    # every stage adds +0.0 to p_r, p_s, p_t, which turns a -0.0 into +0.0
+    # and changes nothing else: the vertical block of M has one value at the
+    # initial sample and another at every later point
+    Mv = _vertical_block(y[7:10] + 0.0, Jl)
     with np.errstate(over="ignore", invalid="ignore"):
         # the flow at each accepted sample gives its energy, its chart check
         # and stage 1 of the next step
-        K, H, dy = _flow(y, *flow_args)
+        K, H = _flow(y, m, Jl, _vertical_block(y[7:10], Jl), riem, dys[0])
         if not math.isfinite(K) or K <= 0.0:
             raise DomainViolation("initial point outside the chart (K <= 0)")
         if not math.isfinite(H):
             raise DomainViolation(f"initial energy is not finite (H = {float(H)})")
-        ys[0], Hs[0] = y, H
+        Hs[0] = H
         for k in range(1, n + 1):
             # K is finite and positive and H is finite here: checked above
             # for the first sample; a later one is kept only with K > 0 and
             # a finite H, which implies a finite K
             fault = None
-            dys = [dy]
-            for coeff in (0.5, 0.5, 1.0):
-                ya = y + (coeff * h) * dys[-1]
-                if not np.isfinite(ya).all():
+            for i, step in enumerate(steps):
+                np.multiply(step, dys[i], out=ya)
+                np.add(y, ya, out=ya)
+                if not math.isfinite(ya.dot(zero)):
                     fault = "step-rejected"
                     break
-                Ka, _, dya = _flow(ya, *flow_args)
+                Ka, _ = _flow(ya, m, Jl, Mv, riem, dys[i + 1])
                 if not (math.isfinite(Ka) and Ka > 0.0):
                     fault = "domain-exit" if math.isfinite(Ka) else "step-rejected"
                     break
-                dys.append(dya)
             if not fault:
-                y = y + (h / 6.0) * (dys[0] + 2.0 * dys[1] + 2.0 * dys[2] + dys[3])
-                if not np.isfinite(y).all():
+                # y + (h/6) (((d0 + 2 d1) + 2 d2) + d3), written into ys[k];
+                # d1 and d2 are doubled in place, as the next step rewrites them
+                np.multiply(2.0, dys[1:3], out=dys[1:3])
+                np.add(dys[0], dys[1], out=ya)
+                np.add(ya, dys[2], out=ya)
+                np.add(ya, dys[3], out=ya)
+                np.multiply(h / 6.0, ya, out=ya)
+                np.add(y, ya, out=ys[k])
+                y = ys[k]
+                if not math.isfinite(y.dot(zero)):
                     fault = "step-rejected"
                 else:
-                    K, H, dy = _flow(y, *flow_args)
+                    K, H = _flow(y, m, Jl, Mv, riem, dys[0])
                     if K <= 0.0:
                         fault = "domain-exit"
                     elif not math.isfinite(H):
@@ -386,7 +425,7 @@ def integrate(s0: CotangentState, params: ModelParams, mode, h: float, n: int) -
             if fault:
                 status, exit_step, kept = fault, k, k
                 break
-            ys[k], Hs[k] = y, H
+            Hs[k] = H
 
     return Trajectory(
         u=np.arange(kept) * h,

@@ -9,6 +9,8 @@ finite differences only.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # coordinate order (r, s, t, w, x, y, z) = indices 0..6
@@ -184,3 +186,84 @@ def ambrose_singer_commutator_oracle(fr):
     res_iii = np.abs(np.einsum("...efdc->...efcd", nabS) - rhs_iii).max(
         axis=(-4, -3, -2, -1))
     return np.stack([res_i, res_ii, res_iii], axis=-1)
+
+
+# --- the RK4 step, transcribed for bit-for-bit comparison ------------------
+
+# J_i, i = r, s, t, as the 4x4 blocks (J_i)_{bd} of the vertical frame
+# components (l/2) (J_i u)_b; an independent copy of `frames.J_TWIST`
+_TWIST = np.array([
+    [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
+    [[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]],
+    [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]],
+], dtype=float)
+
+
+def flow_reference(y, m, l, riemannian):
+    """K, H and the derivative of y = (q, p), as the integrator computed
+    them with `@` products and a concatenated result.
+
+    Unlike the oracles above this one is not independent: it transcribes
+    the flow kernel operation by operation, so that every product and sum
+    has the same operands in the same order and its result is a reference
+    for the integrator's bits, not for its mathematics.
+    """
+    Jl = 0.5 * l * _TWIST
+    u, pv, ph = y[3:7], y[7:10], y[10:]
+    K = 1.0 + m * float(u @ u)
+    B = Jl @ u
+    Ph = pv @ B + K * ph
+    H = 0.5 * float(Ph @ Ph)
+    qv = B @ Ph
+    M = (pv @ Jl.reshape(3, 16)).reshape(4, 4) + (2.0 * m) * (ph[:, None] * u)
+    if riemannian:
+        H += 0.5 * float(pv @ pv)
+        qv += pv
+    return K, H, np.concatenate((qv, K * Ph, np.zeros(3), -(Ph @ M)))
+
+
+def rk4_reference(q, p, m, l, riemannian, h, n):
+    """(status, exit_step, u, q, p, H) of n classical RK4 steps of size h,
+    transcribed from the integrator with a list of stage derivatives and
+    fresh arrays at every operation; None for an initial state that the
+    integrator refuses (outside the chart, or with a non-finite energy)."""
+    y = np.concatenate((np.asarray(q, dtype=float), np.asarray(p, dtype=float)))
+    ys, Hs = [], []
+    status, exit_step = "complete", None
+    with np.errstate(over="ignore", invalid="ignore"):
+        K, H, dy = flow_reference(y, m, l, riemannian)
+        if not math.isfinite(K) or K <= 0.0 or not math.isfinite(H):
+            return None
+        ys.append(y)
+        Hs.append(H)
+        for k in range(1, n + 1):
+            fault = None
+            dys = [dy]
+            for coeff in (0.5, 0.5, 1.0):
+                ya = y + (coeff * h) * dys[-1]
+                if not np.isfinite(ya).all():
+                    fault = "step-rejected"
+                    break
+                Ka, _, dya = flow_reference(ya, m, l, riemannian)
+                if not (math.isfinite(Ka) and Ka > 0.0):
+                    fault = "domain-exit" if math.isfinite(Ka) else "step-rejected"
+                    break
+                dys.append(dya)
+            if not fault:
+                y = y + (h / 6.0) * (dys[0] + 2.0 * dys[1] + 2.0 * dys[2] + dys[3])
+                if not np.isfinite(y).all():
+                    fault = "step-rejected"
+                else:
+                    K, H, dy = flow_reference(y, m, l, riemannian)
+                    if K <= 0.0:
+                        fault = "domain-exit"
+                    elif not math.isfinite(H):
+                        fault = "step-rejected"
+            if fault:
+                status, exit_step = fault, k
+                break
+            ys.append(y)
+            Hs.append(H)
+    ys = np.array(ys)
+    return (status, exit_step, np.arange(len(ys)) * h, ys[:, :7].copy(),
+            ys[:, 7:].copy(), np.array(Hs))

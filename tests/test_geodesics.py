@@ -4,7 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+
+import oracles
 
 from ebcv.errors import DomainViolation, ModeMismatch, TooFewSamples
 from ebcv.frames import FrameJet, ModelParams, coframe_matrix, frame_matrix
@@ -226,6 +230,31 @@ def test_hamilton_rhs_matches_finite_differences_of_h():
             assert pdot[mu] == pytest.approx(fd_p, abs=TOL_FD)
 
 
+def test_hamilton_rhs_matches_the_transcribed_kernel_bit_for_bit():
+    # the kernel of `integrate` against its transcription with `@` products
+    # and a concatenated result, signed zeros and the +0.0 of p-dot_{r,s,t}
+    # included
+    rng = np.random.default_rng(8)
+    for m, l in ((0.0, 1.0), (1.0, 1.0), (-0.5, -2.0)):
+        params = ModelParams(m, l)
+        modes = [GeodesicMode.SUBRIEMANNIAN, GeodesicMode.RIEMANNIAN]
+        if (m, l) == (0.0, 1.0):
+            modes.append(GeodesicMode.HEISENBERG)
+        for k in range(100):
+            q, p = rng.uniform(-0.5, 0.5, 7), rng.uniform(-1.0, 1.0, 7)
+            if k % 4 == 0:
+                q[3:] = rng.choice([0.0, -0.0], 4)
+            for v in (q, p):
+                v[rng.random(7) < 0.2] = -0.0
+            for mode in modes:
+                qdot, pdot = hamilton_rhs(CotangentState(q, p), params, mode)
+                _, _, ref = oracles.flow_reference(
+                    np.concatenate((q, p)), m, l, mode is GeodesicMode.RIEMANNIAN)
+                assert qdot.tobytes() == ref[:7].tobytes()
+                assert pdot.tobytes() == ref[7:].tobytes()
+                assert pdot[:3].tobytes() == np.zeros(3).tobytes()
+
+
 # --- the published first-order system -----------------------------------------
 
 
@@ -396,6 +425,61 @@ def test_integrate_step_rejected_on_blowup():
         assert tr.n_samples == exit_step
         for arr in (tr.q, tr.p, tr.H):
             assert np.all(np.isfinite(arr))
+
+
+_SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+_COMPONENT = st.one_of(_SIGNED_ZERO, st.floats(-1.0, 1.0))
+
+
+@st.composite
+def _rk4_cases(draw):
+    """(mode, m, l, q, p, h, n) with each mode where it is valid, m and l
+    zero (of either sign), negative or positive, u = 0 with signed zeros,
+    and steps and momenta large enough to leave the chart or overflow."""
+    mode = draw(st.sampled_from(list(GeodesicMode)))
+    if mode is GeodesicMode.HEISENBERG:
+        m, l = 0.0, 1.0
+    else:
+        m = draw(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-2.0, 2.0)))
+        l = draw(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.0]), st.floats(-3.0, 3.0)))
+    q = draw(st.lists(_COMPONENT, min_size=7, max_size=7))
+    if draw(st.booleans()):
+        q[3:] = draw(st.lists(_SIGNED_ZERO, min_size=4, max_size=4))
+    scale = draw(st.sampled_from([1.0, 3.0, 10.0]))
+    p = [scale * c for c in draw(st.lists(_COMPONENT, min_size=7, max_size=7))]
+    h = draw(st.sampled_from([1e-3, 1e-2, 0.1, 0.3, 0.5, 1.0]))
+    return mode, m, l, q, p, h, draw(st.integers(1, 40))
+
+
+def _q_at_w(w):
+    return [0.0, 0.0, 0.0, w, 0.0, 0.0, 0.0]
+
+
+@settings(max_examples=250, deadline=None)
+@given(_rk4_cases())
+@example(("subriemannian", -1.0, 1.0, _q_at_w(0.5), [0, 0, 0, 4.0, 0, 0, 0], 0.2, 40))
+@example(("riemannian", 1.0, 1.0, _q_at_w(1.0), [3.0] * 7, 0.5, 10))  # H overflows
+@example(("riemannian", 1.0, 1.0, _q_at_w(0.5), [1.0] * 7, 0.3, 10))  # K overflows
+@example(("subriemannian", -2.0, 1.0, _q_at_w(1.0), [1.0] * 7, 0.1, 5))  # refused
+@example(("heisenberg", 0.0, 1.0, [-0.0, 0.0, -0.0, -0.0, 0.0, -0.0, 0.0],
+          [-0.0, 0.5, -0.0, 0.0, -0.0, 1.0, -0.0], 0.1, 20))
+@example(("riemannian", 1.0, 0.0, [0.1, -0.0, 0.2, 0.3, -0.0, 0.0, 0.4],
+          [1.0, -0.0, -0.5, 0.2, 0.0, -0.3, 0.1], 0.1, 20))
+@example(("subriemannian", 0.0, -2.0, [0.0, 0.1, -0.0, 0.2, 0.3, -0.0, 0.1],
+          [-0.0, 1.0, 0.5, -0.2, 0.4, 0.0, -0.1], 0.1, 20))
+def test_integrate_matches_the_transcribed_step_bit_for_bit(case):
+    mode, m, l, q, p, h, n = case
+    mode = GeodesicMode(mode)
+    ref = oracles.rk4_reference(q, p, m, l, mode is GeodesicMode.RIEMANNIAN, h, n)
+    if ref is None:
+        with pytest.raises(DomainViolation):
+            integrate(CotangentState(q, p), ModelParams(m, l), mode, h, n)
+        return
+    tr = integrate(CotangentState(q, p), ModelParams(m, l), mode, h, n)
+    status, exit_step, *arrays = ref
+    assert (tr.status, tr.exit_step) == (status, exit_step)
+    for name, got, want in zip("uqpH", (tr.u, tr.q, tr.p, tr.H), arrays):
+        assert got.tobytes() == want.tobytes(), name
 
 
 # --- closed form ---------------------------------------------------------------

@@ -91,6 +91,26 @@ def test_report_diff_lists_moved_records_and_fails_on_status(tmp_path, capsys):
     ]
 
 
+def test_report_diff_compares_other_files_byte_for_byte(tmp_path, capsys):
+    # tests/data/ holds integrate_contract.json beside the verify reports
+    diff = _load_script("report_diff")
+    before, after = tmp_path / "before", tmp_path / "after"
+    base = [("a", "pass", 1e-16)]
+    for side in (before, after):
+        _write_report(side / "verify.json", base)
+        (side / "contract.json").write_text('{"cases": {"x": "00"}}')
+        (side / "notes.txt").write_bytes(b"\xff not json")
+    assert diff.main([str(before), str(after)]) == 0
+    assert capsys.readouterr().out == ""
+    (after / "contract.json").write_text('{"cases": {"x": "01"}}')
+    (after / "notes.txt").write_bytes(b"\xfe not json")
+    assert diff.main([str(before), str(after)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "contract.json: differs",
+        "notes.txt: differs",
+    ]
+
+
 @pytest.mark.parametrize("script, argv", [
     ("geodesic_gallery", ["--n", "0"]),
     ("geodesic_gallery", ["--h", "0"]),
