@@ -109,6 +109,19 @@ def cmd_geodesic(args) -> int:
     init = np.asarray(args.init, dtype=float)
     state = CotangentState(init[:7], init[7:])
     traj = integrate(state, params, mode=args.mode, h=args.h, n=args.n)
+    heisenberg = args.mode == "heisenberg" and traj.n_samples >= 8
+    if heisenberg:
+        # the closed form before anything is written: where |u Lambda|
+        # leaves the float range it overflows, and the run is refused
+        with np.errstate(all="ignore"):
+            closed = closed_form_trajectory(state, h=args.h,
+                                            n=traj.n_samples - 1)
+            deviation = float(np.abs(closed.q[-1] - traj.q[-1]).max())
+        if not np.isfinite(deviation):
+            print(f"closed-form overflow: the closed-form geodesic over "
+                  f"{traj.n_samples - 1} steps of h = {args.h:g} exceeds the "
+                  "floating-point range", file=sys.stderr)
+            return EXIT_DOMAIN
 
     text = trajectory_csv(traj) if args.format == "csv" else _trajectory_json(traj)
     _write_output(text, args.out)
@@ -117,14 +130,12 @@ def cmd_geodesic(args) -> int:
     if traj.n_samples > 1:
         drift = float(np.abs(traj.H - traj.H[0]).max())
         summary.append(f"H-drift={drift:.3e}")
-    if args.mode == "heisenberg" and traj.n_samples >= 8:
+    if heisenberg:
         verdict = circle_check(traj)
         if verdict.kind == "circle":
             summary.append(f"verdict=circle, radius {verdict.radius:.6f}")
         else:
             summary.append(f"verdict={verdict.kind}")
-        closed = closed_form_trajectory(state, h=args.h, n=traj.n_samples - 1)
-        deviation = float(np.abs(closed.q[-1] - traj.q[-1]).max())
         summary.append(f"closed-form-deviation={deviation:.3e}")
     stream = sys.stderr if args.out is None else sys.stdout
     print("; ".join(summary), file=stream)

@@ -431,7 +431,7 @@ def integrate(s0: CotangentState, params: ModelParams, mode, h: float, n: int) -
         u=np.arange(kept) * h,
         q=ys[:kept, :7].copy(),
         p=ys[:kept, 7:].copy(),
-        H=Hs[:kept],
+        H=Hs[:kept].copy(),
         mode=mode,
         params=params,
         h=h,

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import json
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -241,29 +243,154 @@ def _claim(cid, worst, witness, tol, reference, holds, note, printed, oracle):
 # --------------------------------------------------------------------------
 
 
+#: A record of the whole sample, one declaration of `_sample_records`.
+_Record = namedtuple("_Record", "id tol reference residual claim quote",
+                     defaults=(None, lambda t: np.zeros(len(t.q))))
+
+
+def _sample_records(doc):
+    """The records of the whole sample from the table document doc, one
+    declaration each: the pass/fail records, then the printed claims.  A
+    record reads max |residual(t)| against tol (scaled), t the tensors of a
+    chunk with the points on axis 0 (`_chk_sample`).  A printed claim is
+    (holds, note, printed, oracle): details if it holds and if not, the
+    printed text, and the oracle text as a function of the worst residual
+    and of quote(t), one value per point (zeros by default), at the
+    witness."""
+    claims, scalar = doc["structure_claims"], doc["curvature_tables"]["scalar"]
+    wit = claims["class_membership"]["t2_exclusion_witness"]
+    mixed, as_eq = claims["mixed_torsion"], claims["as_equations"]
+    ann = doc["frame_tables"]["general_brackets"]["known_discrepancies"]
+    eye = np.eye(7)
+    hh = np.zeros((7, 7, 1), bool)
+    hh[3:, 3:] = True  # the slots (a, b) with both legs horizontal
+
+    def fd_gap(t, h=1e-6):
+        # C against an independent central difference of the frame columns
+        dF = np.stack([(frame_matrix(t.q + dq, t.params)
+                        - frame_matrix(t.q - dq, t.params)) / (2 * h)
+                       for dq in h * eye], axis=1)
+        vec = (np.einsum("...ma,...mnb->...nab", t.F, dF)
+               - np.einsum("...mb,...mna->...nab", t.F, dF))
+        return t.C - np.einsum("...cn,...nab->...abc", t.Om, vec)
+
+    def jacobi(t):
+        J = (np.einsum("...ha,...hbcd->...abcd", t.F[..., 3:, :], t.fr.dC)
+             + np.einsum("...bce,...aed->...abcd", t.C, t.C))
+        return (J + np.einsum("...bcad->...abcd", J)
+                + np.einsum("...cabd->...abcd", J))
+
+    def symmetries(t):
+        R, perm = t.R, lambda spec: np.einsum(spec, t.R)
+        return np.stack([
+            R + perm("...abcd->...bacd"), R + perm("...abcd->...abdc"),
+            R - perm("...abcd->...cdab"),
+            R + perm("...bdca->...abcd") + perm("...dacb->...abcd")], axis=1)
+
+    def appendix(cid, key):
+        # an annotated bracket component and its slot (a, b, c) in C
+        info = ann[key]
+        a, b, c = (int(v) - 1 for v in (*key.split(","), info["component"]))
+        return _Record(
+            cid, TOL_TABLE, f"printed bracket coefficient for pair ({key})",
+            lambda t: t.C[..., a, b, c] - pt.safe_eval(info["printed"], t.env),
+            ("printed and exact coefficients coincide at these parameters; "
+             + info["note"], info["note"], info["printed"],
+             lambda worst, at: f"{info['derived']} = {at:.12g} at the "
+             "witness point"), lambda t: t.C[..., a, b, c])
+
+    return (
+        _Record("frame-orthonormality", TOL_EXACT,
+                "frame columns are orthonormal for the coordinate metric",
+                lambda t: np.einsum("...ma,...mn,...nb->...ab", t.F,
+                                    metric_matrix(t.fr, t.params), t.F) - eye),
+        _Record("frame-coframe-inverse", TOL_EXACT,
+                "coframe rows invert the frame columns",
+                lambda t: np.einsum("...am,...mb->...ab", t.Om, t.F) - eye),
+        _Record("bracket-antisymmetry", TOL_EXACT, "[X_a, X_b] = -[X_b, X_a]",
+                lambda t: t.C + np.einsum("...abc->...bac", t.C)),
+        _Record("bracket-vs-finite-difference", TOL_FD,
+                "structure constants from exact differentiation match a "
+                "central-difference recomputation", fd_gap),
+        _Record("bracket-jacobi", TOL_EXACT,
+                "cyclic Jacobi identity for the frame brackets", jacobi),
+        _Record("connection-metric-compatibility", TOL_EXACT,
+                "<nabla_e X_a, X_b> is antisymmetric in (a, b)",
+                lambda t: t.gam + np.einsum("...eab->...eba", t.gam)),
+        _Record("connection-torsion-free", TOL_EXACT,
+                "nabla_a X_b - nabla_b X_a = [X_a, X_b]",
+                lambda t: t.gam - np.einsum("...abc->...bac", t.gam) - t.C),
+        _Record("connection-vs-coordinate-route", TOL_EXACT,
+                "Koszul frame computation matches the coordinate-Christoffel "
+                "route",
+                lambda t: t.gam - gamma_frame_coordinate(t.fr, t.params)),
+        _Record("torsion-c12-trace", TOL_EXACT,
+                "printed claim: the c12 trace of the torsion vanishes",
+                lambda t: t.tors[:, 1]),
+        _Record("torsion-cyclic-witness", TOL_TABLE,
+                f"printed cyclic-sum witness value {wit['value']} on the "
+                f"triple ({wit['triple']})",
+                lambda t: (_cyclic_sums(t.T, 0, 3, 4)
+                           - pt.safe_eval(wit["value"], t.env))),
+        _Record("torsion-mixed-slots", TOL_EXACT,
+                "printed claim: the reduced torsion vanishes unless both "
+                "arguments are horizontal",
+                lambda t: np.where(hh, 0.0, t.T)),
+        _Record("curvature-symmetries", TOL_RICCI,
+                "antisymmetries, pair symmetry, and the first Bianchi "
+                "identity", symmetries),
+        _Record("ricci-symmetry", TOL_EXACT, "the Ricci matrix is symmetric",
+                lambda t: t.ric - np.einsum("...ab->...ba", t.ric)),
+        _Record("general-curvature-table", TOL_TABLE,
+                "printed curvature components R(X_a, X_b, X_a, X_b)",
+                lambda t: np.stack([
+                    t.R[..., a - 1, b - 1, a - 1, b - 1] - v for (a, b), v
+                    in pt.sectional_table_values(t.q, t.params).items()],
+                    axis=-1)),
+        _Record("ricci-proposition", TOL_RICCI,
+                "printed Ricci matrix for general m",
+                lambda t: t.ric - pt.ricci_matrix_values(t.q, t.params)),
+        _Record("scalar-vs-proposition-trace", TOL_TABLE,
+                "scalar curvature equals the trace of the printed Ricci "
+                "matrix",
+                lambda t: t.scal - pt.scalar_values(t.q, t.params, "derived")),
+        # the printed claims, the operator definition of the torsion first
+        _Record("torsion-definitions-agreement", TOL_TABLE,
+                "the two printed definitions of the connection torsion agree",
+                lambda t: faithful_torsion_tensor(t.fr, t.params) - t.T,
+                ("both definitions coincide at these parameters (l = 0)",
+                 mixed["note"], mixed["claim"],
+                 lambda worst, at: mixed["operator_value"])),
+        _Record("scalar-vs-corollary", TOL_TABLE,
+                "printed constant-scalar-curvature value",
+                lambda t: t.scal - pt.scalar_values(t.q, t.params, "printed"),
+                ("printed and exact values coincide at these parameters "
+                 "(l = 0)", scalar["note"], scalar["printed"],
+                 lambda worst, at: f"{scalar['derived']} = {at:.12g} at the "
+                 "witness point"), lambda t: t.scal),
+        _Record("as-equations", 1e-7,
+                "printed claim: the candidate tensor satisfies the "
+                "Ambrose-Singer equations", lambda t: t.as_eq,
+                (f"holds ({as_eq['holds_when']})", as_eq["note"],
+                 as_eq["claim"], lambda worst, at: "max equation residual "
+                 f"{worst:.6e} at the witness point")),
+        appendix("appendix-bracket-45", "4,5"),
+        appendix("appendix-bracket-47", "4,7"),
+    )
+
+
 def _chk_sample(ctx):
     """Every record read from the points of the sample, from one
-    `FrameJet._chunked` pass over its jet.  Each chunk's jet builds F, Om,
-    dF, C, dC, gamma, R and X R once for all of them, and nabla R only on
-    the 8 points of the second Bianchi identity.  The body returns
-    max |residual| per point (`_pmax`), so one chunk's tensors exist at a
-    time; `_summary` reduces that vector to the worst value and the first
-    point that attains it, as it would the whole array.  The torsion
-    classification reduces each point to its `_torsion_summary`.  The
-    records of the first 8, 12 or 20 points read heads of the first chunk's
-    jet, which holds them (_CHUNK >= 20) and shares its curvature with
-    them.  The m = 0 sample's records come from one chunk body, which the
-    main body runs at m = 0 and a second pass runs at m != 0."""
+    `FrameJet._chunked` pass over its jet, whose chunks build F, Om, dF, C,
+    dC, gamma, R and X R once, and nabla R on 8 points.  Each record of the
+    whole sample is one declaration (`_sample_records`): the body maps them
+    to max |residual| per point, one at a time, and one loop after the pass
+    judges them.  Head records read the first chunk's jet (_CHUNK >= 20);
+    the m = 0 sample's records, one chunk body: in this pass at m = 0, in
+    a pass of their own at m != 0."""
     doc, params = ctx.doc, ctx.params
-    claims = doc["structure_claims"]
-    wit = claims["class_membership"]["t2_exclusion_witness"]
+    records = _sample_records(doc)
     frame_tables = doc["frame_tables"]
-    ann = frame_tables["general_brackets"]["known_discrepancies"]
-    # the two annotated bracket components, each pinned as its own check,
-    # and their slots (a, b, c) in C
-    appendix = {"appendix-bracket-45": "4,5", "appendix-bracket-47": "4,7"}
-    slots = [(*(int(v) - 1 for v in key.split(",")),
-              int(ann[key]["component"]) - 1) for key in appendix.values()]
     tables = [  # (id, table, tensor, tolerance, reference)
         ("general-bracket-table", frame_tables["general_brackets"],
          structure_constants, TOL_TABLE,
@@ -280,8 +407,6 @@ def _chk_sample(ctx):
          levi_civita_tensor, TOL_EXACT, "printed connection table at m = 0"),
     ]
     shared = ctx.jet0 is ctx.jet
-    eye = np.eye(7)
-    h = 1e-6
     heads, heads0 = [], []
 
     def table_gaps(fr, tables):
@@ -309,101 +434,28 @@ def _chk_sample(ctx):
         if not heads:  # the first chunk
             heads.extend(_sample_heads(ctx, fr))
         gaps0 = m0_body(fr) if shared else ()
-        F, Om, C = fr.F, fr.Om, fr.C
-        G = np.einsum("...ma,...mn,...nb->...ab", F, metric_matrix(fr, params), F)
-        # independent finite-difference differentiation of the frame columns
-        dF = np.zeros(fr.q.shape[:1] + (7, 7, 7))
-        for mu in range(7):
-            dq = np.zeros(7)
-            dq[mu] = h
-            dF[:, mu] = (
-                frame_matrix(fr.q + dq, params) - frame_matrix(fr.q - dq, params)
-            ) / (2 * h)
-        vec = np.einsum("...ma,...mnb->...nab", F, dF) - np.einsum(
-            "...mb,...mna->...nab", F, dF
-        )
-        J = (np.einsum("...ha,...hbcd->...abcd", F[..., 3:, :], fr.dC)
-             + np.einsum("...bce,...aed->...abcd", C, C))
-        T = torsion_D_tensor(fr, params)
-        tors = _torsion_summary(T)
-        mixed = T.copy()
-        mixed[..., 3:, 3:, :] = 0.0  # keep only slots involving a vertical leg
-        env = pt.point_env(fr.q, params)
-        ric = ricci_from_riemann(R)
-        scal = scalar_from_ricci(ric)
-        sym = [
-            R + np.einsum("...abcd->...bacd", R),
-            R + np.einsum("...abcd->...abdc", R),
-            R - np.einsum("...abcd->...cdab", R),
-            R + np.einsum("...bdca->...abcd", R) + np.einsum("...dacb->...abcd", R),
-        ]
-        sec = pt.sectional_table_values(fr.q, params)
-        per_point = np.stack([_pmax(res) for res in (
-            G - eye,
-            np.einsum("...am,...mb->...ab", Om, F) - eye,
-            C + np.einsum("...abc->...bac", C),
-            C - np.einsum("...cn,...nab->...abc", Om, vec),
-            J + np.einsum("...bcad->...abcd", J) + np.einsum("...cabd->...abcd", J),
-            gam + np.einsum("...eab->...eba", gam),
-            gam - np.einsum("...abc->...bac", gam) - C,
-            gam - gamma_frame_coordinate(fr, params),
-            tors[:, 1],
-            _cyclic_sums(T, 0, 3, 4) - pt.safe_eval(wit["value"], env),
-            mixed,
-            np.stack(sym, axis=1),
-            ric - np.einsum("...ab->...ba", ric),
-            np.stack([R[..., a - 1, b - 1, a - 1, b - 1] - v
-                      for (a, b), v in sec.items()], axis=-1),
-            ric - pt.ricci_matrix_values(fr.q, params),
-            scal - pt.scalar_values(fr.q, params, "derived"),
-            # the printed claims; first the operator definition of the
-            # same torsion
-            faithful_torsion_tensor(fr, params) - T,
-            scal - pt.scalar_values(fr.q, params, "printed"),
-            as_eq,
-        )], axis=-1)
-        coeffs = np.stack([C[..., a, b, c] for a, b, c in slots], axis=-1)
-        return (per_point, scal, coeffs, tors) + table_gaps(fr, tables) + gaps0
+        T, ric = torsion_D_tensor(fr, params), ricci_from_riemann(R)
+        t = SimpleNamespace(
+            fr=fr, q=fr.q, params=params, F=fr.F, Om=fr.Om, C=fr.C, gam=gam,
+            R=R, T=T, tors=_torsion_summary(T), env=pt.point_env(fr.q, params),
+            ric=ric, scal=scalar_from_ricci(ric), as_eq=as_eq)
+        # each record's max |residual| per point and its quoted value
+        res = [_pmax(r.residual(t)) for r in records]
+        quoted = [r.quote(t) for r in records]
+        return ((np.stack(res, axis=-1), np.stack(quoted, axis=-1), t.tors)
+                + table_gaps(fr, tables) + gaps0)
 
-    per_point, scal, coeffs, tors, *gaps = ctx.jet._chunked(body)
-    *residuals, faithful, corollary, as_eq = per_point.T
-    records = (  # (id, tolerance, reference) in the order of body's results
-        ("frame-orthonormality", TOL_EXACT,
-         "frame columns are orthonormal for the coordinate metric"),
-        ("frame-coframe-inverse", TOL_EXACT,
-         "coframe rows invert the frame columns"),
-        ("bracket-antisymmetry", TOL_EXACT, "[X_a, X_b] = -[X_b, X_a]"),
-        ("bracket-vs-finite-difference", TOL_FD,
-         "structure constants from exact differentiation match a "
-         "central-difference recomputation"),
-        ("bracket-jacobi", TOL_EXACT,
-         "cyclic Jacobi identity for the frame brackets"),
-        ("connection-metric-compatibility", TOL_EXACT,
-         "<nabla_e X_a, X_b> is antisymmetric in (a, b)"),
-        ("connection-torsion-free", TOL_EXACT,
-         "nabla_a X_b - nabla_b X_a = [X_a, X_b]"),
-        ("connection-vs-coordinate-route", TOL_EXACT,
-         "Koszul frame computation matches the coordinate-Christoffel "
-         "route"),
-        ("torsion-c12-trace", TOL_EXACT,
-         "printed claim: the c12 trace of the torsion vanishes"),
-        ("torsion-cyclic-witness", TOL_TABLE,
-         f"printed cyclic-sum witness value {wit['value']} on the triple "
-         f"({wit['triple']})"),
-        ("torsion-mixed-slots", TOL_EXACT,
-         "printed claim: the reduced torsion vanishes unless both "
-         "arguments are horizontal"),
-        ("curvature-symmetries", TOL_RICCI,
-         "antisymmetries, pair symmetry, and the first Bianchi identity"),
-        ("ricci-symmetry", TOL_EXACT, "the Ricci matrix is symmetric"),
-        ("general-curvature-table", TOL_TABLE,
-         "printed curvature components R(X_a, X_b, X_a, X_b)"),
-        ("ricci-proposition", TOL_RICCI, "printed Ricci matrix for general m"),
-        ("scalar-vs-proposition-trace", TOL_TABLE,
-         "scalar curvature equals the trace of the printed Ricci matrix"),
-    )
-    out = [_passfail(cid, res, ctx.tol(tol), reference, ctx.pts)
-           for (cid, tol, reference), res in zip(records, residuals)]
+    res, quoted, tors, *gaps = ctx.jet._chunked(body)
+    out = []
+    for r, r_res, r_quoted in zip(records, res.T, quoted.T):
+        worst, witness, k = _summary(r_res, ctx.pts)
+        if r.claim is None:
+            out.append(_verdict(r.id, worst <= ctx.tol(r.tol), worst, witness,
+                                r.reference))
+            continue
+        *texts, oracle = r.claim
+        out.append(_claim(r.id, worst, witness, ctx.tol(r.tol), r.reference,
+                          *texts, oracle(worst, r_quoted[k])))
     out += heads
 
     cls = _structure_class(tors, ctx.pts)
@@ -412,60 +464,6 @@ def _chk_sample(ctx):
         cls.label == ("trivial" if params.l == 0.0 else "T3"), None, None,
         "torsion classification is deterministic and matches the printed "
         "class", f"label={cls.label} witness_triple={cls.witness_triple}"))
-
-    info = claims["mixed_torsion"]
-    worst, witness, _ = _summary(faithful, ctx.pts)
-    out.append(
-        _claim(
-            "torsion-definitions-agreement", worst, witness,
-            ctx.tol(TOL_TABLE),
-            "the two printed definitions of the connection torsion agree",
-            "both definitions coincide at these parameters (l = 0)",
-            info["note"], info["claim"], info["operator_value"],
-        )
-    )
-
-    info = doc["curvature_tables"]["scalar"]
-    worst, witness, k = _summary(corollary, ctx.pts)
-    out.append(
-        _claim(
-            "scalar-vs-corollary", worst, witness, ctx.tol(TOL_TABLE),
-            "printed constant-scalar-curvature value",
-            "printed and exact values coincide at these parameters (l = 0)",
-            info["note"], info["printed"],
-            f"{info['derived']} = {scal[k]:.12g} at the witness point",
-        )
-    )
-
-    info = claims["as_equations"]
-    worst, witness, _ = _summary(as_eq, ctx.pts)
-    out.append(
-        _claim(
-            "as-equations", worst, witness, ctx.tol(1e-7),
-            "printed claim: the candidate tensor satisfies the "
-            "Ambrose-Singer equations",
-            f"holds ({info['holds_when']})",
-            info["note"], info["claim"],
-            f"max equation residual {worst:.6e} at the witness point",
-        )
-    )
-
-    env = pt.point_env(ctx.pts, params)
-    for (cid, key), oracle_vals in zip(appendix.items(), coeffs.T):
-        info = ann[key]
-        printed_vals = pt.safe_eval(info["printed"], env) * np.ones(len(ctx.pts))
-        worst, witness, k = _summary(oracle_vals - printed_vals, ctx.pts)
-        out.append(
-            _claim(
-                cid, worst, witness, ctx.tol(TOL_TABLE),
-                f"printed bracket coefficient for pair ({key})",
-                "printed and exact coefficients coincide at these "
-                "parameters; " + info["note"],
-                info["note"], info["printed"],
-                f"{info['derived']} = {oracle_vals[k]:.12g} at the witness "
-                "point",
-            )
-        )
 
     gaps0 = gaps[len(tables):] if shared else ctx.jet0._chunked(m0_body)
     out += heads0

@@ -249,6 +249,21 @@ def test_geodesic_non_finite_initial_energy_exit_2(capsys):
     assert "initial energy is not finite" in captured.err
 
 
+def test_geodesic_closed_form_overflow_exit_2(tmp_path, capsys):
+    # the RK4 trajectory stays finite, but |u Lambda| reaches 8e300 and the
+    # closed form overflows: refused before anything is written, not NaN
+    out = tmp_path / "traj.csv"
+    code = main([
+        "geodesic", "--mode", "heisenberg", "--init", *_init({7: 1.0}),
+        "--h", "1e300", "--n", "8", "--out", str(out),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert out.read_text() == "" and captured.out == ""
+    assert captured.err.count("\n") == 1 and "overflow" in captured.err
+    assert "nan" not in captured.err.lower()
+
+
 def test_geodesic_mode_mismatch_exit_2(capsys):
     code = main([
         "geodesic", "--mode", "heisenberg", "--m", "1", "--l", "1",

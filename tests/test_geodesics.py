@@ -408,6 +408,20 @@ def test_integrate_domain_exit_partial_trajectory():
     assert_allclose(tr.q[0], q0, atol=0)
 
 
+def test_an_early_exit_keeps_no_buffer_beyond_its_samples():
+    # the run leaves the domain after 1547 of 100 001 samples; no array of
+    # the trajectory may keep alive the buffers sized for all of them
+    q0 = np.zeros(7)
+    q0[3] = 0.99
+    s0 = CotangentState(q0, [0, 0, 0, 1.0, 0, 0, 0])
+    tr = integrate(s0, ModelParams(-1.0, 1.0), "subriemannian", 0.5, 100_000)
+    assert (tr.status, tr.n_samples) == ("domain-exit", 1547)
+    for name in ("u", "q", "p", "H"):
+        arr = getattr(tr, name)
+        held = arr if arr.base is None else arr.base
+        assert held.nbytes == arr.nbytes, name
+
+
 def test_integrate_step_rejected_on_blowup():
     params = ModelParams(1.0, 1.0)
     for w, p0, h, exit_step in (

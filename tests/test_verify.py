@@ -14,6 +14,7 @@ import pytest
 import ebcv
 import ebcv.curvature
 import ebcv.frames
+import ebcv.published_tables
 import ebcv.verify
 from ebcv.errors import DomainViolation
 from ebcv.verify import CheckResult, VerifyReport, run_verify
@@ -227,6 +228,32 @@ def test_each_point_set_gets_one_frame_jet(monkeypatch):
     rep = run_verify(1.0, 1.0, samples=20, seed=0)
     assert rep.counts["fail"] == 0
     assert jets and max(jets.values()) == 1
+
+
+def test_every_declared_record_reaches_the_report(monkeypatch):
+    # with every declared residual shifted by +1, each declared pass/fail
+    # record fails and each declared claim reads paper-discrepancy; the
+    # records that move are exactly the declared ones, each once
+    declare = ebcv.verify._sample_records
+    records = declare(ebcv.published_tables.load_tables())
+    want = {r.id: "fail" if r.claim is None else "paper-discrepancy"
+            for r in records}
+    assert len(want) == len(records)
+
+    def shifted(doc):
+        return tuple(r._replace(residual=lambda t, f=r.residual: f(t) + 1.0)
+                     for r in declare(doc))
+
+    def sample_records():
+        return ebcv.verify._chk_sample(ebcv.verify._Ctx(1.0, 1.0, 3, 0, 1.0))
+
+    base = sample_records()
+    monkeypatch.setattr(ebcv.verify, "_sample_records", shifted)
+    got = sample_records()
+    assert [c.id for c in got] == [c.id for c in base]
+    moved = Counter(c.id for c, b in zip(got, base) if c != b)
+    assert moved == Counter(list(want))
+    assert {c.id: c.status for c in got if c.id in want} == want
 
 
 def test_table_record_takes_the_first_entry_with_the_worst_gap():
