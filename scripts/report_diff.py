@@ -5,8 +5,10 @@ or between two directories of them such as `scripts/report_matrix.py` writes.
     python scripts/report_diff.py BEFORE AFTER
 
 Prints one line per record that differs in any field: the report's file
-name (for two directories), the check id, both statuses and both
-``max_residual`` values.  A record, or a report file, found on one side
+name (for two directories), the check id, both statuses, both
+``max_residual`` values and the names of the other fields that differ
+(``witness``, ``details``, ``printed``, ``oracle``, ``reference``), if
+any.  A record, or a report file, found on one side
 only is a line too, with ``absent`` for its missing side.  A file that is
 not a verify report, such as ``tests/data/integrate_contract.json`` beside
 the reports of ``tests/data/``, is compared byte for byte and listed as
@@ -44,8 +46,13 @@ def _diff(before: dict, after: dict, prefix: str) -> tuple[list, bool]:
         status = [r["status"] if r else "absent" for r in (old, new)]
         residual = [repr(r["max_residual"]) if r else "-" for r in (old, new)]
         moved = moved or old is None or new is None or status[0] != status[1]
+        others = [] if None in (old, new) else sorted(
+            k for k in set(old) | set(new)
+            if k not in ("id", "status", "max_residual")
+            and old.get(k) != new.get(k))
         lines.append(f"{prefix}{cid}: {status[0]} -> {status[1]}; "
-                     f"max_residual {residual[0]} -> {residual[1]}")
+                     f"max_residual {residual[0]} -> {residual[1]}"
+                     + (f"; moved: {', '.join(others)}" if others else ""))
     return lines, moved
 
 

@@ -10,7 +10,12 @@ class DomainViolation(EbcvError):
 
 
 class InconclusiveClassification(EbcvError):
-    """Witness data contradicts the structure invariants."""
+    """Witness data contradicts the structure invariants.  ``point`` is
+    the point that shows it, or None."""
+
+    def __init__(self, message, point=None):
+        super().__init__(message)
+        self.point = point
 
 
 class ModeMismatch(EbcvError):

@@ -196,33 +196,34 @@ def _structure_class(summary, points) -> StructureClass:
     """The verdict of `classify_structure` from the `_torsion_summary` of
     the points.  The witness triple is the first over all points; every
     other point's cyclic sum on it is at most 1e-6, so the witness is the
-    first point of largest |sum| among those whose first triple it is."""
+    first point of largest |sum| among those whose first triple it is.
+    An InconclusiveClassification names the first point where the
+    invariant it reports is worst."""
     size, c12, antisym, first, value = np.reshape(summary, (-1, 5)).T
+    points = np.reshape(points, (-1, 7))
     if size.max() < TOL_EXACT:
         return StructureClass("trivial", None, None, None)
 
-    c12 = c12.max()
-    if c12 >= TOL_EXACT:
+    if c12.max() >= TOL_EXACT:
         raise InconclusiveClassification(
-            f"c12 trace unexpectedly nonzero (max {c12:.3e})"
-        )
-    antisym = antisym.max()
+            f"c12 trace unexpectedly nonzero (max {c12.max():.3e})",
+            points[np.argmax(c12)])
 
     witness = None
     k = int(first.min())
     if k < _TRIPLES.shape[1]:
         idx = int(np.argmax(np.where(first == k, np.abs(value), -1.0)))
-        witness = (tuple(int(v) + 1 for v in _TRIPLES[:, k]),
-                   np.reshape(points, (-1, 7))[idx], float(value[idx]))
+        witness = (tuple(int(v) + 1 for v in _TRIPLES[:, k]), points[idx],
+                   float(value[idx]))
 
-    if antisym == 0.0 and witness is not None:
+    if antisym.max() == 0.0 and witness is not None:
         return StructureClass("T3", *witness)
     if witness is None:
         return StructureClass("T2+T3", None, None, None)
     raise InconclusiveClassification(
         f"cyclic witness {witness[0]} found but first-two-slot antisymmetry "
-        f"fails (max residual {antisym:.3e})"
-    )
+        f"fails (max residual {antisym.max():.3e})",
+        points[np.argmax(antisym)])
 
 
 def _skew_completion(T: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from .curvature import (
     riemann_frame_coordinate,
     scalar_from_ricci,
 )
-from .errors import DomainViolation
+from .errors import DomainViolation, InconclusiveClassification
 from .frames import (
     SAMPLE_BOX,
     SAMPLE_K_MIN,
@@ -159,11 +159,12 @@ class VerifyReport:
 class _Ctx:
     """The samples of a report and their frame jets, each drawn once.
 
-    Of a whole sample only its jet is kept, and that jet builds no tensor:
-    `_chk_sample` reads it in one `FrameJet._chunked` pass, whose chunk
-    jets build their own.  At m = 0 the m = 0 sample is the sample itself.
-    The Killing sample is a head of the m = 0 sample (`FrameJet._rows`)
-    where it can be.
+    Of a whole sample only its jets are kept, and they build no tensor:
+    `_chk_sample` reads them in one `FrameJet._chunked` pass, whose chunk
+    jets build their own.  Every sample point is in the (0, l) chart, where
+    K = 1, so the m = 0 records read the sample's points too, through its
+    jet at (0, l), which is the sample's own jet at m = 0.  The Killing
+    sample is a head of that jet (`FrameJet._rows`) where it can be.
     """
 
     def __init__(self, m, l, samples, seed, tol_scale):
@@ -173,19 +174,18 @@ class _Ctx:
         self.scale = tol_scale
         self.jet = self._sample(self.params, samples)
         self.pts = self.jet.q
-        self.params0 = ModelParams(0.0, l)
-        self.jet0 = (self.jet if self.params0 == self.params
-                     else self._sample(self.params0, samples))
+        params0 = ModelParams(0.0, l)
+        self.jet0 = (self.jet if params0 == self.params
+                     else FrameJet(self.pts, params0))
         # the Killing family and the geodesic system are specific to m = 0;
         # at l = 0 the former degenerates, so substitute l = 1 with a note
         self.params_kill = ModelParams(0.0, l if l != 0.0 else 1.0)
         # at least 2 points so the 13-field rank is certifiable (7 columns
-        # each); at m = 0 every draw is kept, so a smaller m = 0 sample is
-        # the head of a larger one
+        # each)
         n_kill = min(max(samples, 3), 40)
         self.jet_kill = (
             self.jet0._rows(slice(0, n_kill))
-            if self.params_kill == self.params0 and n_kill <= samples
+            if self.params_kill == params0 and n_kill <= samples
             else self._sample(self.params_kill, n_kill)
         )
         self.pts_kill = self.jet_kill.q
@@ -244,23 +244,32 @@ def _claim(cid, worst, witness, tol, reference, holds, note, printed, oracle):
 
 
 #: A record of the whole sample, one declaration of `_sample_records`.
-_Record = namedtuple("_Record", "id tol reference residual claim quote",
-                     defaults=(None, lambda t: np.zeros(len(t.q))))
+_Record = namedtuple(
+    "_Record", "id tol reference residual claim quote rows details",
+    defaults=(None, lambda t: 0.0, None, ""))
+
+#: The details of a record evaluated at m = 0, from l.
+_AT_M0 = "evaluated at (m, l) = (0, {:g})"
 
 
-def _sample_records(doc):
-    """The records of the whole sample from the table document doc, one
+def _sample_records(doc, l):
+    """The records of the sample from the table document doc at l, one
     declaration each: the pass/fail records, then the printed claims.  A
     record reads max |residual(t)| against tol (scaled), t the tensors of a
-    chunk with the points on axis 0 (`_chk_sample`).  A printed claim is
-    (holds, note, printed, oracle): details if it holds and if not, the
-    printed text, and the oracle text as a function of the worst residual
-    and of quote(t), one value per point (zeros by default), at the
-    witness."""
-    claims, scalar = doc["structure_claims"], doc["curvature_tables"]["scalar"]
+    chunk with the points on axis 0 (`_chk_sample`); with rows, t holds
+    only the jets of the sample's first rows points (`_head`).  A pass/fail
+    record's details are details.  A printed claim is (holds, note,
+    printed, oracle): details if it holds and if not, the printed text, and
+    the oracle text as a function of the worst residual and of quote(t),
+    one value per point (0 by default), at the witness; quote is None for
+    a claim on a connection, which names no witness point."""
+    claims, curvature = doc["structure_claims"], doc["curvature_tables"]
     wit = claims["class_membership"]["t2_exclusion_witness"]
     mixed, as_eq = claims["mixed_torsion"], claims["as_equations"]
+    char = claims["characteristic_parallelism"]
+    scalar, spots = curvature["scalar"], curvature["m0_examples"]["entries"]
     ann = doc["frame_tables"]["general_brackets"]["known_discrepancies"]
+    at_m0 = _AT_M0.format(l)
     eye = np.eye(7)
     hh = np.zeros((7, 7, 1), bool)
     hh[3:, 3:] = True  # the slots (a, b) with both legs horizontal
@@ -286,6 +295,24 @@ def _sample_records(doc):
             R + perm("...abcd->...bacd"), R + perm("...abcd->...abdc"),
             R - perm("...abcd->...cdab"),
             R + perm("...bdca->...abcd") + perm("...dacb->...abcd")], axis=1)
+
+    def bianchi(t):
+        nab = t.fr.nabla_R
+        return (nab + np.einsum("...abecd->...eabcd", nab)
+                + np.einsum("...beacd->...eabcd", nab))
+
+    def m0_spots(t):
+        # the printed spot values of R and the Ricci diagonal, then the
+        # Ricci matrix off its diagonal
+        R0, env0 = t.fr0.R, pt.point_env(t.q, t.fr0.params)
+        ric0 = ricci_from_riemann(R0)
+        spot = [R0[..., 0, 3, 0, 3] - pt.safe_eval(spots["1,4"], env0),
+                R0[..., 5, 6, 5, 6] - pt.safe_eval(spots["6,7"], env0)]
+        spot += [ric0[..., i, i] - pt.safe_eval(expr, env0) for i, expr
+                 in enumerate(curvature["ricci_m0_diagonal"]["entries"])]
+        off = np.where(eye > 0.5, 0.0, ric0)
+        return np.concatenate([np.stack(spot, axis=-1),
+                               off.reshape(len(R0), -1)], axis=-1)
 
     def appendix(cid, key):
         # an annotated bracket component and its slot (a, b, c) in C
@@ -354,6 +381,23 @@ def _sample_records(doc):
                 "scalar curvature equals the trace of the printed Ricci "
                 "matrix",
                 lambda t: t.scal - pt.scalar_values(t.q, t.params, "derived")),
+        _Record("riemann-frame-vs-coordinate-route", TOL_TABLE,
+                "Cartan frame curvature matches the coordinate-Christoffel "
+                "route",
+                lambda t: t.fr.R - riemann_frame_coordinate(t.fr, t.params),
+                rows=20),
+        _Record("curvature-second-bianchi", TOL_TABLE,
+                "cyclic sum of the covariant curvature derivative vanishes",
+                bianchi, rows=8),
+        _Record("m0-curvature-table", TOL_TABLE,
+                "printed curvature spot values and Ricci diagonal at m = 0",
+                m0_spots, rows=20, details=at_m0),
+        _Record("torsion-parallelism-canonical", TOL_TABLE,
+                "the canonical connection parallelizes curvature and torsion "
+                "at m = 0",
+                lambda t: parallelism_residuals(t.fr0, t.fr0.params,
+                                                "canonical"),
+                rows=12, details=at_m0),
         # the printed claims, the operator definition of the torsion first
         _Record("torsion-definitions-agreement", TOL_TABLE,
                 "the two printed definitions of the connection torsion agree",
@@ -374,24 +418,46 @@ def _sample_records(doc):
                 (f"holds ({as_eq['holds_when']})", as_eq["note"],
                  as_eq["claim"], lambda worst, at: "max equation residual "
                  f"{worst:.6e} at the witness point")),
+        _Record("torsion-parallelism-characteristic", 1e-7,
+                "printed claim: the characteristic connection parallelizes "
+                "curvature and torsion",
+                lambda t: parallelism_residuals(t.fr, t.params,
+                                                "characteristic"),
+                ("holds trivially (l = 0)", char["note"], char["claim"],
+                 lambda worst, at: f"{char['witness_torsion']}; "
+                 f"{char['witness_curvature']}; measured max residual "
+                 f"{worst:.6e}"), None, rows=12),
         appendix("appendix-bracket-45", "4,5"),
         appendix("appendix-bracket-47", "4,7"),
     )
 
 
+def _head(t, n):
+    """The jets of the first n points of the chunk tensors t, which share
+    what t's jets have built (`FrameJet._rows`)."""
+    rows = slice(0, n)
+    return SimpleNamespace(fr=t.fr._rows(rows), fr0=t.fr0._rows(rows),
+                           q=t.q[rows], params=t.params)
+
+
 def _chk_sample(ctx):
     """Every record read from the points of the sample, from one
-    `FrameJet._chunked` pass over its jet, whose chunks build F, Om, dF, C,
-    dC, gamma, R and X R once, and nabla R on 8 points.  Each record of the
-    whole sample is one declaration (`_sample_records`): the body maps them
-    to max |residual| per point, one at a time, and one loop after the pass
-    judges them.  Head records read the first chunk's jet (_CHUNK >= 20);
-    the m = 0 sample's records, one chunk body: in this pass at m = 0, in
-    a pass of their own at m != 0."""
+    `FrameJet._chunked` pass over its jet.  Each chunk's jet builds F, Om,
+    dF, C, dC, gamma, R and X R once, and nabla R is built on the 8 points
+    of the second Bianchi identity alone.  The m = 0 records and tables
+    read the same rows of the sample's jet at (0, l), ctx.jet0, which at
+    m != 0 builds the frame and connection of every point, R of the first
+    20 and X R of the first 12.  Each record is one declaration
+    (`_sample_records`) and each printed table one `_table_gaps`: the body
+    maps them to max |residual| per point, a record with rows on the first
+    chunk alone (_CHUNK >= rows), and one loop after the pass judges them.
+    A non-finite residual or gap stops the run: such (m, l) can be neither
+    checked nor compared with a printed table."""
     doc, params = ctx.doc, ctx.params
-    records = _sample_records(doc)
+    records = _sample_records(doc, params.l)
+    n_head = max(r.rows or 0 for r in records)
     frame_tables = doc["frame_tables"]
-    tables = [  # (id, table, tensor, tolerance, reference)
+    tables = [  # (id, table, tensor, tolerance, reference) at (m, l)
         ("general-bracket-table", frame_tables["general_brackets"],
          structure_constants, TOL_TABLE,
          "printed general bracket table outside annotated components"),
@@ -400,182 +466,95 @@ def _chk_sample(ctx):
         ("torsion-table", doc["torsion_table"], torsion_D_tensor, TOL_TABLE,
          "printed reduced-torsion values on horizontal pairs"),
     ]
-    m0_tables = [
+    m0_tables = [  # and at (0, l)
         ("m0-bracket-table", frame_tables["m0_brackets"], structure_constants,
          TOL_EXACT, "printed bracket table at m = 0"),
         ("m0-connection-table", frame_tables["m0_connection"],
          levi_civita_tensor, TOL_EXACT, "printed connection table at m = 0"),
     ]
-    shared = ctx.jet0 is ctx.jet
-    heads, heads0 = [], []
-
-    def table_gaps(fr, tables):
-        return tuple(_table_gaps(table, tensor(fr, fr.params), fr)
-                     for _, table, tensor, _, _ in tables)
-
-    def m0_body(fr):
-        # gamma first, so that the head records of the first chunk share it
-        with np.errstate(all="ignore"):
-            fr.gamma
-        if not heads0:  # the first chunk
-            heads0.extend(_m0_heads(ctx, fr._rows(slice(0, 20))))
-        return table_gaps(fr, m0_tables)
+    start = 0
 
     def body(fr):
-        # the curvature and X R first, so that every head and the
-        # Ambrose-Singer check share them; the check next, while no other
-        # temporary is held: its peak is the body's largest.  A non-finite
-        # R or X R shows in its residual.
+        nonlocal start
+        rows = slice(start, start + len(fr.q))
+        start = rows.stop
+        fr0 = fr if ctx.jet0 is ctx.jet else ctx.jet0._rows(rows)
+        # a non-finite tensor shows in the residuals that read it
         with np.errstate(all="ignore"):
+            # the curvature and X R first, so that every record and the
+            # Ambrose-Singer check share them; the check next, while no
+            # other temporary is held: its peak is the body's largest.
+            # gamma at (0, l) before any head, so that the heads share it
             gam, R = fr.gamma, fr.R
             fr.xR
             as_eq = ambrose_singer_check(fr, params)
-        _refuse_overflow(ctx, R, as_eq)
-        if not heads:  # the first chunk
-            heads.extend(_sample_heads(ctx, fr))
-        gaps0 = m0_body(fr) if shared else ()
-        T, ric = torsion_D_tensor(fr, params), ricci_from_riemann(R)
-        t = SimpleNamespace(
-            fr=fr, q=fr.q, params=params, F=fr.F, Om=fr.Om, C=fr.C, gam=gam,
-            R=R, T=T, tors=_torsion_summary(T), env=pt.point_env(fr.q, params),
-            ric=ric, scal=scalar_from_ricci(ric), as_eq=as_eq)
-        # each record's max |residual| per point and its quoted value
-        res = [_pmax(r.residual(t)) for r in records]
-        quoted = [r.quote(t) for r in records]
-        return ((np.stack(res, axis=-1), np.stack(quoted, axis=-1), t.tors)
-                + table_gaps(fr, tables) + gaps0)
+            fr0.gamma
+            T, ric = torsion_D_tensor(fr, params), ricci_from_riemann(R)
+            t = SimpleNamespace(
+                fr=fr, fr0=fr0, q=fr.q, params=params, F=fr.F, Om=fr.Om,
+                C=fr.C, gam=gam, R=R, T=T, tors=_torsion_summary(T),
+                env=pt.point_env(fr.q, params), ric=ric,
+                scal=scalar_from_ricci(ric), as_eq=as_eq)
+            if rows.start == 0:
+                # R of the first points at (0, l) too, so that every head
+                # shares it
+                head = _head(t, n_head)
+                head.fr0.R
+            # each record's max |residual| per point and its quoted value
+            res = np.zeros((len(t.q), len(records)))
+            quoted = np.zeros_like(res)
+            for i, r in enumerate(records):
+                if r.rows is None:
+                    res[:, i] = _pmax(r.residual(t))
+                elif rows.start == 0:
+                    res[:r.rows, i] = _pmax(r.residual(_head(head, r.rows)))
+                if r.quote:
+                    quoted[:, i] = r.quote(t)
+            gaps = [_table_gaps(table, tensor(jet, jet.params), jet)
+                    for jet, specs in ((fr, tables), (fr0, m0_tables))
+                    for _, table, tensor, _, _ in specs]
+        return (res, quoted, t.tors, *gaps)
 
-    res, quoted, tors, *gaps = ctx.jet._chunked(body)
+    try:
+        res, quoted, tors, *gaps = ctx.jet._chunked(body)
+    except OverflowError:  # a printed expression's float arithmetic
+        finite = False
+    else:
+        finite = all(np.isfinite(a).all() for a in (res, *gaps))
+    if not finite:
+        raise DomainViolation(
+            f"the curvature at (m, l) = ({params.m:g}, {params.l:g}) "
+            "exceeds the floating-point range")
     out = []
     for r, r_res, r_quoted in zip(records, res.T, quoted.T):
-        worst, witness, k = _summary(r_res, ctx.pts)
+        worst, witness, k = _summary(r_res[:r.rows], ctx.pts)
         if r.claim is None:
             out.append(_verdict(r.id, worst <= ctx.tol(r.tol), worst, witness,
-                                r.reference))
+                                r.reference, r.details))
             continue
         *texts, oracle = r.claim
-        out.append(_claim(r.id, worst, witness, ctx.tol(r.tol), r.reference,
-                          *texts, oracle(worst, r_quoted[k])))
-    out += heads
+        out.append(_claim(r.id, worst, witness if r.quote else None,
+                          ctx.tol(r.tol), r.reference, *texts,
+                          oracle(worst, r_quoted[k])))
 
-    cls = _structure_class(tors, ctx.pts)
+    try:
+        cls = _structure_class(tors, ctx.pts)
+    except InconclusiveClassification as exc:
+        ok, witness, details = False, exc.point, str(exc)
+    else:
+        ok = cls.label == ("trivial" if params.l == 0.0 else "T3")
+        witness = None
+        details = f"label={cls.label} witness_triple={cls.witness_triple}"
     out.append(_verdict(
-        "structure-class",
-        cls.label == ("trivial" if params.l == 0.0 else "T3"), None, None,
-        "torsion classification is deterministic and matches the printed "
-        "class", f"label={cls.label} witness_triple={cls.witness_triple}"))
+        "structure-class", ok, None, witness, "torsion classification is "
+        "deterministic and matches the printed class", details))
 
-    gaps0 = gaps[len(tables):] if shared else ctx.jet0._chunked(m0_body)
-    out += heads0
     out += [_table_record(ctx, spec, g, ctx.pts)
             for spec, g in zip(tables, gaps)]
-    details = f"evaluated at (m, l) = (0, {params.l:g})"
-    out += [_table_record(ctx, spec, g, ctx.jet0.q, details)
-            for spec, g in zip(m0_tables, gaps0)]
+    at_m0 = _AT_M0.format(params.l)
+    out += [_table_record(ctx, spec, g, ctx.pts, at_m0)
+            for spec, g in zip(m0_tables, gaps[len(tables):])]
     return out
-
-
-def _sample_heads(ctx, fr):
-    """The records of the first points of the sample, from heads of the jet
-    fr of its first chunk: the coordinate route on 20 points, the second
-    Bianchi identity on 8 and the characteristic connection on 12."""
-    head, bianchi = fr._rows(slice(0, 20)), fr._rows(slice(0, 8))
-    with np.errstate(all="ignore"):
-        coordinate = riemann_frame_coordinate(head, ctx.params)
-        nab = bianchi.nabla_R
-    _refuse_overflow(ctx, coordinate, nab)
-    out = [
-        _passfail(
-            "riemann-frame-vs-coordinate-route",
-            head.R - coordinate,
-            ctx.tol(TOL_TABLE),
-            "Cartan frame curvature matches the coordinate-Christoffel "
-            "route", head.q,
-        )
-    ]
-
-    cyc = (
-        nab
-        + np.einsum("...abecd->...eabcd", nab)
-        + np.einsum("...beacd->...eabcd", nab)
-    )
-    out.append(
-        _passfail(
-            "curvature-second-bianchi", cyc, ctx.tol(TOL_TABLE),
-            "cyclic sum of the covariant curvature derivative vanishes",
-            bianchi.q,
-        )
-    )
-
-    info = ctx.doc["structure_claims"]["characteristic_parallelism"]
-    worst = float(parallelism_residuals(fr._rows(slice(0, 12)), ctx.params,
-                                        "characteristic").max())
-    out.append(
-        _claim(
-            "torsion-parallelism-characteristic", worst, None, ctx.tol(1e-7),
-            "printed claim: the characteristic connection parallelizes "
-            "curvature and torsion",
-            "holds trivially (l = 0)",
-            info["note"], info["claim"],
-            f"{info['witness_torsion']}; {info['witness_curvature']}; "
-            f"measured max residual {worst:.6e}",
-        )
-    )
-    return out
-
-
-def _m0_heads(ctx, head):
-    """The records of the first points of the m = 0 sample, from the jet of
-    its first 20 points: the printed spot values on all of them and the
-    canonical connection on the first 12."""
-    params0 = head.params
-    details = f"evaluated at (m, l) = (0, {ctx.params.l:g})"
-    # R on all 20 points first, so the 12-point head shares it and builds
-    # X R and nabla R of its own points only; both before any printed value
-    with np.errstate(all="ignore"):
-        R0 = head.R
-        sub = head._rows(slice(0, 12))
-        _refuse_overflow(ctx, R0, sub.nabla_R)
-    env0 = pt.point_env(head.q, params0)
-    ex = ctx.doc["curvature_tables"]["m0_examples"]["entries"]
-    ric0 = ricci_from_riemann(R0)
-    diag = ctx.doc["curvature_tables"]["ricci_m0_diagonal"]["entries"]
-    res0 = [
-        R0[..., 0, 3, 0, 3] - pt.safe_eval(ex["1,4"], env0),
-        R0[..., 5, 6, 5, 6] - pt.safe_eval(ex["6,7"], env0),
-    ]
-    for i, expr in enumerate(diag):
-        res0.append(ric0[..., i, i] - pt.safe_eval(expr, env0))
-    offdiag = ric0 - np.einsum("...aa,ab->...ab", ric0, np.eye(7) > 0.5)
-    res0.append(_pmax(offdiag))
-    out = [
-        _passfail(
-            "m0-curvature-table", np.stack(res0, axis=-1), ctx.tol(TOL_TABLE),
-            "printed curvature spot values and Ricci diagonal at m = 0",
-            head.q, details=details,
-        )
-    ]
-
-    # the connection that does the job at m = 0 (internal oracle check)
-    out.append(
-        _passfail(
-            "torsion-parallelism-canonical",
-            parallelism_residuals(sub, params0, "canonical"),
-            ctx.tol(TOL_TABLE),
-            "the canonical connection parallelizes curvature and torsion "
-            "at m = 0", sub.q, details=details,
-        )
-    )
-    return out
-
-
-def _refuse_overflow(ctx, *tensors):
-    """Stop the run when a curvature tensor the report reads overflowed:
-    such (m, l) can be neither checked nor compared with a printed table."""
-    if not all(np.isfinite(t).all() for t in tensors):
-        raise DomainViolation(
-            f"the curvature at (m, l) = ({ctx.params.m:g}, {ctx.params.l:g}) "
-            "exceeds the floating-point range")
 
 
 def _table_gaps(table, oracle, fr):

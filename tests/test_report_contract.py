@@ -1,10 +1,12 @@
 """The verify JSON report is the package's behavioural contract.
 
 Each file in ``tests/data`` holds ``ebcv verify --format json --seed 0`` at
-one (m, l) and sample count, with ``summary.elapsed`` removed.  Three hold
-20 samples, fewer than one curvature chunk.  Two hold 100, so their samples
-cross chunk boundaries: at (1, 1), and at (0, 1), where the m = 0 tables
-and head records come from the sample's own pass.  A change that moves
+one (m, l) and sample count, with ``summary.elapsed`` removed.  Four hold
+20 samples, fewer than one curvature chunk; one of them is at (-3, 1),
+where the sampler rejects points, so the sample there is not the draw at
+(0, l) that the m = 0 records read at other seeds or parameters.  Two hold
+100, so their samples cross chunk boundaries: at (1, 1) and at (0, 1).
+A change that moves
 any record fails here and names the first check that differs.  When a
 change alters the report on purpose, regenerate the files and show their
 diff with the change:
@@ -21,7 +23,7 @@ from ebcv.verify import run_verify
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 CASES = [(0.0, 1.0, 20), (1.0, 1.0, 20), (1.0, 0.0, 20), (1.0, 1.0, 100),
-         (0.0, 1.0, 100)]
+         (0.0, 1.0, 100), (-3.0, 1.0, 20)]
 IDS = [f"{m}-{l}" + ("" if n == 20 else f"-samples{n}") for m, l, n in CASES]
 SEED = 0
 

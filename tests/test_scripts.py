@@ -80,6 +80,17 @@ def test_report_diff_lists_moved_records_and_fails_on_status(tmp_path, capsys):
     assert diff.main([str(before / "r.json"), str(after / "r.json")]) == 0
     assert capsys.readouterr().out == (
         "b: paper-discrepancy -> paper-discrepancy; max_residual 0.5 -> 0.25\n")
+    # a record whose other fields move is listed with their names
+    moved = [dict(c, witness=[0.0] * 7) for c in json.loads(
+        (before / "r.json").read_text())["checks"]]
+    moved[1]["oracle"] = "-3"
+    (after / "r.json").write_text(json.dumps({"checks": moved, "summary": {}}))
+    assert diff.main([str(before), str(after)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "r.json: a: pass -> pass; max_residual 1e-16 -> 1e-16; moved: witness",
+        "r.json: b: paper-discrepancy -> paper-discrepancy; max_residual "
+        "0.5 -> 0.5; moved: oracle, witness",
+    ]
     # a status that changes, a record and a report on one side only fail
     _write_report(after / "r.json", [("a", "fail", 0.1), base[1], ("c", "pass", 0.0)])
     _write_report(after / "s.json", base)

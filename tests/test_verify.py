@@ -14,9 +14,10 @@ import pytest
 import ebcv
 import ebcv.curvature
 import ebcv.frames
+import ebcv.homogeneous
 import ebcv.published_tables
 import ebcv.verify
-from ebcv.errors import DomainViolation
+from ebcv.errors import DomainViolation, InconclusiveClassification
 from ebcv.verify import CheckResult, VerifyReport, run_verify
 
 # discrepancy records tied to the fixed-parameter systems (always present)
@@ -131,14 +132,13 @@ def _count_points(monkeypatch, owner, name):
     return calls
 
 
-@pytest.mark.parametrize("m, l, passes",
-                         [(1.0, 1.0, 2), (0.0, 1.0, 1), (1.0, 0.0, 2)],
+@pytest.mark.parametrize("m, l", [(1.0, 1.0), (0.0, 1.0), (1.0, 0.0)],
                          ids=["general", "m0", "l0"])
-def test_verify_reads_each_sample_in_one_pass(monkeypatch, m, l, passes):
-    # every per-point record, the torsion classification included, comes
-    # from one chunked pass over the sample, plus one over the m = 0 sample
-    # when it is another, whatever module reads it; no public curvature
-    # entry point runs
+def test_verify_reads_each_sample_in_one_pass(monkeypatch, m, l):
+    # every per-point record, the m = 0 records and tables and the torsion
+    # classification included, comes from one chunked pass over the
+    # sample, whatever module reads it; no public curvature entry point
+    # runs
     samples = 40
     public = []
     chunked = _count_points(monkeypatch, ebcv.frames.FrameJet, "_chunked")
@@ -153,7 +153,7 @@ def test_verify_reads_each_sample_in_one_pass(monkeypatch, m, l, passes):
     rep = run_verify(m, l, samples=samples, seed=0)
     assert rep.counts["fail"] == 0
     assert not public
-    assert chunked.count(samples) == passes
+    assert chunked.count(samples) == 1
 
 
 @pytest.mark.parametrize("m, l, again_R, again_x, all_C",
@@ -162,14 +162,13 @@ def test_verify_reads_each_sample_in_one_pass(monkeypatch, m, l, passes):
 def test_r_is_built_once_per_sample_point(monkeypatch, m, l, again_R,
                                           again_x, all_C):
     # R and X R of every sample point come from its one chunked pass, whose
-    # first chunk also serves the records of the first 20 points; only the
-    # first 20 points of a distinct m = 0 sample get R besides, and only
+    # first chunk also serves the records of the first 20 points; at
+    # m != 0 only the first 20 points get R at (0, l) besides, and only
     # the 12 of them that the canonical connection reads get X R.  nabla R
-    # is built on two heads alone: the 8 points of the second Bianchi
-    # identity and the 12 of the canonical connection at m = 0.  C is
-    # built once per point of the sample and of a distinct m = 0 sample;
-    # the rest is the 40-point Killing sample, 40 one-point Poisson states
-    # and the one point of the Heisenberg bracket
+    # is built on the 8 points of the second Bianchi identity alone.  C is
+    # built once per point of the sample, and at m != 0 once more at
+    # (0, l); the rest is the 40-point Killing sample, 40 one-point
+    # Poisson states and the one point of the Heisenberg bracket
     samples = 40  # more than one curvature chunk
     jet = ebcv.frames.FrameJet
     riemann = _count_points(monkeypatch, jet, "R")
@@ -180,7 +179,7 @@ def test_r_is_built_once_per_sample_point(monkeypatch, m, l, again_R,
     assert rep.counts["fail"] == 0
     assert sum(riemann) == samples + again_R
     assert sum(x_riemann) == samples + again_x
-    assert nabla == [8, 12]
+    assert nabla == [8]
     assert sum(brackets) == all_C
 
 
@@ -233,16 +232,17 @@ def test_each_point_set_gets_one_frame_jet(monkeypatch):
 def test_every_declared_record_reaches_the_report(monkeypatch):
     # with every declared residual shifted by +1, each declared pass/fail
     # record fails and each declared claim reads paper-discrepancy; the
-    # records that move are exactly the declared ones, each once
+    # records that move are exactly the declared ones, each once, the
+    # records of the first points and those at m = 0 included
     declare = ebcv.verify._sample_records
-    records = declare(ebcv.published_tables.load_tables())
+    records = declare(ebcv.published_tables.load_tables(), 1.0)
     want = {r.id: "fail" if r.claim is None else "paper-discrepancy"
             for r in records}
-    assert len(want) == len(records)
+    assert len(want) == len(records) == 26
 
-    def shifted(doc):
+    def shifted(doc, l):
         return tuple(r._replace(residual=lambda t, f=r.residual: f(t) + 1.0)
-                     for r in declare(doc))
+                     for r in declare(doc, l))
 
     def sample_records():
         return ebcv.verify._chk_sample(ebcv.verify._Ctx(1.0, 1.0, 3, 0, 1.0))
@@ -254,6 +254,30 @@ def test_every_declared_record_reaches_the_report(monkeypatch):
     moved = Counter(c.id for c, b in zip(got, base) if c != b)
     assert moved == Counter(list(want))
     assert {c.id: c.status for c in got if c.id in want} == want
+
+
+def test_inconclusive_torsion_is_a_failed_record(monkeypatch):
+    # a torsion that breaks first-two-slot antisymmetry leaves the class
+    # undecided: the report says so in a fail record at the point that
+    # shows it, where the library call raises
+    reduced = ebcv.homogeneous._reduced_torsion
+
+    def planted(C):
+        T = reduced(C).copy()
+        T[..., 3, 4, 0] += 1e-6
+        return T
+
+    monkeypatch.setattr(ebcv.homogeneous, "_reduced_torsion", planted)
+    params = ebcv.frames.ModelParams(1.0, 1.0)
+    pts = ebcv.frames.sample_domain_points(params, 5, 0)
+    with pytest.raises(InconclusiveClassification):
+        ebcv.homogeneous.classify_structure(params, pts)
+    rep = run_verify(1.0, 1.0, samples=5, seed=0)
+    rec = _by_id(rep)["structure-class"]
+    assert rep.exit_code == 1
+    assert rec.status == "fail"
+    assert "antisymmetry" in rec.details
+    assert rec.witness == pts[0].tolist()
 
 
 def test_table_record_takes_the_first_entry_with_the_worst_gap():
