@@ -13,15 +13,27 @@ For the quaternionic Heisenberg case ``(m, l) = (0, 1)`` the flow is solved
 in closed form: packing the horizontal coordinates as the quaternion
 ``omega = w + i x + j y + k z``, the horizontal momentum quaternion obeys
 ``P' = -Lambda P`` with the constant imaginary quaternion
-``Lambda = i p_r + j p_s + k p_t``, so ``P(u) = exp(-Lambda u) P(0)`` and
+``Lambda = i p_r + j p_s + k p_t``, so ``P(u) = exp(-Lambda u) P(0)``.  With
+``theta = |Lambda| u`` and
 
-    omega(u) = omega(0) + Lambda^{-1} (1 - exp(-Lambda u)) P(0),
+    A(u) = int_0^u exp(Lambda v) dv = u sinc(theta/2) exp(Lambda u/2),
+
+    omega(u) = omega(0) + conj(A(u)) P(0),
 
 an arc of a circle of radius ``|P(0)|/|Lambda|`` (a straight line when
-``Lambda = 0``).  The vertical coordinates follow by quadrature of
+``Lambda = 0``).  The vertical coordinates obey
 ``(r', s', t') = (1/2) Im(omega * conj(omega'))``; that integrand is the one
 that reproduces the Hamiltonian equations for r, s, t exactly (the published
-form of the integrals conjugates the other factor, which does not).
+form of the integrals conjugates the other factor, which does not).  As
+``omega conj(P) = omega(0) conj(P(0)) exp(Lambda v)
++ |P(0)|^2 Lambda^{-1} (exp(Lambda v) - 1)``, they integrate to
+
+    (r, s, t)(u) = (r, s, t)(0) + (1/2) Im(omega(0) conj(P(0)) A(u))
+                   + (1/2) |P(0)|^2 u^3 ((theta - sin theta)/theta^3) lambda
+
+with ``lambda = (p_r, p_s, p_t)``.  sinc and ``(theta - sin theta)/theta^3``
+are Taylor series at small theta, so one formula holds for every Lambda,
+zero included.
 
 The hand-derived first-order system published for this case is kept here as
 an independently transcribed fixture (`printed_heisenberg_rhs`).  Its s-dot
@@ -40,7 +52,7 @@ import numpy as np
 
 from .errors import DomainViolation, ModeMismatch, TooFewSamples
 from .frames import J_TWIST, ModelParams, frame_jet, frame_matrix
-from .quaternions import exp_imaginary, qconj, qmul
+from .quaternions import _sine_quotient, exp_imaginary, qconj, qmul
 
 __all__ = [
     "GeodesicMode",
@@ -61,17 +73,11 @@ __all__ = [
     "circle_check",
 ]
 
-#: threshold below which the rotation quaternion counts as zero (line branch)
-DEGENERATE_LAMBDA = 1e-12
-
-#: minimum number of Simpson panels for the vertical-coordinate quadrature
-MIN_SIMPSON_PANELS = 10_000
-
 #: relative residual threshold for the circle / line verdicts
 CIRCLE_RESIDUAL_TOL = 1e-4
 
 #: the most steps `integrate` and `closed_form_trajectory` accept; both
-#: allocate their samples up front (the closed form ~0.5 GB at this count)
+#: allocate their samples up front (the closed form ~0.35 GB at this count)
 MAX_STEPS = 1_000_000
 
 _HEIS = ModelParams(0.0, 1.0)
@@ -443,64 +449,40 @@ def integrate(s0: CotangentState, params: ModelParams, mode, h: float, n: int) -
 # --- closed form for the quaternionic Heisenberg flow -----------------------
 
 
-def _closed_form_eval(
-    omega0: np.ndarray, P0: np.ndarray, lam_vec: np.ndarray, vs: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """omega(v) and P(v) on a grid vs, from the quaternion closed form."""
-    lam = float(np.linalg.norm(lam_vec))
-    if lam < DEGENERATE_LAMBDA:
-        P_vals = np.broadcast_to(P0, vs.shape + (4,)).copy()
-        omega_vals = omega0[None, :] + vs[:, None] * P0[None, :]
-        return omega_vals, P_vals
-    E = exp_imaginary(-vs[:, None] * lam_vec[None, :])  # exp(-Lambda v)
-    P_vals = qmul(E, P0[None, :])
-    lam_inv = np.concatenate([[0.0], -lam_vec]) / lam**2  # Lambda^{-1}
-    one = np.array([1.0, 0.0, 0.0, 0.0])
-    pref = qmul(np.broadcast_to(lam_inv, E.shape), one[None, :] - E)
-    omega_vals = omega0[None, :] + qmul(pref, P0[None, :])
-    return omega_vals, P_vals
-
-
 def closed_form_trajectory(s0: CotangentState, h: float, n: int) -> Trajectory:
     """Sample the closed-form Heisenberg geodesic on the grid u_k = k h.
 
     Produces a Trajectory directly comparable with `integrate` in heisenberg
     mode: same chart, same sample spacing, full momentum components
-    recovered from P(u) through the coframe.  P(0) is the horizontal part of
-    `frame_momenta` and Lambda = i p_r + j p_s + k p_t.  The vertical
-    quadrature uses at least MIN_SIMPSON_PANELS Simpson panels over the whole
-    span, so ``closed_form_trajectory(s0, u, 1).q[-1]`` is the point at
+    recovered from P(u), which the coframe at (0, 1) makes
+    ``p_omega - (1/2) Lambda omega``.  P(0) is the horizontal part of
+    `frame_momenta` and Lambda = i p_r + j p_s + k p_t.  Every sample is
+    evaluated from the formulas of the module docstring alone, with no
+    quadrature, so ``closed_form_trajectory(s0, u, 1).q[-1]`` is the point at
     parameter u.  n may not exceed MAX_STEPS.
     """
     _check_grid(h, n)
     P0 = frame_momenta(s0.q, s0.p, _HEIS)[3:]
-    lam_vec = s0.p[:3]
-    pps = max(2, 2 * math.ceil(0.5 * MIN_SIMPSON_PANELS / n))
-    total = n * pps
-    vs = np.linspace(0.0, n * h, total + 1)
-    omega_vals, P_vals = _closed_form_eval(s0.q[3:], P0, lam_vec, vs)
-    # (1/2) Im(omega * conj(omega')) with omega' = P
-    g = 0.5 * qmul(omega_vals, qconj(P_vals))[..., 1:]
-    delta = h / pps
-    # composite Simpson on each step's pps panels, then cumulative sums
-    w_inner = np.ones(pps)
-    w_inner[1::2] = 4.0
-    w_inner[2::2] = 2.0
-    blocks = g[:total].reshape(n, pps, 3)
-    ends = g[pps::pps]
-    per_step = (delta / 3.0) * (np.einsum("j,kjd->kd", w_inner, blocks) + ends)
-    vertical = np.vstack([s0.q[:3], s0.q[:3] + np.cumsum(per_step, axis=0)])
-
-    omega_s = omega_vals[::pps]
-    P_s = P_vals[::pps]
-    qarr = np.column_stack([vertical, omega_s])
-    # recover covector components: p_vert constant, p_horiz = P_h - B^T p_vert
-    Bv = 0.5 * np.einsum("ibd,kd->kib", J_TWIST, omega_s)
-    p_h = P_s - np.einsum("kib,i->kb", Bv, lam_vec)
+    omega0, lam_vec = s0.q[3:], s0.p[:3]
+    u = np.arange(n + 1) * h
+    theta = u * math.sqrt(float(lam_vec.dot(lam_vec)))
+    ul = u[:, None] * lam_vec
+    P = qmul(exp_imaginary(-ul), P0)
+    A = (u * _sine_quotient(0.5 * theta, 1))[:, None] * exp_imaginary(0.5 * ul)
+    omega = omega0 + qmul(qconj(A), P0)
+    vertical = (
+        s0.q[:3]
+        + 0.5 * qmul(qmul(omega0, qconj(P0)), A)[:, 1:]
+        + (0.5 * float(P0.dot(P0)) * u**3 * _sine_quotient(theta, 3))[:, None]
+        * lam_vec
+    )
+    # covector components: p_vert is constant, and P = p_horiz - (1/2) Lambda omega
+    p_h = P + 0.5 * qmul(np.concatenate(([0.0], lam_vec)), omega)
+    qarr = np.column_stack([vertical, omega])
     parr = np.column_stack([np.broadcast_to(lam_vec, (n + 1, 3)), p_h])
-    H_s = 0.5 * np.sum(P_s * P_s, axis=-1)
+    H_s = 0.5 * np.sum(P * P, axis=-1)
     return Trajectory(
-        u=np.arange(n + 1) * h,
+        u=u,
         q=qarr,
         p=parr,
         H=H_s,

@@ -3,15 +3,17 @@
 The closed-form geodesic solver works in the quaternion model of the
 horizontal plane: a point (w, x, y, z) is packed as w + i x + j y + k z.
 This module provides vectorized helpers operating on ``(..., 4)`` float
-arrays (component order w, x, y, z) used by the quadrature loops.
+arrays (component order w, x, y, z) used by the closed form.
 
-The only transcendental needed is the exponential of an *imaginary*
-quaternion v, computed as ``exp(v) = cos|v| + (v/|v|) sin|v|`` with a power
-series for ``sin|v|/|v|`` when ``|v|`` is tiny, so the result is smooth
-through v = 0.
+The transcendentals needed are the exponential of an *imaginary*
+quaternion v, computed as ``exp(v) = cos|v| + (v/|v|) sin|v|``, and the
+closed form's ``(theta - sin theta)/theta^3``; both quotients switch to a
+power series when the modulus is small, so the results are smooth through 0.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -21,8 +23,26 @@ __all__ = [
     "exp_imaginary",
 ]
 
-#: below this modulus the sin(n)/n factor switches to its Taylor series
-_EXP_SERIES_CUTOFF = 1e-8
+#: below this modulus sin(n)/n and (n - sin n)/n^3 switch to their Taylor
+#: series, which their first ten terms give to double precision there; above
+#: it the direct quotients lose at most a few ulps to cancellation
+_SERIES_CUTOFF = 1.0
+
+
+def _sine_quotient(n: np.ndarray, first: int) -> np.ndarray:
+    """sin(n)/n for ``first`` = 1, (n - sin n)/n^3 for ``first`` = 3.
+
+    Below the series cutoff, the sum over k of (-1)^k n^(2k) / (2k + first)!
+    by Horner's rule; so both are smooth through n = 0.
+    """
+    n = np.asarray(n, dtype=float)
+    small = n < _SERIES_CUTOFF
+    big = np.where(small, 1.0, n)
+    direct = np.sin(big) / big if first == 1 else (big - np.sin(big)) / big**3
+    series = np.polyval(
+        [(-1) ** k / math.factorial(2 * k + first) for k in range(9, -1, -1)], n * n
+    )
+    return np.where(small, series, direct)
 
 
 def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -57,17 +77,13 @@ def exp_imaginary(vec: np.ndarray) -> np.ndarray:
 
     Returns the unit quaternion cos|v| + (v/|v|) sin|v| as a (..., 4) array;
     for |v| below the series cutoff the factor sin|v|/|v| is evaluated by its
-    Taylor expansion 1 - |v|^2/6 + |v|^4/120 to avoid the 0/0.
+    Taylor series to avoid the 0/0.
     """
     vec = np.asarray(vec, dtype=float)
     if vec.shape[-1] != 3:
         raise ValueError("imaginary quaternion needs a 3-component vector part")
     n = np.sqrt(np.sum(vec * vec, axis=-1))
-    small = n < _EXP_SERIES_CUTOFF
-    # evaluate sin(n)/n safely on both branches, then select
-    n_safe = np.where(small, 1.0, n)
-    sinc = np.where(small, 1.0 - n * n / 6.0 + n**4 / 120.0, np.sin(n_safe) / n_safe)
     out = np.empty(vec.shape[:-1] + (4,))
     out[..., 0] = np.cos(n)
-    out[..., 1:] = sinc[..., None] * vec
+    out[..., 1:] = _sine_quotient(n, 1)[..., None] * vec
     return out

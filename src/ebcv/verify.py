@@ -164,7 +164,9 @@ class _Ctx:
     jets build their own.  Every sample point is in the (0, l) chart, where
     K = 1, so the m = 0 records read the sample's points too, through its
     jet at (0, l), which is the sample's own jet at m = 0.  The Killing
-    sample is a head of that jet (`FrameJet._rows`) where it can be.
+    sample is the sample's first points: rows of that jet (`FrameJet._rows`),
+    or at l = 0, where the Killing family is taken at l = 1, their jet at
+    (0, 1); only a sample of fewer than 3 points draws its own.
     """
 
     def __init__(self, m, l, samples, seed, tol_scale):
@@ -183,11 +185,12 @@ class _Ctx:
         # at least 2 points so the 13-field rank is certifiable (7 columns
         # each)
         n_kill = min(max(samples, 3), 40)
-        self.jet_kill = (
-            self.jet0._rows(slice(0, n_kill))
-            if self.params_kill == params0 and n_kill <= samples
-            else self._sample(self.params_kill, n_kill)
-        )
+        if n_kill > samples:
+            self.jet_kill = self._sample(self.params_kill, n_kill)
+        elif self.params_kill == params0:
+            self.jet_kill = self.jet0._rows(slice(0, n_kill))
+        else:
+            self.jet_kill = FrameJet(self.pts[:n_kill], self.params_kill)
         self.pts_kill = self.jet_kill.q
         self.doc = pt.load_tables()
 
@@ -261,8 +264,7 @@ def _sample_records(doc, l):
     record's details are details.  A printed claim is (holds, note,
     printed, oracle): details if it holds and if not, the printed text, and
     the oracle text as a function of the worst residual and of quote(t),
-    one value per point (0 by default), at the witness; quote is None for
-    a claim on a connection, which names no witness point."""
+    one value per point (0 by default), at the witness."""
     claims, curvature = doc["structure_claims"], doc["curvature_tables"]
     wit = claims["class_membership"]["t2_exclusion_witness"]
     mixed, as_eq = claims["mixed_torsion"], claims["as_equations"]
@@ -426,7 +428,7 @@ def _sample_records(doc, l):
                 ("holds trivially (l = 0)", char["note"], char["claim"],
                  lambda worst, at: f"{char['witness_torsion']}; "
                  f"{char['witness_curvature']}; measured max residual "
-                 f"{worst:.6e}"), None, rows=12),
+                 f"{worst:.6e}"), rows=12),
         appendix("appendix-bracket-45", "4,5"),
         appendix("appendix-bracket-47", "4,7"),
     )
@@ -508,8 +510,7 @@ def _chk_sample(ctx):
                     res[:, i] = _pmax(r.residual(t))
                 elif rows.start == 0:
                     res[:r.rows, i] = _pmax(r.residual(_head(head, r.rows)))
-                if r.quote:
-                    quoted[:, i] = r.quote(t)
+                quoted[:, i] = r.quote(t)
             gaps = [_table_gaps(table, tensor(jet, jet.params), jet)
                     for jet, specs in ((fr, tables), (fr0, m0_tables))
                     for _, table, tensor, _, _ in specs]
@@ -533,9 +534,8 @@ def _chk_sample(ctx):
                                 r.reference, r.details))
             continue
         *texts, oracle = r.claim
-        out.append(_claim(r.id, worst, witness if r.quote else None,
-                          ctx.tol(r.tol), r.reference, *texts,
-                          oracle(worst, r_quoted[k])))
+        out.append(_claim(r.id, worst, witness, ctx.tol(r.tol), r.reference,
+                          *texts, oracle(worst, r_quoted[k])))
 
     try:
         cls = _structure_class(tors, ctx.pts)
@@ -833,11 +833,9 @@ def _chk_classification(ctx):
     labels = [bcv_classify(m, l) for (m, l) in cases]
     distinct = len({c.case for c in labels}) == 7
     here = bcv_classify(ctx.params.m, ctx.params.l)
-    stable = here == bcv_classify(ctx.params.m, ctx.params.l)
     return [_verdict(
-        "bcv-classification", distinct and stable, None, None,
-        "the seven base-family cases are distinguished and the "
-        "classification is deterministic",
+        "bcv-classification", distinct, None, None,
+        "the seven base-family cases are distinguished",
         f"(m, l) = ({ctx.params.m:g}, {ctx.params.l:g}) -> {here.label} "
         f"(case {here.case})")]
 

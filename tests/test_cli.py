@@ -183,12 +183,18 @@ def test_geodesic_csv_format(tmp_path, capsys):
 
 def test_geodesic_line_verdict(tmp_path, capsys):
     out = tmp_path / "line.csv"
-    code = main([
-        "geodesic", "--mode", "heisenberg", "--init", *LINE_INIT,
-        "--n", "50", "--out", str(out),
-    ])
-    assert code == 0
-    assert "verdict=line" in capsys.readouterr().out
+    # a line, then a circle of |Lambda| ~ 2.4e-9, too wide to tell from one
+    near_line = "0 0 0 0.3 -0.2 0.1 0.4 1e-9 -2e-9 1e-9 1 0.5 -0.3 0.2".split()
+    for init, n in ((LINE_INIT, "50"), (near_line, "2000")):
+        code = main([
+            "geodesic", "--mode", "heisenberg", "--init", *init,
+            "--n", n, "--out", str(out),
+        ])
+        assert code == 0
+        summary = capsys.readouterr().out
+        assert "verdict=line" in summary
+        deviation = summary.split("closed-form-deviation=")[1].split()[0]
+        assert float(deviation) < 1e-12
 
 
 def test_geodesic_json_format(tmp_path):

@@ -1,7 +1,9 @@
 """Tests for the geodesic Hamiltonian flow, RK4, closed form, and arc test."""
 
+import functools
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -31,7 +33,7 @@ from ebcv.geodesics import (
     printed_heisenberg_rhs,
     sdot_mismatch,
 )
-from ebcv.quaternions import exp_imaginary, qconj, qmul
+from ebcv.quaternions import _sine_quotient, exp_imaginary, qconj, qmul
 from ebcv.tolerances import TOL_EXACT, TOL_FD
 
 HEIS = ModelParams(0.0, 1.0)
@@ -87,12 +89,24 @@ def test_exp_imaginary_unit_modulus_and_values():
 
 
 def test_exp_imaginary_series_fallback_is_smooth():
-    # compare values just below and above the series cutoff
+    # at tiny moduli, exp(v) is 1 + v to double precision
     for scale in (0.5e-8, 0.99e-8, 1.01e-8, 2e-8):
         v = np.array([scale, scale, -scale]) / np.sqrt(3.0)
         e = exp_imaginary(v)
         assert abs(e[0] - 1.0) < 1e-15
         assert_allclose(e[1:], v, rtol=1e-12, atol=1e-30)
+
+
+def test_sine_quotients_match_40_digit_values():
+    # both sides of the series cutoff at 1, and the ends of its range
+    ns = np.concatenate([np.logspace(-12, 2, 57), [1.0 - 2.0**-53, 1.0]])
+    with mpmath.workdps(40):
+        sinc = [mpmath.sin(n) / n for n in map(mpmath.mpf, ns)]
+        defect = [(n - mpmath.sin(n)) / n**3 for n in map(mpmath.mpf, ns)]
+    for first, want in ((1, sinc), (3, defect)):
+        want = np.array(want, dtype=float)
+        rel = np.abs(_sine_quotient(ns, first) - want) / want
+        assert np.max(rel) <= 4e-16, first
 
 
 # --- cotangent states and the Hamiltonian ------------------------------------
@@ -539,6 +553,83 @@ def test_closed_form_trajectory_matches_pointwise_evaluation():
         assert_allclose(tr.q[k], ref, atol=1e-12)
     assert_allclose(tr.q[0], s0.q, atol=0)
     assert_allclose(tr.p[0], s0.p, atol=1e-15)
+
+
+def _mp_qmul(a, b):
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return [
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    ]
+
+
+def _mp_closed_form_end(q0, p0, u):
+    """(q, p) at parameter u to 40 digits, from the defining formulas.
+
+    P = p_omega - (1/2) Lambda omega are the horizontal momenta of the
+    published system, P(v) = exp(-Lambda v) P(0), omega(v) = omega(0) +
+    Lambda^{-1} (1 - exp(-Lambda v)) P(0) (omega(0) + v P(0) at Lambda = 0),
+    and r, s, t by quadrature of (1/2) Im(omega conj(P)).
+    """
+    with mpmath.workdps(40):
+        q0 = [mpmath.mpf(float(c)) for c in q0]
+        p0 = [mpmath.mpf(float(c)) for c in p0]
+        u = mpmath.mpf(float(u))
+        lam = [mpmath.mpf(0)] + p0[:3]
+        norm = mpmath.sqrt(sum(c * c for c in lam))
+        half = lambda a, b: [c / 2 for c in _mp_qmul(a, b)]  # noqa: E731
+        P0 = [a - b for a, b in zip(p0[3:], half(lam, q0[3:]))]
+
+        def exp_minus(v):  # exp(-Lambda v)
+            sin_over = mpmath.sin(norm * v) / norm if norm else v
+            return [mpmath.cos(norm * v)] + [-c * sin_over for c in lam[1:]]
+
+        def P(v):
+            return _mp_qmul(exp_minus(v), P0)
+
+        def omega(v):
+            if not norm:
+                return [a + v * b for a, b in zip(q0[3:], P0)]
+            one_minus = [1 - c if i == 0 else -c for i, c in enumerate(exp_minus(v))]
+            lam_inv = [-c / norm**2 for c in lam]
+            step = _mp_qmul(_mp_qmul(lam_inv, one_minus), P0)
+            return [a + b for a, b in zip(q0[3:], step)]
+
+        @functools.lru_cache(maxsize=None)
+        def integrand(v):
+            Pv = P(v)
+            return half(omega(v), [Pv[0]] + [-c for c in Pv[1:]])
+
+        # on pieces of at most 4 radians, 24 Gauss-Legendre nodes integrate
+        # these entire functions far below the 40 digits
+        nodes = mpmath.linspace(0, u, int(norm * u / 4) + 2)
+        vertical = []
+        for i in range(3):
+            value, error = mpmath.quad(lambda v: integrand(v)[i + 1], nodes,
+                                       method="gauss-legendre", maxdegree=4,
+                                       error=True)
+            assert error < 1e-25
+            vertical.append(q0[i] + value)
+        om = omega(u)
+        p_h = [a + b for a, b in zip(P(u), half(lam, om))]
+        return np.array(vertical + om, dtype=float), np.array(p0[:3] + p_h, dtype=float)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1.0, 10.0])
+def test_closed_form_matches_40_digit_reference(lam):
+    rng = np.random.default_rng(31)
+    for u in (1e-3, 1.0, 20.0):
+        q0 = rng.uniform(-0.4, 0.4, 7)
+        direction = rng.normal(size=3)
+        p0 = np.concatenate([lam * direction / np.linalg.norm(direction),
+                             rng.uniform(-1.0, 1.0, 4)])
+        tr = closed_form_trajectory(CotangentState(q0, p0), u / 4, 4)
+        q_ref, p_ref = _mp_closed_form_end(q0, p0, u)
+        assert np.max(np.abs(tr.q[-1] - q_ref)) <= 1e-13, u
+        assert np.max(np.abs(tr.p[-1] - p_ref)) <= 1e-13, u
 
 
 def test_closed_form_matches_rk4():

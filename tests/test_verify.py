@@ -229,6 +229,13 @@ def test_each_point_set_gets_one_frame_jet(monkeypatch):
     assert jets and max(jets.values()) == 1
 
 
+@pytest.mark.parametrize("m, l", [(-3.0, 0.0), (1.0, 0.0), (0.0, 0.0), (-3.0, 1.0)])
+def test_killing_sample_is_the_head_of_the_sample(m, l):
+    # at l = 0 too, where the Killing family is taken at l = 1
+    ctx = ebcv.verify._Ctx(m, l, 100, 0, 1.0)
+    assert np.array_equal(ctx.pts_kill, ctx.pts[:40])
+
+
 def test_every_declared_record_reaches_the_report(monkeypatch):
     # with every declared residual shifted by +1, each declared pass/fail
     # record fails and each declared claim reads paper-discrepancy; the
