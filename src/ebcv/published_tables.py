@@ -100,8 +100,10 @@ def point_env(q, params: ModelParams) -> dict:
         name: q[..., i]
         for i, name in enumerate(load_tables()["coordinate_order"])
     }
-    env["m"] = params.m
-    env["l"] = params.l
+    # numpy scalars, so that a printed expression overflows to inf as the
+    # tensors do instead of raising
+    env["m"] = np.float64(params.m)
+    env["l"] = np.float64(params.l)
     env["K"] = k_factor(q, params)
     return env
 

@@ -42,10 +42,8 @@ from .frames import (
     bcv_classify,
     bracket_frame,
     frame_matrix,
-    levi_civita_tensor,
     metric_matrix,
     sample_domain_points,
-    structure_constants,
 )
 from .geodesics import (
     CotangentState,
@@ -249,7 +247,7 @@ def _claim(cid, worst, witness, tol, reference, holds, note, printed, oracle):
 #: A record of the whole sample, one declaration of `_sample_records`.
 _Record = namedtuple(
     "_Record", "id tol reference residual claim quote rows details",
-    defaults=(None, lambda t: 0.0, None, ""))
+    defaults=(None, lambda t, res: 0.0, None, ""))
 
 #: The details of a record evaluated at m = 0, from l.
 _AT_M0 = "evaluated at (m, l) = (0, {:g})"
@@ -257,24 +255,24 @@ _AT_M0 = "evaluated at (m, l) = (0, {:g})"
 
 def _sample_records(doc, l):
     """The records of the sample from the table document doc at l, one
-    declaration each: the pass/fail records, then the printed claims.  A
-    record reads max |residual(t)| against tol (scaled), t the tensors of a
-    chunk with the points on axis 0 (`_chk_sample`); with rows, t holds
-    only the jets of the sample's first rows points (`_head`).  A pass/fail
-    record's details are details.  A printed claim is (holds, note,
-    printed, oracle): details if it holds and if not, the printed text, and
-    the oracle text as a function of the worst residual and of quote(t),
-    one value per point (0 by default), at the witness."""
+    declaration each: the pass/fail records, then the printed claims, the
+    printed frame tables last.  A record reads max |residual(t)| against
+    tol (scaled), t the tensors of a chunk with the points on axis 0
+    (`_chk_sample`); with rows, t holds only the jets of the sample's first
+    rows points (`_head`).  quote(t, res) is one value per point (0 by
+    default), res the residual at t.  A pass/fail record's details are
+    details.  A printed claim is (holds, texts): details if it holds, and
+    if not, texts(worst, at) of the worst residual and the quoted value at
+    the witness gives the note, the printed text and the oracle text."""
     claims, curvature = doc["structure_claims"], doc["curvature_tables"]
     wit = claims["class_membership"]["t2_exclusion_witness"]
     mixed, as_eq = claims["mixed_torsion"], claims["as_equations"]
     char = claims["characteristic_parallelism"]
     scalar, spots = curvature["scalar"], curvature["m0_examples"]["entries"]
-    ann = doc["frame_tables"]["general_brackets"]["known_discrepancies"]
+    frame = doc["frame_tables"]
+    ann = frame["general_brackets"]["known_discrepancies"]
     at_m0 = _AT_M0.format(l)
     eye = np.eye(7)
-    hh = np.zeros((7, 7, 1), bool)
-    hh[3:, 3:] = True  # the slots (a, b) with both legs horizontal
 
     def fd_gap(t, h=1e-6):
         # C against an independent central difference of the frame columns
@@ -324,9 +322,41 @@ def _sample_records(doc, l):
             cid, TOL_TABLE, f"printed bracket coefficient for pair ({key})",
             lambda t: t.C[..., a, b, c] - pt.safe_eval(info["printed"], t.env),
             ("printed and exact coefficients coincide at these parameters; "
-             + info["note"], info["note"], info["printed"],
-             lambda worst, at: f"{info['derived']} = {at:.12g} at the "
-             "witness point"), lambda t: t.C[..., a, b, c])
+             + info["note"], lambda worst, at: (
+                 info["note"], info["printed"],
+                 f"{info['derived']} = {at:.12g} at the witness point")),
+            lambda t, res: t.C[..., a, b, c])
+
+    def table(cid, tab, tol, reference, oracle, m0=False):
+        # a printed {pair: {target: expr}} table against the frame tensor
+        # oracle(t)[..., a, b, :], at (0, l) with m0: a point's residual is
+        # its worst gap over the entries, and the first entry with that gap
+        # its quoted value.  Annotated components are skipped: those are
+        # records of their own
+        keys, skip = list(tab["entries"]), tab.get("known_discrepancies", {})
+        details = at_m0 if m0 else ""
+
+        def gaps(t):
+            tensor = oracle(t)
+            gap = np.stack([
+                tensor[..., a - 1, b - 1, :] - printed for (a, b), printed
+                in pt.component_table_values(
+                    tab, t.q, t.fr0.params if m0 else t.params).items()],
+                axis=1)
+            for key, info in skip.items():
+                gap[:, keys.index(key), int(info["component"]) - 1] = 0.0
+            return gap
+
+        def texts(worst, at):
+            key = keys[int(at)]
+            return (f"{details} worst entry ({key}) beyond tolerance",
+                    json.dumps(tab["entries"][key]),
+                    f"exact value differs by {worst:.6e} at the witness point")
+
+        return _Record(
+            cid, tol, reference, gaps, (details, texts),
+            # the flat argmax is in the first entry that has the worst gap
+            lambda t, res: np.abs(res).reshape(len(res), -1).argmax(1) // 7)
 
     return (
         _Record("frame-orthonormality", TOL_EXACT,
@@ -353,18 +383,11 @@ def _sample_records(doc, l):
                 "Koszul frame computation matches the coordinate-Christoffel "
                 "route",
                 lambda t: t.gam - gamma_frame_coordinate(t.fr, t.params)),
-        _Record("torsion-c12-trace", TOL_EXACT,
-                "printed claim: the c12 trace of the torsion vanishes",
-                lambda t: t.tors[:, 1]),
         _Record("torsion-cyclic-witness", TOL_TABLE,
                 f"printed cyclic-sum witness value {wit['value']} on the "
                 f"triple ({wit['triple']})",
                 lambda t: (_cyclic_sums(t.T, 0, 3, 4)
                            - pt.safe_eval(wit["value"], t.env))),
-        _Record("torsion-mixed-slots", TOL_EXACT,
-                "printed claim: the reduced torsion vanishes unless both "
-                "arguments are horizontal",
-                lambda t: np.where(hh, 0.0, t.T)),
         _Record("curvature-symmetries", TOL_RICCI,
                 "antisymmetries, pair symmetry, and the first Bianchi "
                 "identity", symmetries),
@@ -405,32 +428,48 @@ def _sample_records(doc, l):
                 "the two printed definitions of the connection torsion agree",
                 lambda t: faithful_torsion_tensor(t.fr, t.params) - t.T,
                 ("both definitions coincide at these parameters (l = 0)",
-                 mixed["note"], mixed["claim"],
-                 lambda worst, at: mixed["operator_value"])),
+                 lambda worst, at: (mixed["note"], mixed["claim"],
+                                    mixed["operator_value"]))),
         _Record("scalar-vs-corollary", TOL_TABLE,
                 "printed constant-scalar-curvature value",
                 lambda t: t.scal - pt.scalar_values(t.q, t.params, "printed"),
                 ("printed and exact values coincide at these parameters "
-                 "(l = 0)", scalar["note"], scalar["printed"],
-                 lambda worst, at: f"{scalar['derived']} = {at:.12g} at the "
-                 "witness point"), lambda t: t.scal),
+                 "(l = 0)", lambda worst, at: (
+                     scalar["note"], scalar["printed"],
+                     f"{scalar['derived']} = {at:.12g} at the witness point")),
+                lambda t, res: t.scal),
         _Record("as-equations", 1e-7,
                 "printed claim: the candidate tensor satisfies the "
                 "Ambrose-Singer equations", lambda t: t.as_eq,
-                (f"holds ({as_eq['holds_when']})", as_eq["note"],
-                 as_eq["claim"], lambda worst, at: "max equation residual "
-                 f"{worst:.6e} at the witness point")),
+                (f"holds ({as_eq['holds_when']})", lambda worst, at: (
+                    as_eq["note"], as_eq["claim"],
+                    f"max equation residual {worst:.6e} at the witness "
+                    "point"))),
         _Record("torsion-parallelism-characteristic", 1e-7,
                 "printed claim: the characteristic connection parallelizes "
                 "curvature and torsion",
                 lambda t: parallelism_residuals(t.fr, t.params,
                                                 "characteristic"),
-                ("holds trivially (l = 0)", char["note"], char["claim"],
-                 lambda worst, at: f"{char['witness_torsion']}; "
-                 f"{char['witness_curvature']}; measured max residual "
-                 f"{worst:.6e}"), rows=12),
+                ("holds trivially (l = 0)", lambda worst, at: (
+                    char["note"], char["claim"],
+                    f"{char['witness_torsion']}; {char['witness_curvature']}; "
+                    f"measured max residual {worst:.6e}")), rows=12),
         appendix("appendix-bracket-45", "4,5"),
         appendix("appendix-bracket-47", "4,7"),
+        table("general-bracket-table", frame["general_brackets"], TOL_TABLE,
+              "printed general bracket table outside annotated components",
+              lambda t: t.C),
+        table("general-connection-table", frame["general_connection"],
+              TOL_TABLE, "printed general connection table",
+              lambda t: t.gam),
+        table("torsion-table", doc["torsion_table"], TOL_TABLE,
+              "printed reduced-torsion values on horizontal pairs",
+              lambda t: t.T),
+        table("m0-bracket-table", frame["m0_brackets"], TOL_EXACT,
+              "printed bracket table at m = 0", lambda t: t.fr0.C, m0=True),
+        table("m0-connection-table", frame["m0_connection"], TOL_EXACT,
+              "printed connection table at m = 0", lambda t: t.fr0.gamma,
+              m0=True),
     )
 
 
@@ -449,31 +488,15 @@ def _chk_sample(ctx):
     of the second Bianchi identity alone.  The m = 0 records and tables
     read the same rows of the sample's jet at (0, l), ctx.jet0, which at
     m != 0 builds the frame and connection of every point, R of the first
-    20 and X R of the first 12.  Each record is one declaration
-    (`_sample_records`) and each printed table one `_table_gaps`: the body
-    maps them to max |residual| per point, a record with rows on the first
-    chunk alone (_CHUNK >= rows), and one loop after the pass judges them.
-    A non-finite residual or gap stops the run: such (m, l) can be neither
-    checked nor compared with a printed table."""
-    doc, params = ctx.doc, ctx.params
-    records = _sample_records(doc, params.l)
+    20 and X R of the first 12.  Each record, printed tables included, is
+    one declaration (`_sample_records`): the body maps them to max
+    |residual| per point and their quoted values, a record with rows on
+    the first chunk alone (_CHUNK >= rows), and one loop after the pass
+    judges them.  A non-finite residual stops the run: such (m, l) can be
+    neither checked nor compared with a printed table."""
+    params = ctx.params
+    records = _sample_records(ctx.doc, params.l)
     n_head = max(r.rows or 0 for r in records)
-    frame_tables = doc["frame_tables"]
-    tables = [  # (id, table, tensor, tolerance, reference) at (m, l)
-        ("general-bracket-table", frame_tables["general_brackets"],
-         structure_constants, TOL_TABLE,
-         "printed general bracket table outside annotated components"),
-        ("general-connection-table", frame_tables["general_connection"],
-         levi_civita_tensor, TOL_TABLE, "printed general connection table"),
-        ("torsion-table", doc["torsion_table"], torsion_D_tensor, TOL_TABLE,
-         "printed reduced-torsion values on horizontal pairs"),
-    ]
-    m0_tables = [  # and at (0, l)
-        ("m0-bracket-table", frame_tables["m0_brackets"], structure_constants,
-         TOL_EXACT, "printed bracket table at m = 0"),
-        ("m0-connection-table", frame_tables["m0_connection"],
-         levi_civita_tensor, TOL_EXACT, "printed connection table at m = 0"),
-    ]
     start = 0
 
     def body(fr):
@@ -494,9 +517,8 @@ def _chk_sample(ctx):
             T, ric = torsion_D_tensor(fr, params), ricci_from_riemann(R)
             t = SimpleNamespace(
                 fr=fr, fr0=fr0, q=fr.q, params=params, F=fr.F, Om=fr.Om,
-                C=fr.C, gam=gam, R=R, T=T, tors=_torsion_summary(T),
-                env=pt.point_env(fr.q, params), ric=ric,
-                scal=scalar_from_ricci(ric), as_eq=as_eq)
+                C=fr.C, gam=gam, R=R, T=T, env=pt.point_env(fr.q, params),
+                ric=ric, scal=scalar_from_ricci(ric), as_eq=as_eq)
             if rows.start == 0:
                 # R of the first points at (0, l) too, so that every head
                 # shares it
@@ -507,22 +529,18 @@ def _chk_sample(ctx):
             quoted = np.zeros_like(res)
             for i, r in enumerate(records):
                 if r.rows is None:
-                    res[:, i] = _pmax(r.residual(t))
+                    at = t
                 elif rows.start == 0:
-                    res[:r.rows, i] = _pmax(r.residual(_head(head, r.rows)))
-                quoted[:, i] = r.quote(t)
-            gaps = [_table_gaps(table, tensor(jet, jet.params), jet)
-                    for jet, specs in ((fr, tables), (fr0, m0_tables))
-                    for _, table, tensor, _, _ in specs]
-        return (res, quoted, t.tors, *gaps)
+                    at = _head(head, r.rows)
+                else:
+                    continue
+                r_res = r.residual(at)
+                res[:len(at.q), i] = _pmax(r_res)
+                quoted[:len(at.q), i] = r.quote(at, r_res)
+            return res, quoted, _torsion_summary(T)
 
-    try:
-        res, quoted, tors, *gaps = ctx.jet._chunked(body)
-    except OverflowError:  # a printed expression's float arithmetic
-        finite = False
-    else:
-        finite = all(np.isfinite(a).all() for a in (res, *gaps))
-    if not finite:
+    res, quoted, tors = ctx.jet._chunked(body)
+    if not np.isfinite(res).all():
         raise DomainViolation(
             f"the curvature at (m, l) = ({params.m:g}, {params.l:g}) "
             "exceeds the floating-point range")
@@ -533,9 +551,9 @@ def _chk_sample(ctx):
             out.append(_verdict(r.id, worst <= ctx.tol(r.tol), worst, witness,
                                 r.reference, r.details))
             continue
-        *texts, oracle = r.claim
+        holds, texts = r.claim
         out.append(_claim(r.id, worst, witness, ctx.tol(r.tol), r.reference,
-                          *texts, oracle(worst, r_quoted[k])))
+                          holds, *texts(worst, r_quoted[k])))
 
     try:
         cls = _structure_class(tors, ctx.pts)
@@ -548,51 +566,7 @@ def _chk_sample(ctx):
     out.append(_verdict(
         "structure-class", ok, None, witness, "torsion classification is "
         "deterministic and matches the printed class", details))
-
-    out += [_table_record(ctx, spec, g, ctx.pts)
-            for spec, g in zip(tables, gaps)]
-    at_m0 = _AT_M0.format(params.l)
-    out += [_table_record(ctx, spec, g, ctx.pts, at_m0)
-            for spec, g in zip(m0_tables, gaps[len(tables):])]
     return out
-
-
-def _table_gaps(table, oracle, fr):
-    """Each point's worst max |oracle - printed| over the entries of a
-    {pair: {target: expr}} table, and the first entry that has it: the two
-    columns of an (n, 2) array.  oracle is the frame tensor [..., a, b, :]
-    at the points of jet fr.  Annotated components are skipped: those get
-    their own checks."""
-    ann = table.get("known_discrepancies", {})
-    gaps = []
-    for (a, b), printed in pt.component_table_values(
-            table, fr.q, fr.params).items():
-        diff = oracle[..., a - 1, b - 1, :] - printed
-        key = f"{a},{b}"
-        if key in ann:
-            diff[..., int(ann[key]["component"]) - 1] = 0.0
-        gaps.append(_pmax(diff))
-    gaps = np.stack(gaps, axis=-1)
-    return np.stack([gaps.max(axis=-1), gaps.argmax(axis=-1)], axis=-1)
-
-
-def _table_record(ctx, spec, gaps, pts, details=""):
-    """The record of a printed table from its `_table_gaps` at the points
-    pts: the first entry with the worst gap, at the first point where that
-    entry has it."""
-    cid, table, _, tol, reference = spec
-    worst_at, entry_at = gaps.T
-    # worst gap first, then the lowest entry, then (lexsort is stable) the
-    # lowest point
-    k = int(np.lexsort((entry_at, -worst_at))[0])
-    worst = float(worst_at[k])
-    key = list(table["entries"])[int(entry_at[k])]
-    return _claim(
-        cid, worst, [float(v) for v in pts[k]], ctx.tol(tol), reference,
-        details, details + f" worst entry ({key}) beyond tolerance",
-        json.dumps(table["entries"][key]),
-        f"exact value differs by {worst:.6e} at the witness point",
-    )
 
 
 # --------------------------------------------------------------------------
@@ -630,10 +604,12 @@ def _chk_killing(ctx):
         "killing-basis-rank", rank == 13, float(13 - rank), None,
         "the closed-form family is 13-dimensional", f"rank={rank}{and_note}"))
 
-    # a rejection threshold, not a tolerance: deliberately unscaled
+    # a rejection threshold, not a tolerance: deliberately unscaled, but
+    # relative to |l|, which is exactly the horizontal fields' residual
     min_bad = float(kil[len(basis):].min())
     out.append(_verdict(
-        "killing-horizontal-rejected", min_bad > 1e-3, min_bad, None,
+        "killing-horizontal-rejected", min_bad > 1e-3 * abs(params.l),
+        min_bad, None,
         "the horizontal frame fields are not Killing fields",
         f"smallest horizontal residual {min_bad:.3e}{and_note}"))
 

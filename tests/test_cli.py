@@ -444,11 +444,13 @@ def test_curvature_outside_chart_exit_2(capsys):
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_curvature_overflow_exit_2(fmt, capsys):
-    code = main([
-        "curvature", "--m", "1e200", "--l", "1",
-        "--point", "0", "0", "0", "0.3", "0", "0", "0", "--format", fmt,
-    ])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1 and "overflow" in captured.err
+    # at (0, 1e155) the printed sectional table overflows too
+    for m, l in (("1e200", "1"), ("0", "1e155")):
+        code = main([
+            "curvature", "--m", m, "--l", l,
+            "--point", "0", "0", "0", "0.3", "0", "0", "0", "--format", fmt,
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "overflow" in captured.err

@@ -4,7 +4,9 @@ Each file in ``tests/data`` holds ``ebcv verify --format json --seed 0`` at
 one (m, l) and sample count, with ``summary.elapsed`` removed.  Four hold
 20 samples, fewer than one curvature chunk; one of them is at (-3, 1),
 where the sampler rejects points, so the sample there is not the draw at
-(0, l) that the m = 0 records read at other seeds or parameters.  Two hold
+(0, l) that the m = 0 records read at other seeds or parameters.  One more
+holds 20 samples at (0, 1e-3), where the Killing rejection and the other
+thresholds meet a small l, and must exit 0.  Two hold
 100, so their samples cross chunk boundaries: at (1, 1) and at (0, 1).
 A change that moves
 any record fails here and names the first check that differs.  When a
@@ -23,7 +25,7 @@ from ebcv.verify import run_verify
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 CASES = [(0.0, 1.0, 20), (1.0, 1.0, 20), (1.0, 0.0, 20), (1.0, 1.0, 100),
-         (0.0, 1.0, 100), (-3.0, 1.0, 20)]
+         (0.0, 1.0, 100), (-3.0, 1.0, 20), (0.0, 1e-3, 20)]
 IDS = [f"{m}-{l}" + ("" if n == 20 else f"-samples{n}") for m, l, n in CASES]
 SEED = 0
 

@@ -1,12 +1,12 @@
 """The verification registry: statuses, pinned records, and determinism."""
 
+import copy
 import json
 import os
 import pathlib
 import subprocess
 import sys
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -240,12 +240,13 @@ def test_every_declared_record_reaches_the_report(monkeypatch):
     # with every declared residual shifted by +1, each declared pass/fail
     # record fails and each declared claim reads paper-discrepancy; the
     # records that move are exactly the declared ones, each once, the
-    # records of the first points and those at m = 0 included
+    # records of the first points, those at m = 0 and the printed tables
+    # included
     declare = ebcv.verify._sample_records
     records = declare(ebcv.published_tables.load_tables(), 1.0)
     want = {r.id: "fail" if r.claim is None else "paper-discrepancy"
             for r in records}
-    assert len(want) == len(records) == 26
+    assert len(want) == len(records) == 29
 
     def shifted(doc, l):
         return tuple(r._replace(residual=lambda t, f=r.residual: f(t) + 1.0)
@@ -287,22 +288,43 @@ def test_inconclusive_torsion_is_a_failed_record(monkeypatch):
     assert rec.witness == pts[0].tolist()
 
 
-def test_table_record_takes_the_first_entry_with_the_worst_gap():
-    # one row per point: its worst gap and the first entry that has it; the
-    # worst gap of all wins, then the lowest entry, then the lowest point
-    gaps = np.array([[1.0, 2], [3.0, 4], [3.0, 1], [3.0, 1], [2.0, 0]])
-    pts = np.arange(35.0).reshape(5, 7)
-    table = {"entries": {f"1,{b}": {"3": f"{b}"} for b in range(2, 7)}}
-    ctx = SimpleNamespace(tol=lambda base: base)
-    rec = ebcv.verify._table_record(
-        ctx, ("t", table, None, 0.5, "ref"), gaps, pts)
+def test_a_wrong_table_entry_is_named_at_the_first_worst_point():
+    # one expression of a copied table document is planted wrong: its
+    # record is a discrepancy that names the planted entry, at the first
+    # point where the gap over all entries is worst, over two chunks
+    doc = copy.deepcopy(ebcv.published_tables.load_tables())
+    table = doc["frame_tables"]["general_connection"]
+    key = list(table["entries"])[6]
+    table["entries"][key]["4"] += " + w**2"
+    ctx = ebcv.verify._Ctx(1.0, 1.0, 40, 0, 1.0)
+    ctx.doc = doc
+    rec = {c.id: c for c in ebcv.verify._chk_sample(ctx)}[
+        "general-connection-table"]
     assert rec.status == "paper-discrepancy"
-    assert rec.max_residual == 3.0
-    assert rec.witness == pts[2].tolist()
-    assert rec.printed == json.dumps({"3": "3"})  # entry 1 is pair (1, 3)
-    rec = ebcv.verify._table_record(
-        ctx, ("t", table, None, 5.0, "ref"), gaps, pts)
-    assert (rec.status, rec.witness) == ("pass", pts[2].tolist())
+    assert f"worst entry ({key})" in rec.details
+    assert rec.printed == json.dumps(table["entries"][key])
+    # the gap of every entry at every point, from the table and the frame
+    gamma = ebcv.frames.levi_civita_tensor(ctx.pts, ctx.params)
+    gaps = np.stack([
+        np.abs(gamma[:, a - 1, b - 1] - v).max(axis=-1) for (a, b), v in
+        ebcv.published_tables.component_table_values(
+            table, ctx.pts, ctx.params).items()], axis=1)
+    worst = gaps.max(axis=1)
+    k = int(np.argmax(worst))
+    assert rec.max_residual == pytest.approx(worst[k], rel=1e-12)
+    assert rec.witness == ctx.pts[k].tolist()
+    assert list(table["entries"])[int(np.argmax(gaps[k]))] == key
+
+
+@pytest.mark.parametrize("m", [0.0, 1.0, -0.5])
+@pytest.mark.parametrize("l", [1e-5, 1e-4, 1e-3, -1e-3])
+def test_small_l_rejects_the_horizontal_fields(m, l):
+    # their Killing residual is exactly |l|, so the rejection threshold
+    # is relative to it: correct code has no failed record at small |l|
+    rep = run_verify(m, l, samples=3, seed=0)
+    assert rep.exit_code == 0
+    rec = _by_id(rep)["killing-horizontal-rejected"]
+    assert rec.max_residual == pytest.approx(abs(l), rel=1e-12)
 
 
 def test_seed_changes_the_witnesses():
