@@ -27,7 +27,10 @@ bracket, connection and curvature values carry no finite-difference error.
 
 from __future__ import annotations
 
-import functools
+import contextvars
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,16 +75,32 @@ def k_factor(q, params: ModelParams) -> np.ndarray:
     return K
 
 
-def _kept(build):
-    """A jet tensor built on first read, then kept read-only."""
+class _kept:
+    """A jet tensor built on first read, then kept read-only.
 
-    @functools.wraps(build)
-    def once(self):
-        out = build(self)
+    The built tensor goes into the instance ``__dict__``, which this
+    non-data descriptor yields to on later reads.  It takes no lock, unlike
+    `functools.cached_property` before Python 3.12, whose one lock per
+    attribute would make the chunk workers of `FrameJet._chunked` take
+    turns at building the same tensor of different jets.  Two threads that
+    read one jet's tensor before it is kept both build it, to the same
+    value.  ``func`` builds the tensor, looked up on every build.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, jet, owner=None):
+        if jet is None:
+            return self
+        out = self.func(jet)
         out.flags.writeable = False
+        vars(jet)[self.name] = out
         return out
-
-    return functools.cached_property(once)
 
 
 def _twist_block(q: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -91,11 +110,51 @@ def _twist_block(q: np.ndarray, params: ModelParams) -> np.ndarray:
 
 
 #: Points per evaluation chunk of `FrameJet._chunked`.  A call holds the
-#: temporaries of one chunk at a time, so its peak beyond the output arrays
-#: does not grow with the point count; and up to 64 points a point's value
-#: does not depend on the other points of its chunk.  Chunks of 16, 32 and
-#: 64 run alike; smaller ones run slower.
-_CHUNK = 32
+#: temporaries of at most `_WORKERS` chunks at a time, so its peak beyond
+#: the output arrays does not grow with the point count; and up to 64
+#: points a point's value does not depend on the other points of its
+#: chunk.  Two 8-point chunks in flight hold about what one 32-point chunk
+#: did; two 16-point ones run the curvature entry points no faster and
+#: raise their peak RSS by ~9 %.
+_CHUNK = 8
+
+#: Worker threads of the chunk pool, and the chunks one call has in flight.
+#: A chunk's time is mostly spent in numpy loops that release the GIL.
+_WORKERS = 2
+
+_in_worker = threading.local()
+
+
+def _mark_worker():
+    _in_worker.yes = True
+
+
+#: The chunk pool.  It starts its threads on first use, so importing
+#: starts none.
+_POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="ebcv-chunk",
+                           initializer=_mark_worker)
+
+
+def _pooled(body, jets):
+    """body(jet) of each of the jets, yielded in order, evaluated on the
+    chunk pool with at most `_WORKERS` in flight.  Each runs in a copy of
+    the caller's context, taken when it is submitted, so the caller's numpy
+    error state holds in the workers.  A body's exception is raised at its
+    place in the order, once the chunks still in flight have ended."""
+    pending = deque()
+    try:
+        for jet in jets:
+            pending.append(
+                _POOL.submit(contextvars.copy_context().run, body, jet))
+            if len(pending) == _WORKERS:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for f in pending:
+            f.cancel()
+        wait(pending)
+
 
 #: The horizontal directions: u_h is the coordinate 3 + h.
 _H4 = np.arange(4)
@@ -140,10 +199,10 @@ class FrameJet:
         """The jet of some rows of the flattened points, for evaluating in
         chunks: q, K and every tensor this jet has built so far are shared
         as slices of the same rows, not rebuilt (nor is the domain checked
-        again)."""
+        again).  Its ``rows`` is that slice."""
         batch_ndim = self.q.ndim - 1
         sub = object.__new__(FrameJet)
-        sub.params = self.params
+        sub.params, sub.rows = self.params, rows
         for name, t in vars(self).items():
             if isinstance(t, np.ndarray):
                 vars(sub)[name] = t.reshape((-1,) + t.shape[batch_ndim:])[rows]
@@ -153,20 +212,27 @@ class FrameJet:
         """body over the points of this jet, in chunks of at most _CHUNK.
 
         body(sub) gets the jet of a chunk of the flattened points (`_rows`)
-        and returns a tuple of arrays with one row per point.  These are
-        written into arrays allocated up front, in the memory layout of the
-        chunk's, which come back with this jet's batch shape.  A single
-        point of shape (7,) is passed through whole; an empty batch runs one
-        empty chunk.
+        and returns a tuple of arrays with one row per point.  The chunks
+        run on the chunk pool (`_pooled`); they run in the calling thread
+        when there is one chunk, or when the caller is a pool worker, which
+        must not wait on the pool.  Their results are written, in chunk
+        order, into arrays in the memory layout of the first chunk's, which
+        come back with this jet's batch shape.  A single point of shape
+        (7,) is passed through whole; an empty batch runs one empty chunk.
         """
         batch = self.q.shape[:-1]
         if not batch:
             return body(self)
         n = self.q.size // 7
+        starts = range(0, max(n, 1), _CHUNK)
+        jets = (self._rows(slice(s, s + _CHUNK)) for s in starts)
+        if len(starts) > 1 and not getattr(_in_worker, "yes", False):
+            results = _pooled(body, jets)
+        else:
+            results = map(body, jets)
         outs = None
-        for start in range(0, max(n, 1), _CHUNK):
+        for start, got in zip(starts, results):
             rows = slice(start, start + _CHUNK)
-            got = body(self._rows(rows))
             if outs is None:
                 # the chunk's memory layout, which sets the summation order
                 # of einsums that later read the output

@@ -162,7 +162,7 @@ def classify_structure(params: ModelParams, points) -> StructureClass:
 
     "T3" requires exact antisymmetry in the first two slots plus a nonzero
     cyclic sum somewhere (witness scan in lexicographic triple order);
-    "T2+T3" when only the c12 trace vanishes; a tensor that is numerically
+    "T2+T3" when only the c12 trace vanishes; a tensor that is exactly
     zero everywhere sampled is reported as "trivial".  The points are read
     in one chunked pass, each reduced to the five numbers of
     `_torsion_summary`.
@@ -177,14 +177,16 @@ def _torsion_summary(T: np.ndarray) -> np.ndarray:
     """Each point's max |T|, max |c12 trace| and first-two-slot
     antisymmetry residual of a reduced torsion T, its first triple (an
     index into _TRIPLES; their number if none) whose |cyclic sum| exceeds
-    1e-6, and the cyclic sum there (0 if none), shape (..., 5)."""
+    1e-6 times that max |T|, and the cyclic sum there (0 if none), shape
+    (..., 5).  The threshold scales with T, so a small l has a witness."""
+    size = np.abs(T).max(axis=(-3, -2, -1))
     sums = _cyclic_sums(T, *_TRIPLES)
-    over = np.abs(sums) > 1e-6
+    over = np.abs(sums) > 1e-6 * size[..., None]
     found = over.any(axis=-1)
     first = over.argmax(axis=-1)
     value = np.take_along_axis(sums, first[..., None], axis=-1)[..., 0]
     return np.stack([
-        np.abs(T).max(axis=(-3, -2, -1)),
+        size,
         np.abs(np.einsum("...rrc->...c", T)).max(axis=-1),
         np.abs(T + np.einsum("...abc->...bac", T)).max(axis=(-3, -2, -1)),
         np.where(found, first, _TRIPLES.shape[1]),
@@ -194,14 +196,14 @@ def _torsion_summary(T: np.ndarray) -> np.ndarray:
 
 def _structure_class(summary, points) -> StructureClass:
     """The verdict of `classify_structure` from the `_torsion_summary` of
-    the points.  The witness triple is the first over all points; every
-    other point's cyclic sum on it is at most 1e-6, so the witness is the
-    first point of largest |sum| among those whose first triple it is.
-    An InconclusiveClassification names the first point where the
-    invariant it reports is worst."""
+    the points.  The torsion is trivial only where it is exactly 0 at every
+    point, as at l = 0.  The witness triple is the first over all points,
+    and the witness the first point of largest |sum| among those whose
+    first triple it is.  An InconclusiveClassification names the first
+    point where the invariant it reports is worst."""
     size, c12, antisym, first, value = np.reshape(summary, (-1, 5)).T
     points = np.reshape(points, (-1, 7))
-    if size.max() < TOL_EXACT:
+    if size.max() == 0.0:
         return StructureClass("trivial", None, None, None)
 
     if c12.max() >= TOL_EXACT:
@@ -258,8 +260,9 @@ def ambrose_singer_check(q, params: ModelParams) -> np.ndarray:
     (..., 3).  Residual (i) vanishes by construction; (ii) and (iii) vanish
     at m = 0 and are O(1) for m != 0, l != 0 where the metric is not
     homogeneous.  The points are evaluated in fixed chunks, curvature
-    included, so the call holds the curvature of one chunk at a time; a
-    chunk shares whatever the jet of q has already built.
+    included, so the call holds the curvature of the two chunks in flight
+    at a time (`FrameJet._chunked`); a chunk shares whatever the jet of q
+    has already built.
     """
     def body(fr):
         S = _skew_completion(_reduced_torsion(fr.C))

@@ -258,12 +258,13 @@ def _sample_records(doc, l):
     declaration each: the pass/fail records, then the printed claims, the
     printed frame tables last.  A record reads max |residual(t)| against
     tol (scaled), t the tensors of a chunk with the points on axis 0
-    (`_chk_sample`); with rows, t holds only the jets of the sample's first
-    rows points (`_head`).  quote(t, res) is one value per point (0 by
-    default), res the residual at t.  A pass/fail record's details are
-    details.  A printed claim is (holds, texts): details if it holds, and
-    if not, texts(worst, at) of the worst residual and the quoted value at
-    the witness gives the note, the printed text and the oracle text."""
+    (`_chk_sample`); with rows, t holds only the jets of the chunk's points
+    among the sample's first rows (`_head`).  quote(t, res) is one value
+    per point (0 by default), res the residual at t.  A pass/fail record's
+    details are details.  A printed claim is (holds, texts): details if it
+    holds, and if not, texts(worst, at) of the worst residual and the
+    quoted value at the witness gives the note, the printed text and the
+    oracle text."""
     claims, curvature = doc["structure_claims"], doc["curvature_tables"]
     wit = claims["class_membership"]["t2_exclusion_witness"]
     mixed, as_eq = claims["mixed_torsion"], claims["as_equations"]
@@ -474,8 +475,8 @@ def _sample_records(doc, l):
 
 
 def _head(t, n):
-    """The jets of the first n points of the chunk tensors t, which share
-    what t's jets have built (`FrameJet._rows`)."""
+    """The jets of the first n points (all, if fewer) of the chunk tensors
+    t, which share what t's jets have built (`FrameJet._rows`)."""
     rows = slice(0, n)
     return SimpleNamespace(fr=t.fr._rows(rows), fr0=t.fr0._rows(rows),
                            q=t.q[rows], params=t.params)
@@ -491,19 +492,19 @@ def _chk_sample(ctx):
     20 and X R of the first 12.  Each record, printed tables included, is
     one declaration (`_sample_records`): the body maps them to max
     |residual| per point and their quoted values, a record with rows on
-    the first chunk alone (_CHUNK >= rows), and one loop after the pass
-    judges them.  A non-finite residual stops the run: such (m, l) can be
-    neither checked nor compared with a printed table."""
+    those of each chunk's points whose index in the sample is below rows,
+    and one loop after the pass judges them.  The chunks may run on two
+    threads at once, so the body keeps no state between them: a chunk's
+    place in the sample is its jet's rows.  A non-finite residual stops
+    the run: such (m, l) can be neither checked nor compared with a
+    printed table."""
     params = ctx.params
     records = _sample_records(ctx.doc, params.l)
     n_head = max(r.rows or 0 for r in records)
-    start = 0
 
     def body(fr):
-        nonlocal start
-        rows = slice(start, start + len(fr.q))
-        start = rows.stop
-        fr0 = fr if ctx.jet0 is ctx.jet else ctx.jet0._rows(rows)
+        start = fr.rows.start
+        fr0 = fr if ctx.jet0 is ctx.jet else ctx.jet0._rows(fr.rows)
         # a non-finite tensor shows in the residuals that read it
         with np.errstate(all="ignore"):
             # the curvature and X R first, so that every record and the
@@ -519,10 +520,10 @@ def _chk_sample(ctx):
                 fr=fr, fr0=fr0, q=fr.q, params=params, F=fr.F, Om=fr.Om,
                 C=fr.C, gam=gam, R=R, T=T, env=pt.point_env(fr.q, params),
                 ric=ric, scal=scalar_from_ricci(ric), as_eq=as_eq)
-            if rows.start == 0:
-                # R of the first points at (0, l) too, so that every head
-                # shares it
-                head = _head(t, n_head)
+            if start < n_head:
+                # R at (0, l) too of the chunk's points in the head, so
+                # that every record with rows shares it
+                head = _head(t, n_head - start)
                 head.fr0.R
             # each record's max |residual| per point and its quoted value
             res = np.zeros((len(t.q), len(records)))
@@ -530,8 +531,8 @@ def _chk_sample(ctx):
             for i, r in enumerate(records):
                 if r.rows is None:
                     at = t
-                elif rows.start == 0:
-                    at = _head(head, r.rows)
+                elif start < r.rows:
+                    at = _head(head, r.rows - start)
                 else:
                     continue
                 r_res = r.residual(at)

@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import ebcv
 import oracles
 from ebcv.frames import (_CHUNK, FrameJet, ModelParams, levi_civita_tensor,
                          sample_domain_points)
@@ -361,6 +368,127 @@ def test_a_jet_chunk_shares_the_tensors_already_built():
     assert np.array_equal(riemann_frame(fr, p), riemann_frame(fr.q, p))
 
 
+class _ChunkError(Exception):
+    pass
+
+
+def test_a_chunk_error_is_raised_in_the_caller():
+    # the first failing chunk in chunk order, though a later one fails too
+    p = ModelParams(1.0, 1.0)
+    jet = FrameJet(sample_domain_points(p, 6 * _CHUNK, seed=3), p)
+
+    def body(fr):
+        if fr.rows.start in (2 * _CHUNK, 4 * _CHUNK):
+            raise _ChunkError(fr.rows.start)
+        return (fr.R,)
+
+    with pytest.raises(_ChunkError) as exc:
+        jet._chunked(body)
+    assert exc.value.args == (2 * _CHUNK,)
+    # the pool still serves the next call
+    assert np.array_equal(riemann_frame(jet, p), riemann_frame(jet.q, p))
+
+
+def test_chunks_run_on_two_workers_under_the_callers_error_state():
+    p = ModelParams(0.0, 1.0)
+    jet = FrameJet(sample_domain_points(p, 8 * _CHUNK, seed=3), p)
+    lock, running, seen = threading.Lock(), [0, 0], set()
+
+    def body(fr):
+        with lock:
+            running[0] += 1
+            running[1] = max(running)
+            seen.add(threading.current_thread().name)
+        time.sleep(0.005)
+        with lock:
+            running[0] -= 1
+        return (np.full(len(fr.q), 1e308) * 10.0,)
+
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            jet._chunked(body)
+    with np.errstate(over="ignore"):
+        (out,) = jet._chunked(body)
+    assert np.isinf(out).all()
+    assert running[1] <= 2
+    assert len(seen) == 2 and threading.current_thread().name not in seen
+
+
+def test_a_chunked_call_inside_a_body_finishes():
+    # a body's own chunked call runs in its worker, not on the pool, where
+    # it would wait for the workers that wait for it
+    p = ModelParams(1.0, 1.0)
+    pts = sample_domain_points(p, 3 * _CHUNK, seed=4)
+    jet, got = FrameJet(pts, p), []
+
+    def body(fr):
+        return (riemann_frame(np.repeat(fr.q, 3, axis=0), p)[::3],)
+
+    caller = threading.Thread(target=lambda: got.extend(jet._chunked(body)),
+                              daemon=True)
+    caller.start()
+    caller.join(timeout=120)
+    assert not caller.is_alive()
+    assert np.array_equal(got[0], riemann_frame(pts, p))
+
+
+def test_callers_on_more_threads_than_cores_share_the_pool():
+    # each caller's chunks land in its own rows, with the threads switched
+    # as often as the interpreter allows
+    p = ModelParams(1.0, 1.0)
+    sets = [sample_domain_points(p, 5 * _CHUNK - 3, seed=s) for s in range(4)]
+    want = [ambrose_singer_check(q, p) for q in sets]
+    got = [None] * len(sets)
+
+    def call(k):
+        for _ in range(3):
+            got[k] = ambrose_singer_check(sets[k], p)
+            if not np.array_equal(got[k], want[k]):
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(k,), daemon=True)
+                   for k in range(len(sets))]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def _run_python(*argv):
+    src = str(pathlib.Path(ebcv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *argv], env=env, text=True,
+                          capture_output=True, timeout=300)
+
+
+def test_import_starts_no_thread():
+    out = _run_python("-c", "import threading\n"
+                      "n = threading.active_count()\n"
+                      "import ebcv, ebcv.cli, ebcv.verify\n"
+                      "print(threading.active_count() - n)")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "0\n"
+
+
+def test_verify_overflow_in_the_workers_warns_nothing():
+    # the sample pass's error state holds in the workers that run it
+    out = _run_python("-W", "error", "-m", "ebcv.cli", "verify",
+                      "--m", "0", "--l", "1e60")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "RuntimeWarning" not in out.stderr
+    assert out.stderr.count("\n") == 1, out.stderr
+
+
 def _traced_peak(fn, *args) -> tuple[int, int]:
     """Peak traced allocation of fn(*args) and the size of its output."""
     tracemalloc.start()
@@ -373,9 +501,13 @@ def _traced_peak(fn, *args) -> tuple[int, int]:
 
 @pytest.mark.parametrize("fn", [riemann_frame, ambrose_singer_check])
 def test_memory_is_bounded_by_the_chunk(fn):
-    # beyond its output a call holds one chunk's temporaries at a time
+    # beyond its output a call holds the temporaries of the two chunks in
+    # flight at a time.  The reference is twice a one-chunk call, which
+    # runs in the calling thread: a two-chunk call holds both chunks' peaks
+    # at once only when its two workers happen to reach them together
     p = ModelParams(1.0, 1.0)
     pts = sample_domain_points(p, 1000, seed=9)
     peak_chunk, _ = _traced_peak(fn, pts[:_CHUNK], p)
     peak_all, out_bytes = _traced_peak(fn, pts, p)
-    assert peak_all <= 1.5 * peak_chunk + out_bytes, (peak_all, peak_chunk)
+    assert peak_all <= 1.5 * 2 * peak_chunk + out_bytes, (peak_all,
+                                                          peak_chunk)

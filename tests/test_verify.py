@@ -162,8 +162,8 @@ def test_verify_reads_each_sample_in_one_pass(monkeypatch, m, l):
 def test_r_is_built_once_per_sample_point(monkeypatch, m, l, again_R,
                                           again_x, all_C):
     # R and X R of every sample point come from its one chunked pass, whose
-    # first chunk also serves the records of the first 20 points; at
-    # m != 0 only the first 20 points get R at (0, l) besides, and only
+    # chunks also serve the records of the first 20 points; at m != 0 only
+    # the first 20 points get R at (0, l) besides, and only
     # the 12 of them that the canonical connection reads get X R.  nabla R
     # is built on the 8 points of the second Bianchi identity alone.  C is
     # built once per point of the sample, and at m != 0 once more at
@@ -197,8 +197,8 @@ print(peak() - base)
 
 def test_memory_does_not_grow_with_the_sample():
     # every check of the whole sample keeps one number per point, so the
-    # peak is one chunk's curvature whatever the sample count; each count
-    # runs in its own fresh process, the two side by side
+    # peak is the curvature of the chunks in flight whatever the sample
+    # count; each count runs in its own fresh process, the two side by side
     src = str(pathlib.Path(ebcv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -325,6 +325,16 @@ def test_small_l_rejects_the_horizontal_fields(m, l):
     assert rep.exit_code == 0
     rec = _by_id(rep)["killing-horizontal-rejected"]
     assert rec.max_residual == pytest.approx(abs(l), rel=1e-12)
+
+
+@pytest.mark.parametrize("l", [1e-6, 1e-9, 1e-13])
+def test_small_l_torsion_is_t3(l):
+    # the cyclic sums scale with l, and so does the witness threshold; the
+    # torsion is trivial only where it is exactly 0, at l = 0
+    rep = run_verify(0.0, l, samples=3, seed=0)
+    rec = _by_id(rep)["structure-class"]
+    assert rec.status == "pass"
+    assert rec.details.startswith("label=T3 ")
 
 
 def test_seed_changes_the_witnesses():
