@@ -161,48 +161,83 @@ def frame_momenta(q, p, params: ModelParams) -> np.ndarray:
 
 
 def _vertical_block(pv: np.ndarray, Jl: np.ndarray) -> np.ndarray:
-    """The p_r, p_s, p_t part of the matrix M of `_flow`:
+    """The p_r, p_s, p_t part of the matrix M of `_stage_kernel`:
     sum_i p_i (d B[i, b] / d u_c)."""
     return pv.dot(Jl.reshape(3, 16)).reshape(4, 4)
 
 
-def _flow(
-    y: np.ndarray,
-    m: float,
-    Jl: np.ndarray,
-    Mv: np.ndarray,
-    riemannian: bool,
-    out: np.ndarray,
-) -> Tuple[float, float]:
-    """K and the energy H at y = (q, p); the exact derivative of y goes to out.
+def _stage_kernel(m: float, Jl: np.ndarray, riemannian: bool):
+    """The flow of one trajectory: ``flow(y, d, Mv)`` returns K and the
+    energy H at a state and writes the state's exact derivative.
 
-    ``Jl`` is ``(l/2) J_TWIST`` as a (12, 4) matrix, scaled once by the
-    caller, and ``Mv`` is `_vertical_block` of the p_r, p_s, p_t of y, which
-    the flow never moves, so a caller builds it once per trajectory.
-    ``out`` is the caller's 14-vector: its rows 7:10, the derivatives of
-    p_r, p_s, p_t, are never written, and the caller keeps them at +0.0.
-    K and the horizontal momenta are computed once and serve all three.
+    ``y`` is `_state_views` of a 14-vector (q, p), ``d`` is `_rate_views` of
+    the caller's 14-vector for the derivative, whose rows 7:10 (p-dot_r,
+    p-dot_s, p-dot_t) are never written: the caller keeps them at +0.0.
+    ``Jl`` is ``(l/2) J_TWIST`` as a (12, 4) matrix, and ``Mv`` is
+    `_vertical_block` of the p_r, p_s, p_t of y, which the flow never moves.
     Uses the block structure of the frame: columns 4..7 have vertical part
     B[i, b] = (l/2) (J_i u)_b and horizontal part K*I; only the u-derivatives
     of F are nonzero, so p_r, p_s, p_t are conserved identically.  Every sum
     of three or four terms is a BLAS product, which fixes its rounding;
     ``ndarray.dot`` makes the same BLAS call as ``@`` without the dispatch
     of the matmul ufunc.
+
+    Bound once per trajectory, here: m, Jl, the mode, and scratch for B,
+    the horizontal momenta Ph, K ph and M; `integrate` binds the views of
+    its state, its stage point and its four derivative rows once as well,
+    so a step builds no view and no array; it copies each accepted sample
+    into its row of the trajectory.  The bits cannot move: every product
+    and sum has the operands, in the order, of
+    ``Ph = pv.B + K ph``, ``qdot_v = B.Ph (+ pv)``, ``M = Mv + 2m (ph u^T)``
+    and ``pdot_h = -(Ph.M)``, and writing a result into a buffer
+    (``dot(..., out=)`` is the same BLAS call) rounds nothing differently.
+    At m = 0 the kernel still forms ``1 + m u.u`` and ``Mv + 2m (...)``,
+    which carry the signed zeros and overflows of those expressions.  The
+    scratch belongs to the returned function, so concurrent trajectories
+    share none.
     """
-    u, pv, ph = y[3:7], y[7:10], y[10:]
-    K = 1.0 + m * float(u.dot(u))
-    B = Jl.dot(u).reshape(3, 4)  # rows i, columns b
-    Ph = pv.dot(B) + K * ph  # horizontal frame momenta P_{4..7}
-    H = 0.5 * float(Ph.dot(Ph))
-    qv = B.dot(Ph, out=out[:3])
-    # M[b, c] = sum_nu (d F[nu, 3+b] / d u_c) p_nu
-    M = Mv + (2.0 * m) * (ph[:, None] * u)
-    if riemannian:
-        H += 0.5 * float(pv.dot(pv))
-        qv += pv  # vertical frame fields are the coordinate fields
-    np.multiply(K, Ph, out=out[3:7])
-    np.negative(Ph.dot(M), out=out[10:])
-    return K, H
+    B = np.empty(12)
+    B34 = B.reshape(3, 4)  # rows i, columns b
+    Ph = np.empty(4)  # horizontal frame momenta P_{4..7}
+    Kph = np.empty(4)
+    M = np.empty((4, 4))  # M[b, c] = sum_nu (d F[nu, 3+b] / d u_c) p_nu
+    two_m = 2.0 * m
+    # the ufuncs and the products of fixed operands, looked up once
+    multiply, add, negative = np.multiply, np.add, np.negative
+    Jl_dot, B34_dot, Ph_dot = Jl.dot, B34.dot, Ph.dot
+
+    def flow(y, d, Mv):
+        u, pv, ph, ph_col = y
+        qv, qh, pdh = d
+        K = 1.0 + m * float(u.dot(u))
+        Jl_dot(u, out=B)
+        pv.dot(B34, out=Ph)
+        multiply(K, ph, out=Kph)
+        add(Ph, Kph, out=Ph)
+        H = 0.5 * float(Ph_dot(Ph))
+        B34_dot(Ph, out=qv)
+        multiply(ph_col, u, out=M)
+        multiply(two_m, M, out=M)
+        add(Mv, M, out=M)
+        if riemannian:
+            H += 0.5 * float(pv.dot(pv))
+            add(qv, pv, out=qv)  # vertical frame fields are the coordinate fields
+        multiply(K, Ph, out=qh)
+        Ph_dot(M, out=pdh)
+        negative(pdh, out=pdh)
+        return K, H
+
+    return flow
+
+
+def _state_views(y: np.ndarray) -> tuple:
+    """(u, p_v, p_h, p_h as a column) of a state y = (q, p)."""
+    return y[3:7], y[7:10], y[10:], y[10:, None]
+
+
+def _rate_views(d: np.ndarray) -> tuple:
+    """The slices of a derivative that `_stage_kernel`'s flow writes."""
+    return d[:3], d[3:7], d[10:]
 
 
 def hamiltonian(state: CotangentState, params: ModelParams, mode) -> float:
@@ -231,7 +266,8 @@ def hamilton_rhs(
     Jl = (0.5 * params.l * J_TWIST).reshape(12, 4)
     riem = mode is GeodesicMode.RIEMANNIAN
     ydot = np.zeros(14)
-    K, _ = _flow(y, params.m, Jl, _vertical_block(state.p[:3], Jl), riem, ydot)
+    flow = _stage_kernel(params.m, Jl, riem)
+    K, _ = flow(_state_views(y), _rate_views(ydot), _vertical_block(state.p[:3], Jl))
     if not np.isfinite(K) or K <= 0.0:
         raise DomainViolation("conformal factor K <= 0: point outside the chart")
     return ydot[:7], ydot[7:]
@@ -365,23 +401,36 @@ def integrate(s0: CotangentState, params: ModelParams, mode, h: float, n: int) -
     mode = _coerce_mode(mode)
     _check_mode_params(mode, params)
     _check_grid(h, n)
-    m, Jl = params.m, (0.5 * params.l * J_TWIST).reshape(12, 4)
-    riem = mode is GeodesicMode.RIEMANNIAN
+    Jl = (0.5 * params.l * J_TWIST).reshape(12, 4)
+    flow = _stage_kernel(params.m, Jl, mode is GeodesicMode.RIEMANNIAN)
     ys = np.empty((n + 1, 14))  # one row (q, p) per sample
     Hs = np.empty(n + 1)
-    # the four stage derivatives; _flow leaves their rows 7:10 at +0.0
+    # the four stage derivatives; the flow leaves their rows 7:10 at +0.0
     dys = np.zeros((4, 14))
+    d0, d1, d2, d3 = dys
+    d12 = dys[1:3]
+    y = np.empty(14)  # the last accepted sample
     ya = np.empty(14)  # a stage point, then the weighted sum of the stages
+    y_views, ya_views = _state_views(y), _state_views(ya)
+    d_views = [_rate_views(d) for d in dys]
+    # (step, derivative it starts from, derivative it writes) of stages 2..4
+    stages = (
+        (0.5 * h, d0, d_views[1]),
+        (0.5 * h, d1, d_views[2]),
+        (h, d2, d_views[3]),
+    )
+    h6 = h / 6.0
+    # looked up once: a step makes about 70 small numpy calls
+    multiply, add, isfinite = np.multiply, np.add, math.isfinite
     # 0 * x is NaN exactly when x is not finite, so v.dot(zero) is finite
     # exactly when every entry of v is
     zero = np.zeros(14)
-    steps = tuple(coeff * h for coeff in (0.5, 0.5, 1.0))
     status = "complete"
     exit_step: Optional[int] = None
     kept = n + 1
 
-    y = ys[0]
     y[:7], y[7:] = s0.q, s0.p
+    ys[0] = y
     # every stage adds +0.0 to p_r, p_s, p_t, which turns a -0.0 into +0.0
     # and changes nothing else: the vertical block of M has one value at the
     # initial sample and another at every later point
@@ -389,7 +438,7 @@ def integrate(s0: CotangentState, params: ModelParams, mode, h: float, n: int) -
     with np.errstate(over="ignore", invalid="ignore"):
         # the flow at each accepted sample gives its energy, its chart check
         # and stage 1 of the next step
-        K, H = _flow(y, m, Jl, _vertical_block(y[7:10], Jl), riem, dys[0])
+        K, H = flow(y_views, d_views[0], _vertical_block(y[7:10], Jl))
         if not math.isfinite(K) or K <= 0.0:
             raise DomainViolation("initial point outside the chart (K <= 0)")
         if not math.isfinite(H):
@@ -400,33 +449,34 @@ def integrate(s0: CotangentState, params: ModelParams, mode, h: float, n: int) -
             # for the first sample; a later one is kept only with K > 0 and
             # a finite H, which implies a finite K
             fault = None
-            for i, step in enumerate(steps):
-                np.multiply(step, dys[i], out=ya)
-                np.add(y, ya, out=ya)
-                if not math.isfinite(ya.dot(zero)):
+            for step, d, out in stages:
+                multiply(step, d, out=ya)
+                add(y, ya, out=ya)
+                if not isfinite(ya.dot(zero)):
                     fault = "step-rejected"
                     break
-                Ka, _ = _flow(ya, m, Jl, Mv, riem, dys[i + 1])
-                if not (math.isfinite(Ka) and Ka > 0.0):
-                    fault = "domain-exit" if math.isfinite(Ka) else "step-rejected"
+                Ka, _ = flow(ya_views, out, Mv)
+                if not (isfinite(Ka) and Ka > 0.0):
+                    fault = "domain-exit" if isfinite(Ka) else "step-rejected"
                     break
             if not fault:
-                # y + (h/6) (((d0 + 2 d1) + 2 d2) + d3), written into ys[k];
-                # d1 and d2 are doubled in place, as the next step rewrites them
-                np.multiply(2.0, dys[1:3], out=dys[1:3])
-                np.add(dys[0], dys[1], out=ya)
-                np.add(ya, dys[2], out=ya)
-                np.add(ya, dys[3], out=ya)
-                np.multiply(h / 6.0, ya, out=ya)
-                np.add(y, ya, out=ys[k])
-                y = ys[k]
-                if not math.isfinite(y.dot(zero)):
+                # y + (h/6) (((d0 + 2 d1) + 2 d2) + d3), written into y and
+                # kept as ys[k]; d1 and d2 are doubled in place, as the next
+                # step rewrites them
+                multiply(2.0, d12, out=d12)
+                add(d0, d1, out=ya)
+                add(ya, d2, out=ya)
+                add(ya, d3, out=ya)
+                multiply(h6, ya, out=ya)
+                add(y, ya, out=y)
+                ys[k] = y
+                if not isfinite(y.dot(zero)):
                     fault = "step-rejected"
                 else:
-                    K, H = _flow(y, m, Jl, Mv, riem, dys[0])
+                    K, H = flow(y_views, d_views[0], Mv)
                     if K <= 0.0:
                         fault = "domain-exit"
-                    elif not math.isfinite(H):
+                    elif not isfinite(H):
                         fault = "step-rejected"
             if fault:
                 status, exit_step, kept = fault, k, k

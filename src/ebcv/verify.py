@@ -606,17 +606,20 @@ def _chk_killing(ctx):
         "the closed-form family is 13-dimensional", f"rank={rank}{and_note}"))
 
     # a rejection threshold, not a tolerance: deliberately unscaled, but
-    # relative to |l|, which is exactly the horizontal fields' residual
+    # relative to |l|, which is exactly the horizontal fields' residual (a
+    # basis field's reads 0)
+    reject = 1e-3 * abs(params.l)
     min_bad = float(kil[len(basis):].min())
     out.append(_verdict(
-        "killing-horizontal-rejected", min_bad > 1e-3 * abs(params.l),
+        "killing-horizontal-rejected", min_bad > reject,
         min_bad, None,
         "the horizontal frame fields are not Killing fields",
         f"smallest horizontal residual {min_bad:.3e}{and_note}"))
 
-    # verdict-level equivalence with fixed thresholds (not tolerances)
+    # verdict-level equivalence: by either residual, a field is Killing when
+    # that residual is at most the rejection threshold
     pde = [pde_residuals(fld, jet, params) for fld in fields]
-    agree = all((float(np.abs(r).max()) < TOL_EXACT) == (k < 1e-10)
+    agree = all((float(np.abs(r).max()) <= reject) == (k <= reject)
                 for r, k in zip(pde, kil))
     out.append(_verdict(
         "killing-pde-equivalence", agree, None, None,

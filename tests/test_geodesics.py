@@ -1,6 +1,8 @@
 """Tests for the geodesic Hamiltonian flow, RK4, closed form, and arc test."""
 
 import functools
+import sys
+import threading
 import tracemalloc
 
 import mpmath
@@ -495,6 +497,19 @@ def _q_at_w(w):
           [1.0, -0.0, -0.5, 0.2, 0.0, -0.3, 0.1], 0.1, 20))
 @example(("subriemannian", 0.0, -2.0, [0.0, 0.1, -0.0, 0.2, 0.3, -0.0, 0.1],
           [-0.0, 1.0, 0.5, -0.2, 0.4, 0.0, -0.1], 0.1, 20))
+# the chart is left at stage 2, 3 or 4 of step 1, or at the sample that
+# step 4 accepts
+@example(("subriemannian", -1.0, 1.0, _q_at_w(0.5), [0, 0, 0, 2.0, 0, 0, 0], 1.0, 1))
+@example(("riemannian", -0.5, -2.0, [0.0, 0.0, 0.0, 0.19, -0.31, 0.32, -0.35],
+          [2.0, -2.6, 2.0, -2.0, -0.7, -1.1, 1.1], 1.0, 1))
+@example(("subriemannian", -1.0, 1.0, _q_at_w(0.5), [0, 0, 0, 1.0, 0, 0, 0], 1.0, 1))
+@example(("riemannian", -2.0, -2.0, [0.0, 0.0, 0.0, 0.39, -0.14, -0.2, 0.53],
+          [-1.0, 1.7, -1.9, -0.1, -0.7, -1.3, -1.6], 1.0, 5))
+# m = -0.0 and l = -0.0: 2m and the twist matrix carry the sign of zero
+@example(("riemannian", -0.0, 1.0, [0.1, -0.0, 0.2, 0.3, -0.0, 0.0, 0.4],
+          [1.0, -0.0, -0.5, 0.2, 0.0, -0.3, 0.1], 0.1, 20))
+@example(("subriemannian", 1.0, -0.0, [0.0, 0.1, -0.0, 0.2, 0.3, -0.0, 0.1],
+          [-0.0, 1.0, 0.5, -0.2, 0.4, 0.0, -0.1], 0.1, 20))
 def test_integrate_matches_the_transcribed_step_bit_for_bit(case):
     mode, m, l, q, p, h, n = case
     mode = GeodesicMode(mode)
@@ -509,6 +524,39 @@ def test_integrate_matches_the_transcribed_step_bit_for_bit(case):
     for name, got, want in zip("uqpH", (tr.u, tr.q, tr.p, tr.H), arrays):
         assert got.tobytes() == want.tobytes(), name
 
+
+
+def test_concurrent_trajectories_match_the_runs_one_after_the_other():
+    # each trajectory binds its own kernel scratch: threads that integrate
+    # different states at once, switching every microsecond, get the bytes
+    # of the same runs made one after the other
+    rng = np.random.default_rng(11)
+    cases = [(_random_state(rng), params, mode) for mode, params in MODE_PARAMS]
+
+    def run(state, params, mode):
+        tr = integrate(state, params, mode, 0.01, 200)
+        return b"".join(a.tobytes() for a in (tr.u, tr.q, tr.p, tr.H))
+
+    alone = [run(*case) for case in cases]
+    together = [None] * len(cases)
+    start = threading.Barrier(len(cases), timeout=60)
+
+    def worker(i):
+        start.wait()
+        together[i] = run(*cases[i])
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert together == alone
 
 # --- closed form ---------------------------------------------------------------
 

@@ -15,6 +15,7 @@ import ebcv
 import ebcv.curvature
 import ebcv.frames
 import ebcv.homogeneous
+import ebcv.killing
 import ebcv.published_tables
 import ebcv.verify
 from ebcv.errors import DomainViolation, InconclusiveClassification
@@ -325,6 +326,39 @@ def test_small_l_rejects_the_horizontal_fields(m, l):
     assert rep.exit_code == 0
     rec = _by_id(rep)["killing-horizontal-rejected"]
     assert rec.max_residual == pytest.approx(abs(l), rel=1e-12)
+
+
+@pytest.mark.parametrize("l", [1e-11, 1e-13])
+def test_small_l_killing_verdicts_agree(l):
+    # both residuals of a horizontal field read exactly |l| and those of a
+    # basis field 0, so one threshold relative to |l| classifies them alike
+    rep = run_verify(0.0, l, samples=3, seed=0)
+    assert rep.exit_code == 0
+    assert _by_id(rep)["killing-pde-equivalence"].status == "pass"
+
+
+def test_a_horizontal_field_the_pde_calls_killing_fails_equivalence(monkeypatch):
+    # the 28-equation residual of X_4 is planted at 0: the two residuals
+    # then disagree on that field, and the record says so
+    planted = []
+
+    def unit_field(a):
+        fld = ebcv.killing.frame_unit_field(a)
+        if a == 4:
+            planted.append(fld)
+        return fld
+
+    def pde(fld, q, params):
+        r = ebcv.killing.pde_residuals(fld, q, params)
+        return np.zeros_like(r) if any(fld is f for f in planted) else r
+
+    monkeypatch.setattr(ebcv.verify, "frame_unit_field", unit_field)
+    monkeypatch.setattr(ebcv.verify, "pde_residuals", pde)
+    for l in (1.0, 1e-11):
+        rep = run_verify(0.0, l, samples=3, seed=0)
+        assert planted
+        assert _by_id(rep)["killing-pde-equivalence"].status == "fail"
+        assert rep.exit_code == 1
 
 
 @pytest.mark.parametrize("l", [1e-6, 1e-9, 1e-13])
