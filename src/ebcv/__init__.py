@@ -7,6 +7,10 @@ scalar curvature varies with position.
 from __future__ import annotations
 
 from . import tolerances
+
+# perfbench/tracer.py, the only reader of jets, wraps the methods of jets.Jet
+# and finds the module among those loaded.
+from . import jets  # noqa: F401
 from .curvature import ricci_frame, riemann_frame, scalar_curvature
 from .errors import (
     DomainViolation,

@@ -14,163 +14,129 @@ With ``gamma[x, y, z] = <nabla_{X_x} X_y, X_z>``,
     R[a,b,c,d] = X_a gamma_bdc - X_b gamma_adc + gamma_bdf gamma_afc
                  - gamma_adf gamma_bfc - C_abf gamma_fdc.
 
-The second route is in coordinates.  The metric components are rational
-functions of the coordinates through the conformal factor K, so degree-2
-Taylor jets deliver the exact first and second partials of G in one pass
-(`metric_taylor`); from them come the coordinate Christoffel symbols, the
-coordinate curvature and its frame components (`riemann_frame_coordinate`),
-and the frame connection (`gamma_frame_coordinate`).  Ricci and scalar
-curvature are contractions of R.
+The second route is the bundle route.  The projection pi(r, s, t, u) = u
+is a Riemannian submersion with flat, totally geodesic fibres onto the
+space form |du|^2 / K^2 of curvature 4m, and O'Neill's equations (B.
+O'Neill, "The fundamental equations of a submersion", Michigan Math. J. 13,
+1966) give its connection and curvature in closed form from one tensor,
+A = 1/2 V[X, Y] on horizontal X, Y (`gamma_frame_bundle`,
+`riemann_frame_bundle`).  It reads only m, l and u, and takes the twist
+matrices from the quaternion product, not from the frame.  Ricci and
+scalar curvature are contractions of R.
 
 Sign/index conventions (fixed across the package):
 
-* ``Gamma[lam, mu, nu] = Gamma^lam_{mu nu}``,
-* ``R^rho_{sigma mu nu} = d_mu Gamma^rho_{nu sigma} - d_nu Gamma^rho_{mu sigma}
-  + Gamma^rho_{mu lam} Gamma^lam_{nu sigma} - Gamma^rho_{nu lam}
-  Gamma^lam_{mu sigma}``  (i.e. R(X,Y) = [nabla_X, nabla_Y] - nabla_[X,Y]),
+* R(X,Y) = [nabla_X, nabla_Y] - nabla_[X,Y],
 * frame components ``R[a,b,c,d] = <R(X_a, X_b) X_d, X_c>``,
 * ``Ric[a,b] = sum_c R[c,a,c,b]``; ``scal = trace Ric``.
-
-The coordinate route is independent of the frame route for both the
-connection and the curvature; the verification suite compares the two.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .frames import J_TWIST, ModelParams, _as_points, frame_jet, k_factor
-from .jets import Jet
+from .frames import ModelParams, _as_points, frame_jet, k_factor
+from .quaternions import qmul
+
+_E4 = np.eye(4)
+
+#: _J[i, a, b] = -(e_i E_b)_a for the imaginary units e_1, e_2, e_3 = i, j,
+#: k and the unit quaternions E_b: the twist of the vertical field X_{1+i}
+#: on the horizontal coordinates u, as the quaternion product gives it.
+_J = -np.swapaxes(qmul(_E4[1:, None], _E4[None, :]), -1, -2)
 
 
-@dataclass(frozen=True)
-class MetricTaylor:
-    """Exact Taylor data of the metric: G and its first two partials.
+def _bundle_tensors(q, params: ModelParams):
+    """K, the base connection h[..., c, a, e] and O'Neill's A[..., a, b, i]
+    with its partials dA[..., c, a, b, i] along u_c, at the points q.
 
-    Axis convention: leading batch axes, then derivative indices (e, f, g),
-    then the matrix indices (mu, nu).
+    Horizontal a, b, c, e stand for X_{4+a}, vertical i for X_{1+i}.  With
+    T[a, b, i] = u_a (J_i u)_b,
+
+        A[a, b, i] = -(l/2) (K J_i[a, b] + m (T[a, b, i] - T[b, a, i])),
+        h[c, a, e] = 2m (u_e delta_ca - u_a delta_ce),
+
+    A = 1/2 C on the horizontal pairs, and h the connection of the base
+    |du|^2 / K^2 in its frame K d_u.  A is polynomial in u; dA is exact.
     """
-
-    g: np.ndarray
-    dg: np.ndarray
-    d2g: np.ndarray
-
-
-def metric_taylor(q, params: ModelParams) -> MetricTaylor:
-    """Evaluate G, dG, d2G exactly via jet arithmetic."""
     q = _as_points(q)
-    k_factor(q, params)  # domain check
-    batch = q.shape[:-1]
-    uj = [Jet.variable(3 + b, q[..., 3 + b]) for b in range(4)]
-    kjet = (
-        1.0
-        + params.m * (uj[0] * uj[0] + uj[1] * uj[1] + uj[2] * uj[2] + uj[3] * uj[3])
-    )
-    inv = kjet.reciprocal()
-    inv2 = inv * inv
-    half_l = 0.5 * params.l
-    # B[i][a]: d_{r,s,t}[i]-component of X_{4+a}; each is a single +/- (l/2) u_b.
-    B = [
-        [
-            sum(
-                (half_l * J_TWIST[i, a, b]) * uj[b]
-                for b in range(4)
-                if J_TWIST[i, a, b] != 0.0
-            )
-            for a in range(4)
-        ]
-        for i in range(3)
-    ]
-
-    g = np.zeros(batch + (7, 7))
-    dg = np.zeros(batch + (7, 7, 7))
-    d2g = np.zeros(batch + (7, 7, 7, 7))
-
-    def put(mu: int, nu: int, jet: Jet) -> None:
-        g[..., mu, nu] = jet.value
-        dg[..., :, mu, nu] = jet.gradient()
-        d2g[..., :, :, mu, nu] = jet.hessian()
-
-    for i in range(3):
-        g[..., i, i] = 1.0
-    for i in range(3):
-        for b in range(4):
-            entry = -1.0 * B[i][b] * inv
-            put(i, 3 + b, entry)
-            put(3 + b, i, entry)
-    for a in range(4):
-        for b in range(a, 4):
-            s = B[0][a] * B[0][b] + B[1][a] * B[1][b] + B[2][a] * B[2][b]
-            if a == b:
-                s = s + 1.0
-            entry = s * inv2
-            put(3 + a, 3 + b, entry)
-            if b != a:
-                put(3 + b, 3 + a, entry)
-    return MetricTaylor(g, dg, d2g)
+    K = k_factor(q, params)
+    m, l = params.m, params.l
+    u = q[..., 3:]
+    Ju = np.einsum("iab,...b->...ai", _J, u)  # Ju[..., a, i] = (J_i u)_a
+    Jt = np.moveaxis(_J, 0, -1)  # Jt[a, b, i] = J_i[a, b]
+    T = u[..., :, None, None] * Ju[..., None, :, :]
+    A = -0.5 * l * (K[..., None, None, None] * Jt
+                    + m * (T - np.swapaxes(T, -3, -2)))
+    # dT[c, a, b, i] = delta_ac (J_i u)_b + u_a J_i[b, c]
+    dT = (_E4[:, :, None, None] * Ju[..., None, None, :, :]
+          + u[..., None, :, None, None] * np.einsum("bci->cbi", Jt)[:, None])
+    dA = -0.5 * l * (2.0 * m * u[..., :, None, None, None] * Jt
+                     + m * (dT - np.swapaxes(dT, -3, -2)))
+    h = 2.0 * m * (_E4[:, :, None] * u[..., None, None, :]
+                   - u[..., None, :, None] * _E4[:, None, :])
+    return K, h, A, dA
 
 
-def _first_kind(dg: np.ndarray) -> np.ndarray:
-    """2 Gamma_{r m n} = d_m g_rn + d_n g_rm - d_r g_mn from the metric
-    partials dg[..., r, m, n]; on their partials it gives its own."""
-    return (
-        np.einsum("...mrn->...rmn", dg)
-        + np.einsum("...nrm->...rmn", dg)
-        - dg
-    )
-
-
-def _christoffel_layers(mt: MetricTaylor, F: np.ndarray, dF: np.ndarray):
-    """Gamma and dGamma in coordinates from exact metric Taylor data.
-
-    The inverse metric and its partials come from the frame closed form
-    G^-1 = F F^T (no linear solves anywhere).
+def gamma_frame_bundle(q, params: ModelParams) -> np.ndarray:
+    """Frame connection gamma[..., x, y, z] = <nabla_{X_x} X_y, X_z> by the
+    bundle route: the base connection h on horizontal slots, A on
+    gamma[a, b, i], -A on gamma[a, i, b] and gamma[i, a, b], and 0 on every
+    entry with two or three vertical slots.  Cross-check for the Koszul
+    route of `FrameJet.gamma`.
     """
-    ginv = np.einsum("...ma,...na->...mn", F, F)
-    dginv = np.einsum("...ema,...na->...emn", dF, F) + np.einsum(
-        "...ma,...ena->...emn", F, dF
-    )
-    t0, t1 = _first_kind(mt.dg), _first_kind(mt.d2g)
-    gam = 0.5 * np.einsum("...lr,...rmn->...lmn", ginv, t0)
-    dgam = 0.5 * (
-        np.einsum("...elr,...rmn->...elmn", dginv, t0)
-        + np.einsum("...lr,...ermn->...elmn", ginv, t1)
-    )
-    return gam, dgam
+    _, h, A, _ = _bundle_tensors(q, params)
+    gam = np.zeros(A.shape[:-3] + (7, 7, 7))
+    gam[..., 3:, 3:, 3:] = h
+    gam[..., 3:, 3:, :3] = A
+    gam[..., 3:, :3, 3:] = -np.swapaxes(A, -1, -2)
+    gam[..., :3, 3:, 3:] = -np.moveaxis(A, -1, -3)
+    return gam
 
 
-def christoffel(q, params: ModelParams) -> np.ndarray:
-    """Coordinate Christoffel symbols Gamma[..., lam, mu, nu]."""
-    fr = frame_jet(q, params)
-    ginv = np.einsum("...ma,...na->...mn", fr.F, fr.F)
-    t0 = _first_kind(metric_taylor(fr.q, params).dg)
-    return 0.5 * np.einsum("...lr,...rmn->...lmn", ginv, t0)
+def riemann_frame_bundle(q, params: ModelParams) -> np.ndarray:
+    """Frame curvature R[..., a, b, c, d] by O'Neill's equations.
 
+    With <P, Q> summed over the vertical index, for horizontal a, b, c, d,
+    e and vertical i, j:
 
-def riemann_frame_coordinate(q, params: ModelParams) -> np.ndarray:
-    """Frame curvature R[..., a, b, c, d] computed via the coordinate route.
+        R[a,b,c,d] = 4m (delta_ac delta_bd - delta_ad delta_bc)
+                     - 2<A_ab, A_cd> - <A_ac, A_bd> + <A_ad, A_bc>,
+        R[a,i,c,j] = sum_b A[a,b,j] A[c,b,i],
+        R[a,b,i,j] = sum_e (A[a,e,j] A[b,e,i] - A[a,e,i] A[b,e,j]),
+        R[a,b,c,i] = K d_{u_c} A[a,b,i] - sum_e h[c,a,e] A[e,b,i]
+                     - sum_e h[c,b,e] A[a,e,i];
 
-    R^rho_{sigma mu nu} from the coordinate Christoffels, lowered with G and
-    converted to the frame.  Cross-check for the Cartan route of
-    `riemann_frame`.
+    the other blocks follow from R's antisymmetries and pair symmetry, and
+    the entries with three or four vertical slots are 0.  Cross-check for
+    the Cartan route of `FrameJet.R`.
     """
-    fr = frame_jet(q, params)
-    F = fr.F
-    mt = metric_taylor(fr.q, params)
-    gam, dgam = _christoffel_layers(mt, F, fr.dF)
-    rup = (
-        np.einsum("...mrns->...rsmn", dgam)
-        - np.einsum("...nrms->...rsmn", dgam)
-        + np.einsum("...rml,...lns->...rsmn", gam, gam)
-        - np.einsum("...rnl,...lms->...rsmn", gam, gam)
-    )
-    rlow = np.einsum("...pr,...rsmn->...psmn", mt.g, rup)
-    return np.einsum(
-        "...psmn,...pc,...sd,...ma,...nb->...abcd", rlow, F, F, F, F,
-        optimize=True,
-    )
+    K, h, A, dA = _bundle_tensors(q, params)
+    P = np.einsum("...abi,...cdi->...abcd", A, A)
+    hhhh = (4.0 * params.m * (np.einsum("ac,bd->abcd", _E4, _E4)
+                              - np.einsum("ad,bc->abcd", _E4, _E4))
+            - 2.0 * P - np.einsum("...acbd->...abcd", P)
+            + np.einsum("...adbc->...abcd", P))
+    hvhv = np.einsum("...abj,...cbi->...aicj", A, A)
+    Q = np.einsum("...aej,...bei->...abij", A, A)
+    hhvv = Q - np.swapaxes(Q, -1, -2)
+    hhhv = (K[..., None, None, None, None] * np.einsum("...cabi->...abci", dA)
+            - np.einsum("...cae,...ebi->...abci", h, A)
+            - np.einsum("...cbe,...aei->...abci", h, A))
+    H, V = slice(3, None), slice(None, 3)
+    R = np.zeros(A.shape[:-3] + (7, 7, 7, 7))
+    R[..., H, H, H, H] = hhhh
+    R[..., H, V, H, V] = hvhv
+    R[..., V, H, H, V] = -np.swapaxes(hvhv, -4, -3)
+    R[..., H, V, V, H] = -np.swapaxes(hvhv, -2, -1)
+    R[..., V, H, V, H] = np.einsum("...aicj->...iajc", hvhv)
+    R[..., H, H, V, V] = hhvv
+    R[..., V, V, H, H] = np.einsum("...abij->...ijab", hhvv)
+    R[..., H, H, H, V] = hhhv
+    R[..., H, H, V, H] = -np.swapaxes(hhhv, -2, -1)
+    R[..., H, V, H, H] = np.einsum("...abci->...ciab", hhhv)
+    R[..., V, H, H, H] = -np.einsum("...abci->...icab", hhhv)
+    return R
 
 
 def riemann_frame(q, params: ModelParams) -> np.ndarray:
@@ -201,16 +167,3 @@ def ricci_frame(q, params: ModelParams) -> np.ndarray:
 def scalar_curvature(q, params: ModelParams) -> np.ndarray:
     """Scalar curvature: trace of ricci_frame (same computation path)."""
     return scalar_from_ricci(ricci_frame(q, params))
-
-
-def gamma_frame_coordinate(q, params: ModelParams) -> np.ndarray:
-    """Frame connection coefficients computed via the coordinate route.
-
-    <nabla_{X_a} X_b, X_c> = F^mu_a (d_mu F^nu_b + Gamma^nu_{mu lam}
-    F^lam_b) g_{nu sigma} F^sigma_c, with g_{nu sigma} F^sigma_c = Om_{c nu}.
-    Cross-check for the Koszul route in `frames.levi_civita_tensor`.
-    """
-    fr = frame_jet(q, params)
-    F = fr.F
-    covd = fr.dF + np.einsum("...nml,...lb->...mnb", christoffel(fr, params), F)
-    return np.einsum("...ma,...mnb,...cn->...abc", F, covd, fr.Om, optimize=True)

@@ -172,7 +172,8 @@ class FrameJet:
     The frame depends on u = (w, x, y, z) only, so the partials of C are
     kept along u alone: ``dC`` has shape (..., 4, 7, 7, 7) and ``d2C``
     (..., 4, 4, 7, 7, 7), index h standing for u_h, the coordinate 3 + h.
-    ``dF`` keeps all 7 directions, as the coordinate route reads it.  The
+    ``dF`` keeps all 7 directions, as C, dC, `geodesics._bracket_values`
+    and `geodesics.generic_rhs_momentum_chart` read them.  The
     second partials of F are the constant d_h d_k F = 2m delta_hk on its
     4 x 4 block and enter ``d2C`` in closed form.  As F[3:, :3] = 0 and
     F[3:, 3:] = K I, the frame derivatives are X_e C = K d_{e-3} C and

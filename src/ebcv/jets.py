@@ -5,8 +5,9 @@ real variables about a base point, truncated at total degree ``ORDER = 2``.
 Sums, products and reciprocals of jets propagate the coefficients exactly
 (the truncation is exact for derivatives up to second order), so every
 partial derivative read off a jet is exact to machine precision — no finite
-differencing anywhere.  The metric's second partials are all that the
-coordinate curvature route needs.
+differencing anywhere.  No module of the package reads jets;
+`perfbench/tracer.py` wraps the methods of ``Jet``, so the module stays
+loaded with the package.
 
 Coefficients are kept in a flat ``(..., NMONO)`` array ordered by graded
 lexicographic monomial order; leading batch axes broadcast through all

@@ -28,9 +28,9 @@ import numpy as np
 
 from . import published_tables as pt
 from .curvature import (
-    gamma_frame_coordinate,
+    gamma_frame_bundle,
     ricci_from_riemann,
-    riemann_frame_coordinate,
+    riemann_frame_bundle,
     scalar_from_ricci,
 )
 from .errors import DomainViolation, InconclusiveClassification
@@ -380,10 +380,10 @@ def _sample_records(doc, l):
         _Record("connection-torsion-free", TOL_EXACT,
                 "nabla_a X_b - nabla_b X_a = [X_a, X_b]",
                 lambda t: t.gam - np.einsum("...abc->...bac", t.gam) - t.C),
-        _Record("connection-vs-coordinate-route", TOL_EXACT,
-                "Koszul frame computation matches the coordinate-Christoffel "
-                "route",
-                lambda t: t.gam - gamma_frame_coordinate(t.fr, t.params)),
+        _Record("connection-vs-bundle-route", TOL_EXACT,
+                "Koszul frame computation matches the closed form of the "
+                "Riemannian submersion onto u",
+                lambda t: t.gam - gamma_frame_bundle(t.q, t.params)),
         _Record("torsion-cyclic-witness", TOL_TABLE,
                 f"printed cyclic-sum witness value {wit['value']} on the "
                 f"triple ({wit['triple']})",
@@ -407,11 +407,10 @@ def _sample_records(doc, l):
                 "scalar curvature equals the trace of the printed Ricci "
                 "matrix",
                 lambda t: t.scal - pt.scalar_values(t.q, t.params, "derived")),
-        _Record("riemann-frame-vs-coordinate-route", TOL_TABLE,
-                "Cartan frame curvature matches the coordinate-Christoffel "
-                "route",
-                lambda t: t.fr.R - riemann_frame_coordinate(t.fr, t.params),
-                rows=20),
+        _Record("riemann-frame-vs-bundle-route", TOL_TABLE,
+                "Cartan frame curvature matches O'Neill's equations of the "
+                "Riemannian submersion onto u",
+                lambda t: t.R - riemann_frame_bundle(t.q, t.params)),
         _Record("curvature-second-bianchi", TOL_TABLE,
                 "cyclic sum of the covariant curvature derivative vanishes",
                 bianchi, rows=8),
@@ -850,13 +849,19 @@ def run_verify(
 ) -> VerifyReport:
     """Run the whole registry and return the assembled report.
 
-    Raises DomainViolation when no acceptable sample points exist for the
-    requested parameters or their curvature overflows float64, and
-    ValueError for a non-finite m or l, for samples < 1 or for a tol_scale
-    that is not positive and finite.
+    Raises DomainViolation for a subnormal l, when no acceptable sample
+    points exist for the requested parameters or their curvature overflows
+    float64, and ValueError for a non-finite m or l, for samples < 1 or for
+    a tol_scale that is not positive and finite.
     """
     if not (np.isfinite(m) and np.isfinite(l)):
         raise ValueError(f"m and l must be finite, got m={m!r}, l={l!r}")
+    if 0.0 < abs(l) < np.finfo(float).tiny:
+        # the Killing residuals and thresholds, which scale with |l|,
+        # underflow there
+        raise DomainViolation(
+            f"l = {l:g} is subnormal: the records relative to |l| need "
+            f"|l| >= {np.finfo(float).tiny:g} or l = 0")
     if samples < 1:
         raise ValueError("need samples >= 1")
     if not (np.isfinite(tol_scale) and tol_scale > 0.0):

@@ -122,17 +122,23 @@ def test_verify_pathological_exit_2(capsys):
     assert "domain violation" in capsys.readouterr().err
 
 
+def test_verify_subnormal_l_exit_2(capsys):
+    code = main(["verify", "--m", "0", "--l", "5e-324", "--samples", "3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("domain violation: l = 4.94066e-324 is subnormal")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("m, l", [
     ("1e200", "1"),     # C already overflows
     ("0", "1e200"),     # R overflows, and so would l**2 in a table
     ("1e-300", "1e300"),
     ("0", "1e154"),     # R is finite, nabla R is not
-    ("0", "1e60"),      # R and nabla R are finite, the coordinate route not
-    ("0", "1e100"),
     ("1", "1e154"),     # R is finite, the Ambrose-Singer residual not
     ("1e150", "1e-3"),
-    ("1e-3", "1e154"),  # so is that residual; the coordinate route and
-    ("1e-6", "1e120"),  # nabla R of the first points are not
+    ("1e-3", "1e154"),  # so is that residual
+    ("1e-6", "1e120"),  # nabla R of the first points is not
 ])
 def test_verify_curvature_overflow_exit_2(m, l, capsys):
     code = main(["verify", "--m", m, "--l", l, "--samples", "5"])
@@ -141,6 +147,24 @@ def test_verify_curvature_overflow_exit_2(m, l, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert f"(m, l) = ({float(m):g}, {float(l):g})" in captured.err
+
+
+# Known defect (ROADMAP item 1): at large l these records are judged against
+# absolute tolerances while their operands grow with l, so a report on
+# correct code fails them. Scaling the verdicts changes this test on purpose.
+@pytest.mark.parametrize("l, failed", [
+    ("1e60", ["bracket-vs-finite-difference", "curvature-second-bianchi",
+              "frame-orthonormality", "killing-basis-rank"]),
+    ("1e100", ["bracket-vs-finite-difference", "frame-orthonormality",
+               "killing-basis-rank"]),
+])
+def test_verify_large_l_fails_absolute_tolerance_records(l, failed, capsys):
+    code = main(["verify", "--m", "0", "--l", l, "--samples", "5",
+                 "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert sorted(c["id"] for c in doc["checks"]
+                  if c["status"] == "fail") == failed
 
 
 @pytest.mark.parametrize("argv, read, value", [

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -10,10 +11,11 @@ from ebcv.cli import main as ebcv_main
 from ebcv.geodesics import MAX_STEPS
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+PERFBENCH = SCRIPTS.parent / "perfbench"
 
 
-def _load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def _load_script(name, directory=SCRIPTS):
+    spec = importlib.util.spec_from_file_location(name, directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -141,3 +143,40 @@ def test_invalid_arguments_exit_2(script, argv, tmp_path, monkeypatch, capsys):
         module.main(argv)
     assert exc.value.code == 2
     assert argv[0] in capsys.readouterr().err
+
+
+def _ebcv_namespaces() -> dict:
+    """A copy of the namespace of every loaded ebcv module and, if loaded,
+    of ``ebcv.jets.Jet``, by name."""
+    spaces = {name: dict(vars(mod)) for name, mod in sys.modules.items()
+              if name == "ebcv" or name.startswith("ebcv.")}
+    if "ebcv.jets" in spaces:
+        spaces["ebcv.jets.Jet"] = dict(vars(spaces["ebcv.jets"]["Jet"]))
+    return spaces
+
+
+def test_the_benchmark_tracer_installs_and_puts_every_hook_back():
+    # the traced benchmark run wraps every public function of the loaded
+    # ebcv modules and the methods of ebcv.jets.Jet; everything it looks up
+    # must be there, and uninstall must leave each attribute as it was
+    import ebcv
+    import ebcv.cli  # noqa: F401
+
+    tracer = _load_script("tracer", PERFBENCH)
+    before = _ebcv_namespaces()
+    rec = tracer.Recorder()
+    try:
+        rec.install()
+        assert ebcv.curvature.riemann_frame is not before["ebcv.curvature"][
+            "riemann_frame"]
+        assert vars(sys.modules["ebcv.jets"].Jet)["__mul__"] is not before[
+            "ebcv.jets.Jet"]["__mul__"]
+    finally:
+        rec.uninstall()
+    after = _ebcv_namespaces()
+    assert after.keys() == before.keys()
+    for name, space in before.items():
+        assert after[name].keys() == space.keys(), name
+        moved = [attr for attr, obj in space.items()
+                 if after[name][attr] is not obj]
+        assert moved == [], name

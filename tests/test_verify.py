@@ -265,6 +265,53 @@ def test_every_declared_record_reaches_the_report(monkeypatch):
     assert {c.id: c.status for c in got if c.id in want} == want
 
 
+def _koszul_one_sign_flipped(C):
+    return 0.5 * (C - np.einsum("...bca->...abc", C)
+                  - np.einsum("...cab->...abc", C))
+
+
+def _plant_r_entry(monkeypatch):
+    build = ebcv.frames.FrameJet.R.func
+
+    def planted(fr):
+        R = build(fr)
+        R[..., 3, 4, 3, 4] += 1e-6 * np.abs(R).max()
+        return R
+
+    monkeypatch.setattr(ebcv.frames.FrameJet.R, "func", planted)
+
+
+def _plant_twist_entry(monkeypatch):
+    J = ebcv.frames.J_TWIST.copy()
+    J[0, 0, 1] = -J[0, 0, 1]
+    monkeypatch.setattr(ebcv.frames, "J_TWIST", J)
+
+
+_BUNDLE_IDS = ("connection-vs-bundle-route", "riemann-frame-vs-bundle-route")
+
+
+@pytest.mark.parametrize("plant, failing", [
+    (None, ()),
+    # Cartan's R is built from the Koszul gamma, so it moves too
+    (lambda mp: mp.setattr(ebcv.frames, "_koszul", _koszul_one_sign_flipped),
+     _BUNDLE_IDS),
+    (_plant_r_entry, ("riemann-frame-vs-bundle-route",)),
+    (_plant_twist_entry, _BUNDLE_IDS),
+], ids=["correct", "koszul-sign", "r-entry", "twist-entry"])
+@pytest.mark.parametrize("m, l", [(0.0, 30.0), (1.0, 100.0)])
+def test_bundle_records_catch_planted_defects(m, l, plant, failing,
+                                              monkeypatch):
+    # the bundle route reads only m, l and u, so a defect planted in the
+    # Koszul formula, in R or in the frame's twist shows against it where
+    # the curvature is large; on correct code both records pass there
+    if plant is not None:
+        plant(monkeypatch)
+    got = {c.id: c.status
+           for c in ebcv.verify._chk_sample(ebcv.verify._Ctx(m, l, 20, 0, 1.0))}
+    assert {cid: got[cid] for cid in _BUNDLE_IDS} == {
+        cid: "fail" if cid in failing else "pass" for cid in _BUNDLE_IDS}
+
+
 def test_inconclusive_torsion_is_a_failed_record(monkeypatch):
     # a torsion that breaks first-two-slot antisymmetry leaves the class
     # undecided: the report says so in a fail record at the point that
@@ -335,6 +382,17 @@ def test_small_l_killing_verdicts_agree(l):
     rep = run_verify(0.0, l, samples=3, seed=0)
     assert rep.exit_code == 0
     assert _by_id(rep)["killing-pde-equivalence"].status == "pass"
+
+
+@pytest.mark.parametrize("l", [5e-324, -5e-324, 2.2e-308])
+def test_subnormal_l_is_refused(l):
+    with pytest.raises(DomainViolation, match="subnormal"):
+        run_verify(0.0, l, samples=3, seed=0)
+
+
+@pytest.mark.parametrize("l", [2.3e-308, 1e-300])
+def test_smallest_normal_l_runs(l):
+    assert run_verify(0.0, l, samples=3, seed=0).exit_code == 0
 
 
 def test_a_horizontal_field_the_pde_calls_killing_fails_equivalence(monkeypatch):
