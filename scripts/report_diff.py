@@ -8,13 +8,16 @@ Prints one line per record that differs in any field: the report's file
 name (for two directories), the check id, both statuses, both
 ``max_residual`` values and the names of the other fields that differ
 (``witness``, ``details``, ``printed``, ``oracle``, ``reference``), if
-any.  A record, or a report file, found on one side
-only is a line too, with ``absent`` for its missing side.  A file that is
+any.  Then one line per ``summary`` key that differs, with both values as
+JSON; ``elapsed`` is skipped, as it changes between runs.  A record, a
+summary key or a report file found on one side only is a line too, with
+``absent`` for its missing side.  A file that is
 not a verify report, such as ``tests/data/integrate_contract.json`` beside
 the reports of ``tests/data/``, is compared byte for byte and listed as
-``differs`` when it does.  Exits 1 when a check id, a status or such a file
-differs, and 0 when every difference keeps them: a record whose residual or
-witness moved is listed but does not fail.
+``differs`` when it does.  Exits 1 when a check id, a status, a summary key
+or such a file differs, and 0 when every difference keeps them: a record
+whose residual or witness moved, or a summary value that moved, is listed
+but does not fail.
 """
 
 import argparse
@@ -23,24 +26,30 @@ import pathlib
 import sys
 
 
-def _records(path: pathlib.Path) -> dict | None:
-    """The records of a report, by check id, or None for a file that is not
-    a verify report."""
+def _report(path: pathlib.Path) -> dict | None:
+    """The report, or None for a file that is not a verify report."""
     try:
         report = json.loads(path.read_bytes())
     except ValueError:  # not JSON, or not text
         return None
     if not isinstance(report, dict) or "checks" not in report:
         return None
-    return {rec["id"]: rec for rec in report["checks"]}
+    return report
+
+
+def _keys(before: dict, after: dict) -> list:
+    """The keys of before, then those of after alone, in their order."""
+    return list(before) + [k for k in after if k not in before]
 
 
 def _diff(before: dict, after: dict, prefix: str) -> tuple[list, bool]:
-    """The lines for the records that differ, and whether an id or a status
-    did."""
+    """The lines for the records and summary keys that differ, and whether
+    an id, a status or a summary key did."""
+    records = [{rec["id"]: rec for rec in report["checks"]}
+               for report in (before, after)]
     lines, moved = [], False
-    for cid in list(before) + [c for c in after if c not in before]:
-        old, new = before.get(cid), after.get(cid)
+    for cid in _keys(*records):
+        old, new = records[0].get(cid), records[1].get(cid)
         if old == new:
             continue
         status = [r["status"] if r else "absent" for r in (old, new)]
@@ -53,6 +62,14 @@ def _diff(before: dict, after: dict, prefix: str) -> tuple[list, bool]:
         lines.append(f"{prefix}{cid}: {status[0]} -> {status[1]}; "
                      f"max_residual {residual[0]} -> {residual[1]}"
                      + (f"; moved: {', '.join(others)}" if others else ""))
+    summaries = [report.get("summary", {}) for report in (before, after)]
+    for key in _keys(*summaries):
+        old, new = (json.dumps(s[key], sort_keys=True) if key in s else "absent"
+                    for s in summaries)
+        if key == "elapsed" or old == new:
+            continue
+        moved = moved or "absent" in (old, new)
+        lines.append(f"{prefix}summary.{key}: {old} -> {new}")
     return lines, moved
 
 
@@ -78,13 +95,13 @@ def main(argv=None) -> int:
                   f" -> {'absent' if not new.is_file() else 'present'}")
             moved = True
             continue
-        records = _records(old), _records(new)
-        if None in records:
+        reports = _report(old), _report(new)
+        if None in reports:
             if old.read_bytes() != new.read_bytes():
                 print(f"{prefix}differs")
                 moved = True
             continue
-        lines, changed = _diff(*records, prefix)
+        lines, changed = _diff(*reports, prefix)
         moved = moved or changed
         for line in lines:
             print(line)

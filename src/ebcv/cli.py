@@ -39,6 +39,7 @@ from .published_tables import sectional_table_values
 from .verify import run_verify
 
 CSV_HEADER = "u,r,s,t,w,x,y,z,pr,ps,pt,pw,px,py,pz,H"
+#: `killing check` accepts a field whose max |residual| is at most this times |l|
 KILLING_THRESHOLD = 1e-8
 
 EXIT_OK = 0
@@ -67,9 +68,7 @@ def _json_dumps(obj) -> str:
 
 def cmd_verify(args) -> int:
     report = run_verify(
-        m=args.m, l=args.l, samples=args.samples, seed=args.seed,
-        tol_scale=args.tol_scale,
-    )
+        m=args.m, l=args.l, samples=args.samples, seed=args.seed)
     if args.format == "json":
         _write_output(_json_dumps(report.to_json_dict()), args.out)
     else:
@@ -192,11 +191,13 @@ def cmd_killing(args) -> int:
               f"overflows on the {len(pts)}-point sample (coefficients too "
               "large)", file=sys.stderr)
         return EXIT_MALFORMED_FIELD
-    verdict = "killing" if residual < KILLING_THRESHOLD else "not-killing"
+    # relative to |l|: a horizontal frame field's residual is exactly |l|
+    threshold = KILLING_THRESHOLD * abs(args.l)
+    verdict = "killing" if residual <= threshold else "not-killing"
     doc = {
         "l": args.l,
         "max_residual": residual,
-        "threshold": KILLING_THRESHOLD,
+        "threshold": threshold,
         "verdict": verdict,
         "sample": {"points": int(len(pts)), "seed": 0,
                    "box": [-SAMPLE_BOX, SAMPLE_BOX]},
@@ -211,14 +212,13 @@ def cmd_killing(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    result = bcv_classify(args.m, args.l, case2=args.case2)
+    result = bcv_classify(args.m, args.l)
     if args.format == "json":
         _write_output(
             _json_dumps(
                 {
                     "m": args.m,
                     "l": args.l,
-                    "case2": args.case2,
                     "label": result.label,
                     "case": result.case,
                 }
@@ -340,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=_nonnegative_int, default=0)
     v.add_argument("--format", choices=("text", "json"), default="text")
     v.add_argument("--out", type=_output_file, default=None)
-    v.add_argument("--tol-scale", type=_positive_float, default=1.0)
     v.set_defaults(func=cmd_verify)
 
     g = sub.add_parser("geodesic", help="integrate and export a trajectory")
@@ -372,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("classify", help="name the base family for (m, l)")
     c.add_argument("--m", type=_finite_float, required=True)
     c.add_argument("--l", type=_finite_float, required=True)
-    c.add_argument("--case2", choices=("printed", "squared"), default="printed")
     c.add_argument("--format", choices=("text", "json"), default="text")
     c.add_argument("--out", type=_output_file, default=None)
     c.set_defaults(func=cmd_classify)

@@ -539,20 +539,18 @@ class BCVClassification:
     case: str
 
 
-def bcv_classify(m: float, l: float, case2: str = "printed") -> BCVClassification:
+def bcv_classify(m: float, l: float) -> BCVClassification:
     """Classify the 3-dimensional base space for parameters (m, l).
 
-    ``case2`` selects the predicate for the sphere case: "printed" uses
-    m = l/4, "squared" uses m = l^2/4.
+    The sphere case (ii) is 4m = l^2: the planes of `bcv_frame` have
+    sectional curvatures 4m - 3l^2/4, l^2/4 and l^2/4, which are equal
+    exactly there.  The paper prints it as m = l/4.
     """
-    if case2 not in ("printed", "squared"):
-        raise ValueError("case2 must be 'printed' or 'squared'")
     if not (np.isfinite(m) and np.isfinite(l)):
         raise DomainViolation("classification needs finite parameters")
-    sphere = (m == l / 4.0) if case2 == "printed" else (m == l * l / 4.0)
     predicates = (
         m == 0.0 and l == 0.0,
-        sphere,
+        m == l * l / 4.0,
         m > 0.0 and l == 0.0,
         m < 0.0 and l == 0.0,
         m > 0.0 and l != 0.0,

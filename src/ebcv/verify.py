@@ -99,7 +99,6 @@ class VerifyReport:
     l: float
     seed: int
     samples: int
-    tol_scale: float
     elapsed: float
     checks: tuple = field(default_factory=tuple)
 
@@ -120,7 +119,6 @@ class VerifyReport:
                 "params": {"m": self.m, "l": self.l},
                 "seed": self.seed,
                 "samples": self.samples,
-                "tol_scale": self.tol_scale,
                 "box": [-SAMPLE_BOX, SAMPLE_BOX],
                 "k_min": SAMPLE_K_MIN,
                 "elapsed": self.elapsed,
@@ -133,8 +131,7 @@ class VerifyReport:
         lines = [
             f"verification report for (m, l) = ({self.m:g}, {self.l:g})",
             f"samples={self.samples} seed={self.seed} "
-            f"box=[-{SAMPLE_BOX},{SAMPLE_BOX}]^7 K>{SAMPLE_K_MIN} "
-            f"tol-scale={self.tol_scale:g}",
+            f"box=[-{SAMPLE_BOX},{SAMPLE_BOX}]^7 K>{SAMPLE_K_MIN}",
             "",
         ]
         width = max(len(c.id) for c in self.checks)
@@ -167,11 +164,10 @@ class _Ctx:
     (0, 1); only a sample of fewer than 3 points draws its own.
     """
 
-    def __init__(self, m, l, samples, seed, tol_scale):
+    def __init__(self, m, l, samples, seed):
         self.params = ModelParams(m, l)
         self.samples = samples
         self.seed = seed
-        self.scale = tol_scale
         self.jet = self._sample(self.params, samples)
         self.pts = self.jet.q
         params0 = ModelParams(0.0, l)
@@ -194,9 +190,6 @@ class _Ctx:
 
     def _sample(self, params, n):
         return FrameJet(sample_domain_points(params, n, self.seed), params)
-
-    def tol(self, base: float) -> float:
-        return base * self.scale
 
 
 def _pmax(res):
@@ -256,9 +249,9 @@ _AT_M0 = "evaluated at (m, l) = (0, {:g})"
 def _sample_records(doc, l):
     """The records of the sample from the table document doc at l, one
     declaration each: the pass/fail records, then the printed claims, the
-    printed frame tables last.  A record reads max |residual(t)| against
-    tol (scaled), t the tensors of a chunk with the points on axis 0
-    (`_chk_sample`); with rows, t holds only the jets of the chunk's points
+    printed frame tables last.  A record judges max |residual(t)| against
+    its fixed tolerance tol, t the tensors of a chunk with the points on
+    axis 0 (`_chk_sample`); with rows, t holds only the jets of the chunk's points
     among the sample's first rows (`_head`).  quote(t, res) is one value
     per point (0 by default), res the residual at t.  A pass/fail record's
     details are details.  A printed claim is (holds, texts): details if it
@@ -548,11 +541,11 @@ def _chk_sample(ctx):
     for r, r_res, r_quoted in zip(records, res.T, quoted.T):
         worst, witness, k = _summary(r_res[:r.rows], ctx.pts)
         if r.claim is None:
-            out.append(_verdict(r.id, worst <= ctx.tol(r.tol), worst, witness,
+            out.append(_verdict(r.id, worst <= r.tol, worst, witness,
                                 r.reference, r.details))
             continue
         holds, texts = r.claim
-        out.append(_claim(r.id, worst, witness, ctx.tol(r.tol), r.reference,
+        out.append(_claim(r.id, worst, witness, r.tol, r.reference,
                           holds, *texts(worst, r_quoted[k])))
 
     try:
@@ -593,7 +586,7 @@ def _chk_killing(ctx):
     out.append(
         _passfail(
             "killing-basis-residuals", per_point[:, :len(basis)],
-            ctx.tol(TOL_TABLE),
+            TOL_TABLE,
             "all 13 closed-form fields satisfy the Killing equation", pts,
             details=note,
         )
@@ -604,9 +597,8 @@ def _chk_killing(ctx):
         "killing-basis-rank", rank == 13, float(13 - rank), None,
         "the closed-form family is 13-dimensional", f"rank={rank}{and_note}"))
 
-    # a rejection threshold, not a tolerance: deliberately unscaled, but
-    # relative to |l|, which is exactly the horizontal fields' residual (a
-    # basis field's reads 0)
+    # a rejection threshold relative to |l|, which is exactly the
+    # horizontal fields' residual (a basis field's reads 0)
     reject = 1e-3 * abs(params.l)
     min_bad = float(kil[len(basis):].min())
     out.append(_verdict(
@@ -636,7 +628,7 @@ def _chk_killing(ctx):
     corrected = float(np.abs(eq13).max())
     out.append(
         _claim(
-            "killing-eq13-sign", worst, witness, ctx.tol(TOL_TABLE),
+            "killing-eq13-sign", worst, witness, TOL_TABLE,
             "printed sign of the d(f2)/dr term in equation 13",
             "printed and corrected variants coincide on the sampled fields"
             + and_note,
@@ -665,7 +657,7 @@ def _chk_geodesic_tables(ctx):
     res = pt.momenta_values(qs, ps) - frame_momenta(qs, ps, HEIS)[..., 3:]
     out.append(
         _passfail(
-            "geodesic-momenta", res, ctx.tol(TOL_EXACT),
+            "geodesic-momenta", res, TOL_EXACT,
             "printed momentum functions equal the frame momenta", qs,
             details="evaluated at (m, l) = (0, 1)",
         )
@@ -682,7 +674,7 @@ def _chk_geodesic_tables(ctx):
     lines_ok = np.delete(gap, 1, axis=1)
     out.append(
         _passfail(
-            "geodesic-rhs-lines", lines_ok, ctx.tol(TOL_EXACT),
+            "geodesic-rhs-lines", lines_ok, TOL_EXACT,
             "13 of the 14 printed flow equations match the derived flow",
             qs[:n_states],
             details="evaluated at (m, l) = (0, 1); the remaining line has "
@@ -694,7 +686,7 @@ def _chk_geodesic_tables(ctx):
     worst, witness, _ = _summary(gap[:, 1], qs[:n_states])
     out.append(
         _claim(
-            "geodesic-sdot-line", worst, witness, ctx.tol(TOL_EXACT),
+            "geodesic-sdot-line", worst, witness, TOL_EXACT,
             "printed flow equation for the second vertical coordinate", "",
             info["note"], info["printed"], info["derived"],
         )
@@ -709,7 +701,7 @@ def _chk_geodesic_tables(ctx):
     worst = float(np.abs(oracle_vec - printed_vec).max())
     out.append(
         _claim(
-            "heisenberg-bracket-yz", worst, None, ctx.tol(TOL_EXACT),
+            "heisenberg-bracket-yz", worst, None, TOL_EXACT,
             "printed prose value of the bracket of the last two horizontal "
             "fields",
             info["note"], info["note"], json.dumps(info["printed_component"]),
@@ -727,7 +719,7 @@ def _chk_geodesic_tables(ctx):
         if r > worst:
             worst, worst_q = r, qs2[k]
     out.append(_verdict(
-        "geodesic-poisson-brackets", worst <= ctx.tol(TOL_EXACT), worst,
+        "geodesic-poisson-brackets", worst <= TOL_EXACT, worst,
         worst_q, "the six printed momentum Poisson relations",
         f"checked at {n_poisson} random phase states"))
     return out
@@ -745,7 +737,7 @@ def _chk_geodesic_flow(ctx):
     pv_drift = float(np.abs(traj.p[:, :3] - traj.p[0, :3]).max())
     out.append(_verdict(
         "geodesic-energy-conservation",
-        drift <= ctx.tol(1e-11) and pv_drift <= ctx.tol(1e-13)
+        drift <= 1e-11 and pv_drift <= 1e-13
         and traj.status == "complete", max(drift, pv_drift), p0,
         "the integrator preserves the Hamiltonian and the vertical momenta",
         f"H drift {drift:.3e}, vertical momentum drift {pv_drift:.3e} over "
@@ -756,7 +748,7 @@ def _chk_geodesic_flow(ctx):
                        h=1e-3, n=500)
     drift_r = float(np.abs(traj_r.H - traj_r.H[0]).max())
     out.append(_verdict(
-        "geodesic-energy-conservation-riemannian", drift_r <= ctx.tol(1e-10),
+        "geodesic-energy-conservation-riemannian", drift_r <= 1e-10,
         drift_r, p1, "energy conservation for the requested parameters",
         f"(m, l) = ({ctx.params.m:g}, {ctx.params.l:g}); "
         f"{traj_r.n_samples - 1} accepted steps (status {traj_r.status})"))
@@ -769,7 +761,7 @@ def _chk_geodesic_flow(ctx):
     cf = closed_form_trajectory(s2, h=1e-3, n=400)
     end_gap = float(np.abs(rk.q[-1] - cf.q[-1]).max())
     out.append(_verdict(
-        "geodesic-closed-form-agreement", end_gap <= ctx.tol(1e-9), end_gap,
+        "geodesic-closed-form-agreement", end_gap <= 1e-9, end_gap,
         p2, "the closed-form trajectory matches the integrator"))
 
     P0 = frame_momenta(q0, p2, HEIS)[3:]
@@ -779,7 +771,7 @@ def _chk_geodesic_flow(ctx):
     out.append(_verdict(
         "geodesic-circle-radius",
         verdict.kind == "circle"
-        and abs(verdict.radius - radius_pred) <= ctx.tol(1e-4) * radius_pred,
+        and abs(verdict.radius - radius_pred) <= 1e-4 * radius_pred,
         abs(verdict.radius - radius_pred) / radius_pred
         if verdict.radius else None, p2,
         "the horizontal projection is a circle of radius |P(0)|/|Lambda|",
@@ -845,14 +837,13 @@ def run_verify(
     l: float,
     samples: int = 100,
     seed: int = 0,
-    tol_scale: float = 1.0,
 ) -> VerifyReport:
-    """Run the whole registry and return the assembled report.
+    """Run the whole registry and return the assembled report.  Each record
+    is judged against its own fixed tolerance.
 
     Raises DomainViolation for a subnormal l, when no acceptable sample
     points exist for the requested parameters or their curvature overflows
-    float64, and ValueError for a non-finite m or l, for samples < 1 or for
-    a tol_scale that is not positive and finite.
+    float64, and ValueError for a non-finite m or l or for samples < 1.
     """
     if not (np.isfinite(m) and np.isfinite(l)):
         raise ValueError(f"m and l must be finite, got m={m!r}, l={l!r}")
@@ -864,10 +855,8 @@ def run_verify(
             f"|l| >= {np.finfo(float).tiny:g} or l = 0")
     if samples < 1:
         raise ValueError("need samples >= 1")
-    if not (np.isfinite(tol_scale) and tol_scale > 0.0):
-        raise ValueError(f"tol_scale must be positive and finite, got {tol_scale!r}")
     start = time.perf_counter()
-    ctx = _Ctx(m, l, samples, seed, tol_scale)
+    ctx = _Ctx(m, l, samples, seed)
     checks = []
     for fn in _REGISTRY:
         checks.extend(fn(ctx))
@@ -878,5 +867,5 @@ def run_verify(
     elapsed = time.perf_counter() - start
     return VerifyReport(
         m=float(m), l=float(l), seed=int(seed), samples=int(samples),
-        tol_scale=float(tol_scale), elapsed=elapsed, checks=tuple(checks),
+        elapsed=elapsed, checks=tuple(checks),
     )

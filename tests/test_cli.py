@@ -80,10 +80,6 @@ BASE_ARGV = {
     [
         ("verify", "--samples=0"),
         ("verify", "--seed=-1"),
-        ("verify", "--tol-scale=-1"),
-        ("verify", "--tol-scale=0"),
-        ("verify", "--tol-scale=nan"),
-        ("verify", "--tol-scale=inf"),
         ("geodesic", "--h=0"),
         ("geodesic", "--h=-1e-3"),
         ("geodesic", "--h=nan"),
@@ -387,6 +383,24 @@ def test_killing_check_overflowing_field_exit_4(tmp_path, capsys):
     assert captured.err.count("\n") == 1 and "overflows" in captured.err
 
 
+@pytest.mark.parametrize("l", [0.0, 1e-12, 1e-9, 1.0, 37.0])
+def test_killing_check_threshold_scales_with_l(l, tmp_path, capsys):
+    # the horizontal X4's residual is exactly |l|, and that of X1, the basis
+    # field of C1, exactly 0: X4 is a Killing field only at l = 0
+    for e, want in (("e1", "killing"),
+                    ("e4", "killing" if l == 0.0 else "not-killing")):
+        field = {f"e{i}": {} for i in range(1, 8)}
+        field[e] = {"0,0,0,0,0,0,0": 1.0}
+        path = tmp_path / f"{e}.json"
+        path.write_text(json.dumps(field))
+        code = main(["killing", "--l", repr(l), "check", "--input", str(path)])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["max_residual"] == (abs(l) if e == "e4" else 0.0), e
+        assert doc["threshold"] == 1e-8 * abs(l)
+        assert doc["verdict"] == want, e
+
+
 def test_killing_check_without_input_exit_4(capsys):
     code = main(["killing", "--l", "1", "check"])
     capsys.readouterr()
@@ -415,17 +429,26 @@ def test_classify_seven_cases(capsys):
 
 
 def test_classify_case2_predicate_switch(capsys):
-    code = main(["classify", "--m", "0.5", "--l", "2", "--format", "json"])
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["case"] == "ii"  # m = l/4
-    code = main(["classify", "--m", "0.5", "--l", "2", "--case2", "squared",
-                 "--format", "json"])
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["case"] == "v"  # 4m != l^2
-    code = main(["classify", "--m", "1", "--l", "2", "--case2", "squared",
-                 "--format", "json"])
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["case"] == "ii"  # 4m = l^2
+    # case (ii), the sphere, is 4m = l^2, not the printed m = l/4, and the
+    # output names no predicate
+    for m, case in (("1", "ii"), ("0.5", "v")):
+        code = main(["classify", "--m", m, "--l", "2", "--format", "json"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {"m", "l", "label", "case"}
+        assert doc["case"] == case
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--m", "0", "--l", "1", "--tol-scale", "2"],
+    ["classify", "--m", "1", "--l", "2", "--case2", "squared"],
+])
+def test_removed_options_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in (
+        capsys.readouterr().err)
 
 
 def test_classify_text(capsys):

@@ -357,13 +357,63 @@ def test_bcv_classify_seven_cases():
 
 
 def test_bcv_classify_case2_variants():
-    assert bcv_classify(0.25, 1.0, case2="squared").label == "Sphere3"
-    assert bcv_classify(0.5, 2.0, case2="printed").label == "Sphere3"
-    assert bcv_classify(0.5, 2.0, case2="squared").label == "SU2"
-    with pytest.raises(ValueError):
-        bcv_classify(0.0, 0.0, case2="bogus")
+    # case (ii) is 4m = l^2 alone; the printed m = l/4 meets it at (0.25, 1),
+    # and no argument selects the printed form
+    assert bcv_classify(1.0, 2.0) == BCVClassification("Sphere3", "ii")
+    assert bcv_classify(0.5, 2.0) == BCVClassification("SU2", "v")
+    with pytest.raises(TypeError):
+        bcv_classify(0.5, 2.0, case2="printed")
     with pytest.raises(DomainViolation):
         bcv_classify(float("nan"), 1.0)
+
+
+def _partials(f, x, y, step):
+    """The partials of f(x, y) along x, y and z by central differences; f
+    does not depend on z."""
+    fx = (f(x + step, y) - f(x - step, y)) / (2 * step)
+    fy = (f(x, y + step) - f(x, y - step)) / (2 * step)
+    return np.stack([fx, fy, np.zeros_like(fx)])
+
+
+def _bcv_sectional(x, y, params, h=1e-5, H=1e-4):
+    """Sectional curvatures of the planes (E1, E2), (E1, E3) and (E2, E3) of
+    `bcv_frame` at (x, y), by Koszul's formula on central differences: step
+    h for the frame, H for the connection."""
+
+    def frame(x, y):
+        return bcv_frame(x, y, params)
+
+    def connection(x, y):
+        # c[a, b, c] = <[E_a, E_b], E_c> and G[a, b, c] = <nabla_a E_b, E_c>
+        E = frame(x, y)
+        DE = np.einsum("ka,kib->abi", E, _partials(frame, x, y, h))
+        br = DE - np.einsum("bai->abi", DE)  # [E_a, E_b] in coordinates
+        c = np.einsum("ci,abi->abc", np.linalg.inv(E), br)
+        G = 0.5 * (c - np.einsum("bca->abc", c) + np.einsum("cab->abc", c))
+        return E, c, G
+
+    E, c, G = connection(x, y)
+    XG = np.einsum("ke,kabc->eabc", E,
+                   _partials(lambda x, y: connection(x, y)[2], x, y, H))
+    # <R(E_a, E_b) E_b, E_a>, R(X, Y) = [nabla_X, nabla_Y] - nabla_[X, Y]
+    return [XG[a, b, b, a] - XG[b, a, b, a]
+            + G[b, b] @ G[a, :, a] - G[a, b] @ G[b, :, a]
+            - c[a, b] @ G[:, b, a]
+            for a, b in ((0, 1), (0, 2), (1, 2))]
+
+
+@pytest.mark.parametrize("m, l", [(1.0, 2.0), (0.5, 2.0), (0.25, 1.0),
+                                  (-1.0, 1.0)])
+def test_bcv_sectional_curvatures_decide_the_sphere_case(m, l):
+    # 4m - 3l^2/4, l^2/4 and l^2/4 at every point: the base has constant
+    # curvature exactly where 4m = l^2, the sphere case (ii)
+    got = np.array([_bcv_sectional(x, y, ModelParams(m, l))
+                    for x, y in ((0.0, 0.0), (0.3, -0.2), (-0.1, 0.4))])
+    want = [4 * m - 0.75 * l * l, 0.25 * l * l, 0.25 * l * l]
+    np.testing.assert_allclose(got, np.broadcast_to(want, got.shape),
+                               rtol=0, atol=1e-6)
+    constant = np.ptp(got) <= 1e-6
+    assert (bcv_classify(m, l).label == "Sphere3") == constant
 
 
 def test_bcv_frame_examples():

@@ -104,6 +104,32 @@ def test_report_diff_lists_moved_records_and_fails_on_status(tmp_path, capsys):
     ]
 
 
+def test_report_diff_lists_summary_keys(tmp_path, capsys):
+    diff = _load_script("report_diff")
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    checks = [{"id": "a", "status": "pass", "max_residual": 0.0}]
+    summary = {"counts": {"fail": 0, "pass": 1}, "elapsed": 0.5,
+               "samples": 20, "tol_scale": 1.0}
+    before.write_text(json.dumps({"checks": checks, "summary": summary}))
+
+    def write_after(**changes):
+        new = {k: v for k, v in {**summary, **changes}.items()
+               if v is not None}
+        after.write_text(json.dumps({"checks": checks, "summary": new}))
+
+    # elapsed is skipped, and a value that moves is listed but passes
+    write_after(elapsed=0.7, samples=5, counts={"pass": 1, "fail": 0})
+    assert diff.main([str(before), str(after)]) == 0
+    assert capsys.readouterr().out == "summary.samples: 20 -> 5\n"
+    # a key on one side only is listed with absent, and fails
+    write_after(tol_scale=None, seed=0)
+    assert diff.main([str(before), str(after)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "summary.tol_scale: 1.0 -> absent",
+        "summary.seed: absent -> 0",
+    ]
+
+
 def test_report_diff_compares_other_files_byte_for_byte(tmp_path, capsys):
     # tests/data/ holds integrate_contract.json beside the verify reports
     diff = _load_script("report_diff")

@@ -233,7 +233,7 @@ def test_each_point_set_gets_one_frame_jet(monkeypatch):
 @pytest.mark.parametrize("m, l", [(-3.0, 0.0), (1.0, 0.0), (0.0, 0.0), (-3.0, 1.0)])
 def test_killing_sample_is_the_head_of_the_sample(m, l):
     # at l = 0 too, where the Killing family is taken at l = 1
-    ctx = ebcv.verify._Ctx(m, l, 100, 0, 1.0)
+    ctx = ebcv.verify._Ctx(m, l, 100, 0)
     assert np.array_equal(ctx.pts_kill, ctx.pts[:40])
 
 
@@ -254,7 +254,7 @@ def test_every_declared_record_reaches_the_report(monkeypatch):
                      for r in declare(doc, l))
 
     def sample_records():
-        return ebcv.verify._chk_sample(ebcv.verify._Ctx(1.0, 1.0, 3, 0, 1.0))
+        return ebcv.verify._chk_sample(ebcv.verify._Ctx(1.0, 1.0, 3, 0))
 
     base = sample_records()
     monkeypatch.setattr(ebcv.verify, "_sample_records", shifted)
@@ -307,7 +307,7 @@ def test_bundle_records_catch_planted_defects(m, l, plant, failing,
     if plant is not None:
         plant(monkeypatch)
     got = {c.id: c.status
-           for c in ebcv.verify._chk_sample(ebcv.verify._Ctx(m, l, 20, 0, 1.0))}
+           for c in ebcv.verify._chk_sample(ebcv.verify._Ctx(m, l, 20, 0))}
     assert {cid: got[cid] for cid in _BUNDLE_IDS} == {
         cid: "fail" if cid in failing else "pass" for cid in _BUNDLE_IDS}
 
@@ -344,7 +344,7 @@ def test_a_wrong_table_entry_is_named_at_the_first_worst_point():
     table = doc["frame_tables"]["general_connection"]
     key = list(table["entries"])[6]
     table["entries"][key]["4"] += " + w**2"
-    ctx = ebcv.verify._Ctx(1.0, 1.0, 40, 0, 1.0)
+    ctx = ebcv.verify._Ctx(1.0, 1.0, 40, 0)
     ctx.doc = doc
     rec = {c.id: c for c in ebcv.verify._chk_sample(ctx)}[
         "general-connection-table"]
@@ -447,13 +447,6 @@ def test_samples_validation():
         run_verify(0.0, 1.0, samples=0, seed=0)
 
 
-@pytest.mark.parametrize("tol_scale", [float("nan"), -1.0, 0.0, float("inf")])
-def test_tol_scale_validation(tol_scale):
-    # nan, -1 and 0 would fail correct checks; inf would hide every erratum
-    with pytest.raises(ValueError):
-        run_verify(0.0, 1.0, samples=3, seed=0, tol_scale=tol_scale)
-
-
 def test_non_finite_parameters_raise_value_error():
     # nan as l used to end in an SVD that did not converge
     for m, l in ((0.0, float("nan")), (float("nan"), 1.0), (float("inf"), 1.0)):
@@ -465,15 +458,6 @@ def test_tiny_sample_counts_still_run_clean():
     for samples in (1, 5):
         rep = run_verify(0.0, 1.0, samples=samples, seed=2)
         assert rep.counts["fail"] == 0, samples
-
-
-def test_tol_scale_loosens_every_threshold():
-    rep = run_verify(1.0, 1.0, samples=20, seed=4, tol_scale=1e12)
-    assert rep.counts["fail"] == 0
-    assert rep.counts["paper-discrepancy"] == 0
-    # a claim that holds quotes neither the printed nor the oracle string
-    for c in rep.checks:
-        assert c.printed is None and c.oracle is None, c.id
 
 
 def test_report_shape(report_01):
@@ -490,6 +474,10 @@ def test_report_shape(report_01):
             "id", "status", "max_residual", "witness", "reference",
             "details", "printed", "oracle",
         }
+        # a record that passes, a claim that holds included, quotes neither
+        # the printed nor the oracle string
+        if c["status"] == "pass":
+            assert c["printed"] is None and c["oracle"] is None, c["id"]
 
 
 def test_text_rendering(report_01):
