@@ -544,13 +544,17 @@ def bcv_classify(m: float, l: float) -> BCVClassification:
 
     The sphere case (ii) is 4m = l^2: the planes of `bcv_frame` have
     sectional curvatures 4m - 3l^2/4, l^2/4 and l^2/4, which are equal
-    exactly there.  The paper prints it as m = l/4.
+    exactly there.  The paper prints it as m = l/4.  It is tested as
+    2 sqrt(m) = |l| within 4 ulp, for m > 0: neither side under- or
+    overflows, and decimal inputs such as (0.01, 0.2), where l * l rounds,
+    still meet it.
     """
     if not (np.isfinite(m) and np.isfinite(l)):
         raise DomainViolation("classification needs finite parameters")
     predicates = (
         m == 0.0 and l == 0.0,
-        m == l * l / 4.0,
+        m > 0.0
+        and abs(2.0 * np.sqrt(m) - abs(l)) <= 4 * np.finfo(float).eps * abs(l),
         m > 0.0 and l == 0.0,
         m < 0.0 and l == 0.0,
         m > 0.0 and l != 0.0,

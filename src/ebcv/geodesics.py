@@ -369,10 +369,6 @@ class Trajectory:
     def n_samples(self) -> int:
         return int(self.u.shape[0])
 
-    def state(self, k: int) -> CotangentState:
-        """The k-th sample as a CotangentState."""
-        return CotangentState(self.q[k], self.p[k])
-
     def to_rows(self) -> np.ndarray:
         """Samples as rows (u, r, s, t, w, x, y, z, pr, ps, pt, pw, px, py, pz, H)."""
         return np.column_stack([self.u, self.q, self.p, self.H])

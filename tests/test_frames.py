@@ -356,11 +356,25 @@ def test_bcv_classify_seven_cases():
         assert got == BCVClassification(label, case)
 
 
-def test_bcv_classify_case2_variants():
-    # case (ii) is 4m = l^2 alone; the printed m = l/4 meets it at (0.25, 1),
-    # and no argument selects the printed form
-    assert bcv_classify(1.0, 2.0) == BCVClassification("Sphere3", "ii")
-    assert bcv_classify(0.5, 2.0) == BCVClassification("SU2", "v")
+@pytest.mark.parametrize("m, l, label, case", [
+    # decimal inputs on 4m = l^2, where l * l rounds
+    (0.01, 0.2, "Sphere3", "ii"), (0.0025, 0.1, "Sphere3", "ii"),
+    (0.49, 1.4, "Sphere3", "ii"), (0.09, 0.6, "Sphere3", "ii"),
+    (1.0, 2.0, "Sphere3", "ii"), (4.0, 4.0, "Sphere3", "ii"),
+    (0.25, -1.0, "Sphere3", "ii"),
+    # l * l overflows
+    (1e300, 2e150, "Sphere3", "ii"),
+    (0.5, 2.0, "SU2", "v"), (1.0, 4.0, "SU2", "v"), (1.0, 1e200, "SU2", "v"),
+    # l * l underflows to 0 = 4m
+    (0.0, 1e-200, "Nil3", "vii"),
+])
+def test_bcv_classify_case2_variants(m, l, label, case):
+    # case (ii) is 4m = l^2 alone; the printed m = l/4 meets it at (0.25, 1)
+    assert bcv_classify(m, l) == BCVClassification(label, case)
+
+
+def test_bcv_classify_takes_only_finite_parameters():
+    # no argument selects the printed form of case (ii)
     with pytest.raises(TypeError):
         bcv_classify(0.5, 2.0, case2="printed")
     with pytest.raises(DomainViolation):

@@ -393,7 +393,7 @@ def test_subriemannian_velocity_is_horizontal():
         s0 = _random_state(rng)
         tr = integrate(s0, params, "subriemannian", 1e-2, 40)
         for k in range(0, tr.n_samples, 10):
-            st = tr.state(k)
+            st = CotangentState(tr.q[k], tr.p[k])
             qdot, _ = hamilton_rhs(st, params, "subriemannian")
             vertical = coframe_matrix(st.q, params)[:3] @ qdot
             assert np.max(np.abs(vertical)) < 1e-10

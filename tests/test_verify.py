@@ -14,6 +14,7 @@ import pytest
 import ebcv
 import ebcv.curvature
 import ebcv.frames
+import ebcv.geodesics
 import ebcv.homogeneous
 import ebcv.killing
 import ebcv.published_tables
@@ -417,6 +418,47 @@ def test_a_horizontal_field_the_pde_calls_killing_fails_equivalence(monkeypatch)
         assert planted
         assert _by_id(rep)["killing-pde-equivalence"].status == "fail"
         assert rep.exit_code == 1
+
+
+def test_the_geodesic_flow_integrates_one_heisenberg_trajectory(monkeypatch):
+    # the energy, closed-form and circle records read one 400-step run and
+    # its one closed form; the Riemannian record and the three runs of the
+    # convergence ratio are the only other trajectories
+    runs, forms = Counter(), Counter()
+    integrate = ebcv.verify.integrate
+    closed_form = ebcv.verify.closed_form_trajectory
+
+    def counting_integrate(s0, params, mode, h, n):
+        runs[mode, h, n] += 1
+        return integrate(s0, params, mode=mode, h=h, n=n)
+
+    def counting_closed_form(s0, h, n):
+        forms[h, n] += 1
+        return closed_form(s0, h=h, n=n)
+
+    monkeypatch.setattr(ebcv.verify, "integrate", counting_integrate)
+    monkeypatch.setattr(ebcv.verify, "closed_form_trajectory",
+                        counting_closed_form)
+    out = ebcv.verify._chk_geodesic_flow(ebcv.verify._Ctx(1.0, 1.0, 3, 0))
+    assert {c.status for c in out} == {"pass"}
+    assert runs == Counter({
+        ("heisenberg", 1e-3, 400): 1, ("riemannian", 1e-3, 500): 1,
+        ("heisenberg", 0.02, 16): 1, ("heisenberg", 0.01, 32): 1,
+        ("heisenberg", 0.005, 64): 1})
+    assert forms == Counter({(1e-3, 400): 1})
+
+
+@pytest.mark.parametrize("eps, status", [(0.0, "pass"), (1e-9, "fail")])
+def test_energy_record_catches_a_planted_vertical_block(monkeypatch, eps,
+                                                        status):
+    # eps I added to the p_r, p_s, p_t block of the flow's M bends the
+    # horizontal momenta out of the energy shell of the 400-step run
+    block = ebcv.geodesics._vertical_block
+    monkeypatch.setattr(ebcv.geodesics, "_vertical_block",
+                        lambda pv, Jl: block(pv, Jl) + eps * np.eye(4))
+    out = ebcv.verify._chk_geodesic_flow(ebcv.verify._Ctx(0.0, 1.0, 3, 0))
+    got = {c.id: c.status for c in out}
+    assert got["geodesic-energy-conservation"] == status
 
 
 @pytest.mark.parametrize("l", [1e-6, 1e-9, 1e-13])
