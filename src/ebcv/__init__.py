@@ -49,12 +49,9 @@ from .geodesics import (
 from .homogeneous import (
     StructureClass,
     ambrose_singer_check,
-    c12_trace,
     char_connection_tensor,
     classify_structure,
-    cyclic_sum,
     parallelism_residuals,
-    torsion_D,
 )
 from .killing import (
     PolyVectorField,
@@ -93,12 +90,9 @@ __all__ = [
     "scalar_curvature",
     "StructureClass",
     "ambrose_singer_check",
-    "c12_trace",
     "char_connection_tensor",
     "classify_structure",
-    "cyclic_sum",
     "parallelism_residuals",
-    "torsion_D",
     "PolyVectorField",
     "basis_rank",
     "frame_unit_field",

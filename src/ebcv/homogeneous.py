@@ -19,9 +19,9 @@ contribute, where T(X_a, X_b) = -V[X_a, X_b] (V = vertical projection); the
 tensor vanishes by convention on pairs involving a vertical field.  The
 faithful difference-of-connections torsion does NOT vanish on mixed pairs
 (it equals nabla_{X_i} X_b there); `faithful_torsion_tensor` computes it and
-the verification suite reports the mismatch against the reduced form.  The
-classification helpers (`c12_trace`, `cyclic_sum`, `classify_structure`)
-operate on the reduced tensor.
+the verification suite reports the mismatch against the reduced form.
+`classify_structure` reads the c12 trace, the cyclic sums and the
+first-two-slot antisymmetry of the reduced tensor.
 
 Homogeneity conditions.  A torsion tensor T that is skew in its first two
 slots determines a unique metric connection with that torsion; writing the
@@ -64,7 +64,6 @@ import numpy as np
 from .errors import InconclusiveClassification
 from .frames import (
     ModelParams,
-    _check_frame_index,
     _covariant,
     frame_jet,
     levi_civita_tensor,
@@ -122,24 +121,6 @@ def torsion_D_tensor(q, params: ModelParams) -> np.ndarray:
 def _reduced_torsion(C: np.ndarray) -> np.ndarray:
     """`torsion_D_tensor` from the structure constants C, or from dC."""
     return -C * _TORSION_MASK
-
-
-def torsion_D(a: int, b: int, q, params: ModelParams) -> np.ndarray:
-    """Frame components of the reduced torsion T(X_a, X_b) (1-based)."""
-    _check_frame_index(a, b)
-    return torsion_D_tensor(q, params)[..., a - 1, b - 1, :]
-
-
-def c12_trace(q, params: ModelParams) -> np.ndarray:
-    """c12(T)(X_c) = sum_r T[r, r, c] of the reduced torsion (identically 0)."""
-    T = torsion_D_tensor(q, params)
-    return np.einsum("...rrc->...c", T)
-
-
-def cyclic_sum(a: int, b: int, c: int, q, params: ModelParams) -> np.ndarray:
-    """T[a,b,c] + T[c,a,b] + T[b,c,a] for 1-based frame indices."""
-    _check_frame_index(a, b, c)
-    return _cyclic_sums(torsion_D_tensor(q, params), a - 1, b - 1, c - 1)
 
 
 def _cyclic_sums(T: np.ndarray, i, j, k) -> np.ndarray:
@@ -237,22 +218,12 @@ def _skew_completion(T: np.ndarray) -> np.ndarray:
     )
 
 
-def candidate_structure_tensor(q, params: ModelParams) -> np.ndarray:
-    """Structure-tensor candidate determined by the reduced torsion.
-
-    S[..., a, b, c] is skew in (b, c) and has first-two-slot
-    antisymmetrization equal to minus the reduced torsion, so nabla - S is
-    the unique metric connection whose torsion is the reduced tensor.  At
-    m = 0 it equals the full Levi-Civita frame tensor.
-    """
-    return _skew_completion(torsion_D_tensor(q, params))
-
-
 def ambrose_singer_check(q, params: ModelParams) -> np.ndarray:
     """Max residuals (3 values) of the homogeneity conditions at q.
 
-    The candidate S is `candidate_structure_tensor` (the metric connection
-    with the reduced torsion T).  (i) is max |S_abc + S_acb|, and (ii) and
+    The candidate S is the skew completion of the reduced torsion T (the
+    metric connection with torsion T; at m = 0 it equals the full
+    Levi-Civita frame tensor).  (i) is max |S_abc + S_acb|, and (ii) and
     (iii) are max |nabla~ R| and max |nabla~ S| under the canonical
     connection nabla~ = nabla - S (see the module docstring), where
     nabla~ S is the skew completion of nabla~ T, as S is that of T.
@@ -286,31 +257,16 @@ def _parallelism(fr, conn) -> tuple:
     return _covariant(conn, T, xT), _covariant(conn, fr.R, fr.xR)
 
 
-def parallelism_residuals(
-    q, params: ModelParams, connection: str = "canonical"
-) -> np.ndarray:
-    """Max |(D'_e T)[a,b,c]| and max |(D'_e R)[a,b,c,d]| under a connection
-    D', shape (..., 2), for the reduced torsion T and the curvature R.
-
-    connection="canonical": D' = nabla~ = nabla - S with S the candidate
-    structure tensor (the metric connection whose torsion is T), so the
-    curvature residual is (ii) of `ambrose_singer_check`; both residuals
-    vanish at m = 0.  connection="characteristic": D' = D, the
-    type-projection connection; at the origin with m = 0 its residuals are
-    l^2 and l^3/2, so D parallelizes neither tensor.  The points are
+def parallelism_residuals(q, params: ModelParams) -> np.ndarray:
+    """Max |(D_e T)[a,b,c]| and max |(D_e R)[a,b,c,d]| under the
+    characteristic connection D, shape (..., 2), for the reduced torsion T
+    and the curvature R.  At the origin with m = 0 the residuals are l^2
+    and l^3/2, so D parallelizes neither tensor; the canonical connection
+    nabla - S that does is `ambrose_singer_check`'s.  The points are
     evaluated in fixed chunks, as in `ambrose_singer_check`.
     """
-    if connection not in ("canonical", "characteristic"):
-        raise ValueError(
-            f"connection must be 'canonical' or 'characteristic', got {connection!r}"
-        )
-
     def body(fr):
-        if connection == "canonical":
-            conn = fr.gamma - _skew_completion(_reduced_torsion(fr.C))
-        else:
-            conn = char_connection_tensor(fr, params)
-        nabT, nabR = _parallelism(fr, conn)
+        nabT, nabR = _parallelism(fr, char_connection_tensor(fr, params))
         return (np.abs(nabT).max(axis=(-4, -3, -2, -1)),
                 np.abs(nabR, out=nabR).max(axis=(-5, -4, -3, -2, -1)))
 

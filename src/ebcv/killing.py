@@ -41,9 +41,15 @@ __all__ = [
     "coordinate_components",
     "coordinate_bracket",
     "frame_unit_field",
+    "KILLING_THRESHOLD",
 ]
 
 COORD_NAMES = ("r", "s", "t", "w", "x", "y", "z")
+
+#: A field is Killing when its max |residual| is at most this times |l|: a
+#: basis field's residual reads 0 (at most ~2e-16 |l|), a horizontal frame
+#: field's exactly |l|.
+KILLING_THRESHOLD = 1e-8
 
 #: exponent index of each coordinate
 R, S, T, W, X, Y, Z = range(7)

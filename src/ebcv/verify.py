@@ -65,6 +65,7 @@ from .homogeneous import (
     torsion_D_tensor,
 )
 from .killing import (
+    KILLING_THRESHOLD,
     PARAM_NAMES_M0,
     basis_rank,
     frame_unit_field,
@@ -174,7 +175,8 @@ class _Ctx:
         self.jet0 = (self.jet if params0 == self.params
                      else FrameJet(self.pts, params0))
         # the Killing family and the geodesic system are specific to m = 0;
-        # at l = 0 the former degenerates, so substitute l = 1 with a note
+        # at l = 0 the horizontal frame fields are Killing fields too, so
+        # that none could be rejected: substitute l = 1 with a note
         self.params_kill = ModelParams(0.0, l if l != 0.0 else 1.0)
         # at least 2 points so the 13-field rank is certifiable (7 columns
         # each)
@@ -413,8 +415,7 @@ def _sample_records(doc, l):
         _Record("torsion-parallelism-canonical", TOL_TABLE,
                 "the canonical connection parallelizes curvature and torsion "
                 "at m = 0",
-                lambda t: parallelism_residuals(t.fr0, t.fr0.params,
-                                                "canonical"),
+                lambda t: ambrose_singer_check(t.fr0, t.fr0.params),
                 rows=12, details=at_m0),
         # the printed claims, the operator definition of the torsion first
         _Record("torsion-definitions-agreement", TOL_TABLE,
@@ -441,8 +442,7 @@ def _sample_records(doc, l):
         _Record("torsion-parallelism-characteristic", 1e-7,
                 "printed claim: the characteristic connection parallelizes "
                 "curvature and torsion",
-                lambda t: parallelism_residuals(t.fr, t.params,
-                                                "characteristic"),
+                lambda t: parallelism_residuals(t.fr, t.params),
                 ("holds trivially (l = 0)", lambda worst, at: (
                     char["note"], char["claim"],
                     f"{char['witness_torsion']}; {char['witness_curvature']}; "
@@ -572,7 +572,8 @@ def _chk_killing(ctx):
     params, pts, jet = ctx.params_kill, ctx.pts_kill, ctx.jet_kill
     note = (
         "" if ctx.params.l != 0.0
-        else "the family degenerates at l = 0; evaluated at l = 1 instead"
+        else "at l = 0 the horizontal frame fields are Killing fields too; "
+        "evaluated at l = 1 instead"
     )
     and_note = f"; {note}" if note else ""
     basis = killing_basis_m0(params.l)
@@ -599,7 +600,7 @@ def _chk_killing(ctx):
 
     # a rejection threshold relative to |l|, which is exactly the
     # horizontal fields' residual (a basis field's reads 0)
-    reject = 1e-3 * abs(params.l)
+    reject = KILLING_THRESHOLD * abs(params.l)
     min_bad = float(kil[len(basis):].min())
     out.append(_verdict(
         "killing-horizontal-rejected", min_bad > reject,

@@ -478,6 +478,14 @@ def test_curvature_full_and_point(capsys):
     R = np.array(doc["riemann"])
     assert R.shape == (7, 7, 7, 7)
     assert R[0, 3, 0, 3] == pytest.approx(0.25, abs=1e-9)
+    # the sectional curvature of all 21 frame planes a < b is R's own; the
+    # three vertical planes read 0, as the fibres are flat
+    assert list(doc["sectional"]) == [
+        f"{a},{b}" for a in range(1, 8) for b in range(a + 1, 8)]
+    for key, value in doc["sectional"].items():
+        a, b = (int(v) - 1 for v in key.split(","))
+        assert value == R[a, b, a, b], key
+    assert [doc["sectional"][k] for k in ("1,2", "1,3", "2,3")] == [0.0] * 3
 
 
 def test_curvature_outside_chart_exit_2(capsys):
@@ -491,7 +499,7 @@ def test_curvature_outside_chart_exit_2(capsys):
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_curvature_overflow_exit_2(fmt, capsys):
-    # at (0, 1e155) the printed sectional table overflows too
+    # at (1e200, 1) C already overflows, and at (0, 1e155) R, of order l^2
     for m, l in (("1e200", "1"), ("0", "1e155")):
         code = main([
             "curvature", "--m", m, "--l", l,

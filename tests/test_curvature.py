@@ -306,7 +306,7 @@ def test_chunking_is_invisible(m, l):
     p = ModelParams(m, l)
     pts = sample_domain_points(p, 200, seed=5)
     keys = ("gamma", "R", "nabla_R", "riemann_frame", "as_check",
-            "canonical", "characteristic")
+            "characteristic")
 
     def values(q):
         # the jet's tensors through the chunk map, then the entry points
@@ -314,8 +314,7 @@ def test_chunking_is_invisible(m, l):
             lambda fr: (fr.gamma, fr.R, fr.nabla_R))
         return dict(zip(keys, tensors + (
             riemann_frame(q, p), ambrose_singer_check(q, p),
-            parallelism_residuals(q, p, "canonical"),
-            parallelism_residuals(q, p, "characteristic"))))
+            parallelism_residuals(q, p))))
 
     alone = [values(q) for q in pts]
     want = {key: np.stack([v[key] for v in alone]) for key in keys}

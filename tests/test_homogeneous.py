@@ -20,16 +20,14 @@ from ebcv.frames import (
 from ebcv.killing import frame_unit_field
 from ebcv.homogeneous import (
     P_SIGNS,
+    _cyclic_sums,
+    _skew_completion,
     ambrose_singer_check,
-    c12_trace,
-    candidate_structure_tensor,
     char_connection_tensor,
     classify_structure,
-    cyclic_sum,
     faithful_torsion_tensor,
     nabla_p_torsion_tensor,
     parallelism_residuals,
-    torsion_D,
     torsion_D_tensor,
 )
 
@@ -111,7 +109,7 @@ def test_reduced_torsion_mixed_and_vertical_pairs_vanish():
 def test_torsion_examples():
     # T(X_4, X_5) = l X_1 at the origin.
     p = ModelParams(0.0, 1.0)
-    got = torsion_D(4, 5, ORIGIN, p)
+    got = torsion_D_tensor(ORIGIN, p)[..., 3, 4, :]
     expect = np.zeros(7)
     expect[0] = 1.0
     assert_allclose(got, expect, atol=1e-14)
@@ -119,13 +117,13 @@ def test_torsion_examples():
     p = ModelParams(1.0, 2.0)
     q = np.zeros(7)
     q[5] = 1.0
-    got = torsion_D(4, 5, q, p)
+    got = torsion_D_tensor(q, p)[..., 3, 4, :]
     expect = np.zeros(7)
     expect[0] = 4.0
     assert_allclose(got, expect, atol=1e-13)
     # T(X_1, X_4) = 0 in the reduced form for any parameters.
     for p in PARAM_GRID:
-        got = torsion_D(1, 4, _pts(p), p)
+        got = torsion_D_tensor(_pts(p), p)[..., 0, 3, :]
         assert np.abs(got).max() == 0.0
 
 
@@ -153,11 +151,11 @@ def test_torsion_matches_printed_table():
     for p in [ModelParams(1.0, 2.0), ModelParams(-0.5, 1.0), ModelParams(0.0, 1.0)]:
         pts = _pts(p, n=10, seed=3)
         table = _printed_torsion_table(pts, p.m, p.l)
+        T = torsion_D_tensor(pts, p)
         for (a, b), expect in table.items():
-            got = torsion_D(a, b, pts, p)
-            assert_allclose(got, expect, atol=1e-12)
+            assert_allclose(T[..., a - 1, b - 1, :], expect, atol=1e-12)
             # antisymmetry pins the transposed pair as well
-            assert_allclose(torsion_D(b, a, pts, p), -expect, atol=1e-12)
+            assert_allclose(T[..., b - 1, a - 1, :], -expect, atol=1e-12)
 
 
 def test_torsion_two_formulas_agree():
@@ -199,23 +197,26 @@ def test_torsion_first_two_slot_antisymmetry_exact(m, l):
 
 def test_c12_trace_zero():
     for p in PARAM_GRID:
-        trace = c12_trace(_pts(p), p)
+        trace = np.einsum("...rrc->...c", torsion_D_tensor(_pts(p), p))
         assert np.abs(trace).max() < 1e-12
-    assert np.abs(c12_trace(ORIGIN, ModelParams(0.0, 1.0))).max() == 0.0
+    T = torsion_D_tensor(ORIGIN, ModelParams(0.0, 1.0))
+    assert np.abs(np.einsum("...rrc->...c", T)).max() == 0.0
 
 
 def test_cyclic_sum_examples():
     # (1,4,5) at m=1, l=2, y=1: l(1 + m y^2) = 4.
     q = np.zeros(7)
     q[5] = 1.0
-    got = cyclic_sum(1, 4, 5, q, ModelParams(1.0, 2.0))
+    got = _cyclic_sums(torsion_D_tensor(q, ModelParams(1.0, 2.0)), 0, 3, 4)
     assert_allclose(got, 4.0, atol=1e-9)
     # (1,4,5) at the origin for m=0, l=1: 1.
-    got = cyclic_sum(1, 4, 5, ORIGIN, ModelParams(0.0, 1.0))
+    got = _cyclic_sums(torsion_D_tensor(ORIGIN, ModelParams(0.0, 1.0)),
+                       0, 3, 4)
     assert_allclose(got, 1.0, atol=1e-12)
     # all-vertical triples vanish for any parameters.
     for p in PARAM_GRID:
-        assert np.abs(cyclic_sum(1, 2, 3, _pts(p), p)).max() == 0.0
+        T = torsion_D_tensor(_pts(p), p)
+        assert np.abs(_cyclic_sums(T, 0, 1, 2)).max() == 0.0
 
 
 def test_classify_t3_with_witness():
@@ -293,14 +294,7 @@ def test_classification_memory_does_not_grow_with_the_sample():
 
 def test_frame_indices_are_validated():
     # index 0 used to read X_7 through a negative index, and 8 an IndexError
-    p = ModelParams(1.0, 1.0)
     for bad in (0, 8, -1, 1.0):
-        with pytest.raises(ValueError, match="1..7"):
-            torsion_D(bad, 5, ORIGIN, p)
-        with pytest.raises(ValueError, match="1..7"):
-            torsion_D(5, bad, ORIGIN, p)
-        with pytest.raises(ValueError, match="1..7"):
-            cyclic_sum(1, 4, bad, ORIGIN, p)
         with pytest.raises(ValueError, match="1..7"):
             frame_unit_field(bad)
 
@@ -320,8 +314,8 @@ def test_classify_trivial_when_l_zero():
 def test_candidate_tensor_algebraic_properties():
     for p in PARAM_GRID:
         pts = _pts(p)
-        S = candidate_structure_tensor(pts, p)
         T = torsion_D_tensor(pts, p)
+        S = _skew_completion(T)
         # skew in the last two slots by construction
         assert np.abs(S + np.einsum("...abc->...acb", S)).max() == 0.0
         # first-two-slot antisymmetrization recovers minus the torsion
@@ -335,7 +329,7 @@ def test_candidate_tensor_equals_levi_civita_at_m0():
         p = ModelParams(0.0, l)
         pts = _pts(p)
         assert_allclose(
-            candidate_structure_tensor(pts, p),
+            _skew_completion(torsion_D_tensor(pts, p)),
             levi_civita_tensor(pts, p),
             atol=1e-14,
         )
@@ -396,7 +390,7 @@ def test_canonical_connection_is_levi_civita_on_the_horizontal_block(m, l):
     # (ii) and (iii) read exactly 0 there
     p = ModelParams(m, l)
     fr = FrameJet(sample_domain_points(p, 64, seed=5), p)
-    conn = fr.gamma - candidate_structure_tensor(fr, p)
+    conn = fr.gamma - _skew_completion(torsion_D_tensor(fr, p))
     block = np.zeros((7, 7, 7), dtype=bool)
     block[3:, 3:, 3:] = True
     assert_array_equal(conn[..., block], fr.gamma[..., block])
@@ -408,22 +402,15 @@ def test_canonical_connection_is_levi_civita_on_the_horizontal_block(m, l):
 
 
 def test_torsion_parallelism_residuals():
-    # canonical connection parallelizes the torsion and the curvature at
-    # m = 0 ...
+    # the canonical connection parallelizes the torsion and the curvature
+    # at m = 0 ...
     for l in (1.0, 2.0):
         p = ModelParams(0.0, l)
-        res = parallelism_residuals(
-            sample_domain_points(p, 10, seed=6), p, "canonical"
-        )
-        assert res.shape == (10, 2)
+        res = ambrose_singer_check(sample_domain_points(p, 10, seed=6), p)
+        assert res.shape == (10, 3)
         assert res.max() < 1e-12
-        # ... while the type-projection connection does not: the residuals
+        # ... while the characteristic connection does not: the residuals
         # at the origin are exactly the printed witnesses l^2 (component
         # (D_{X_1}T)(X_4, X_6, X_3) = -l^2) and l^3/2 (max |D R|)
-        res = parallelism_residuals(ORIGIN, p, "characteristic")
+        res = parallelism_residuals(ORIGIN, p)
         assert_allclose(res, [l**2, l**3 / 2], atol=1e-12)
-
-
-def test_torsion_parallelism_rejects_unknown_connection():
-    with pytest.raises(ValueError):
-        parallelism_residuals(ORIGIN, ModelParams(0.0, 1.0), "foo")

@@ -12,7 +12,7 @@ from ebcv.frames import (
     sample_domain_points,
 )
 from ebcv.geodesics import frame_momenta
-from ebcv.homogeneous import torsion_D
+from ebcv.homogeneous import torsion_D_tensor
 
 PARAM_GRID = [
     ModelParams(0.0, 1.0),
@@ -228,11 +228,12 @@ def test_torsion_table_matches_oracle():
     doc = pt.load_tables()
     for params in PARAM_GRID:
         q = _pts(params)
+        T = torsion_D_tensor(q, params)
         for (a, b), printed in pt.component_table_values(
             doc["torsion_table"], q, params
         ).items():
             np.testing.assert_allclose(
-                torsion_D(a, b, q, params), printed, atol=TOL
+                T[..., a - 1, b - 1, :], printed, atol=TOL
             )
 
 

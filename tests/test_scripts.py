@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import pathlib
+import re
 import sys
 
 import pytest
@@ -19,6 +20,17 @@ def _load_script(name, directory=SCRIPTS):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_readme_python_blocks_run():
+    # every python block of the README in order, in one namespace, as a
+    # reader pastes them into one session
+    text = (SCRIPTS.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
 
 
 def test_gallery_csv_matches_the_cli(tmp_path, capsys):

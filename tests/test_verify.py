@@ -313,6 +313,31 @@ def test_bundle_records_catch_planted_defects(m, l, plant, failing,
         cid: "fail" if cid in failing else "pass" for cid in _BUNDLE_IDS}
 
 
+def _skew_completion_one_sign_flipped(T):
+    return 0.5 * (-T + np.einsum("...bca->...abc", T)
+                  + np.einsum("...cab->...abc", T))
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["correct", "planted"])
+@pytest.mark.parametrize("m, l", [(0.0, 1.0), (1.0, 1.0)])
+def test_canonical_record_catches_a_planted_structure_tensor(m, l, planted,
+                                                             monkeypatch):
+    # the sign of the T[cab] term of the skew completion flipped: S is no
+    # longer the metric connection with torsion T, so nabla - S moves R
+    # and T at m = 0.  At l = 0 the torsion is 0 and so is the defect
+    if planted:
+        monkeypatch.setattr(ebcv.homogeneous, "_skew_completion",
+                            _skew_completion_one_sign_flipped)
+    got = {c.id: c for c in
+           ebcv.verify._chk_sample(ebcv.verify._Ctx(m, l, 20, 0))}
+    canonical = got["torsion-parallelism-canonical"]
+    assert (canonical.status, canonical.max_residual) == (
+        ("fail", 1.0) if planted else ("pass", 0.0))
+    if m == 0.0:
+        assert got["as-equations"].status == (
+            "paper-discrepancy" if planted else "pass")
+
+
 def test_inconclusive_torsion_is_a_failed_record(monkeypatch):
     # a torsion that breaks first-two-slot antisymmetry leaves the class
     # undecided: the report says so in a fail record at the point that
