@@ -109,17 +109,19 @@ def _twist_block(q: np.ndarray, params: ModelParams) -> np.ndarray:
     return 0.5 * params.l * np.einsum("iab,...b->...ia", J_TWIST, u)
 
 
-#: Points per evaluation chunk of `FrameJet._chunked`.  A call holds the
-#: temporaries of at most `_WORKERS` chunks at a time, so its peak beyond
+#: Points per piece of `FrameJet._chunked`: the chunk of the public entry
+#: points, and the piece of a kernel on the chunk pool.  A call holds the
+#: temporaries of at most `_WORKERS` pieces at a time, so its peak beyond
 #: the output arrays does not grow with the point count; and up to 64
 #: points a point's value does not depend on the other points of its
-#: chunk.  Two 8-point chunks in flight hold about what one 32-point chunk
-#: did; two 16-point ones run the curvature entry points no faster and
-#: raise their peak RSS by ~9 %.
+#: piece, so `verify` judges its records on 32-point chunks of the tensors
+#: that its kernel built on 8-point pieces.  Two 16-point pieces in flight
+#: run the curvature entry points no faster and raise their peak RSS by
+#: ~9 %.
 _CHUNK = 8
 
-#: Worker threads of the chunk pool, and the chunks one call has in flight.
-#: A chunk's time is mostly spent in numpy loops that release the GIL.
+#: Worker threads of the chunk pool, and the pieces one call has in flight.
+#: A piece's time is mostly spent in numpy loops that release the GIL.
 _WORKERS = 2
 
 _in_worker = threading.local()
@@ -130,7 +132,11 @@ def _mark_worker():
 
 
 #: The chunk pool.  It starts its threads on first use, so importing
-#: starts none.
+#: starts none.  It runs private per-point kernels only: no public
+#: function of `ebcv` runs on a pool worker, and none starts or ends while
+#: pool work it did not start is in flight, so a caller that hooks the
+#: public functions (a tracer, a profiler) sees every call in its own
+#: thread, between the pool's fork-join rounds.
 _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="ebcv-chunk",
                            initializer=_mark_worker)
 
@@ -209,17 +215,28 @@ class FrameJet:
                 vars(sub)[name] = t.reshape((-1,) + t.shape[batch_ndim:])[rows]
         return sub
 
-    def _chunked(self, body) -> tuple:
-        """body over the points of this jet, in chunks of at most _CHUNK.
+    def _keep(self, **tensors) -> None:
+        """Keep tensors built elsewhere for these points, as a kernel of
+        `_chunked` builds them on pieces of this jet, read-only as if built
+        here."""
+        for name, t in tensors.items():
+            t.flags.writeable = False
+            vars(self)[name] = t
 
-        body(sub) gets the jet of a chunk of the flattened points (`_rows`)
-        and returns a tuple of arrays with one row per point.  The chunks
-        run on the chunk pool (`_pooled`); they run in the calling thread
-        when there is one chunk, or when the caller is a pool worker, which
-        must not wait on the pool.  Their results are written, in chunk
-        order, into arrays in the memory layout of the first chunk's, which
-        come back with this jet's batch shape.  A single point of shape
-        (7,) is passed through whole; an empty batch runs one empty chunk.
+    def _chunked(self, body) -> tuple:
+        """body over the points of this jet, in pieces of at most _CHUNK.
+
+        body(sub) gets the jet of a piece of the flattened points (`_rows`)
+        and returns a tuple of arrays with one row per point.  body is a
+        private per-point kernel: it calls no public function of `ebcv`
+        (see `_POOL`).  The pieces run on the chunk pool (`_pooled`),
+        fork-join: every piece has ended when this returns.  They run in
+        the calling thread when there is one piece, or when the caller is a
+        pool worker, which must not wait on the pool.  Their results are
+        written, in piece order, into arrays in the memory layout of the
+        first piece's, which come back with this jet's batch shape.  A
+        single point of shape (7,) is passed through whole; an empty batch
+        runs one empty piece.
         """
         batch = self.q.shape[:-1]
         if not batch:
@@ -239,8 +256,11 @@ class FrameJet:
                 # of einsums that later read the output
                 outs = [np.empty_like(g, shape=(n,) + g.shape[1:])
                         for g in got]
-            for out, g in zip(outs, got):
-                out[rows] = g
+            for k, out in enumerate(outs):
+                out[rows] = got[k]
+            # freed before the wait for the next piece, so that a worker
+            # does not build its next piece beside the last one's result
+            del got
         return tuple(out.reshape(batch + out.shape[1:]) for out in outs)
 
     @_kept

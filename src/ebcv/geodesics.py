@@ -91,6 +91,8 @@ POISSON_PAIRS: Tuple[Tuple[int, int], ...] = (
     (5, 7),
     (6, 7),
 )
+#: The 0-based frame indices of the first and second fields of each pair.
+_PAIR_A, _PAIR_B = (np.array(fields) - 1 for fields in zip(*POISSON_PAIRS))
 
 
 class GeodesicMode(Enum):
@@ -543,14 +545,13 @@ def closed_form_trajectory(s0: CotangentState, h: float, n: int) -> Trajectory:
 
 
 def _bracket_values(fr, p: np.ndarray) -> np.ndarray:
-    """{P_A, P_B} for the six horizontal pairs from the frame jet fr."""
+    """{P_A, P_B} for the six horizontal pairs, shape (..., 6), from the
+    frame jet fr and the covectors p."""
     F = fr.F
-    dP = np.einsum("ima,m->ia", fr.dF, p)  # d P_a / d x^i
-    vals = np.empty(len(POISSON_PAIRS))
-    for k, (a1, b1) in enumerate(POISSON_PAIRS):
-        a, b = a1 - 1, b1 - 1
-        vals[k] = float(dP[:, a] @ F[:, b] - dP[:, b] @ F[:, a])
-    return vals
+    dP = np.einsum("...ima,...m->...ia", fr.dF, p)  # d P_a / d x^i
+    return (np.einsum("...ik,...ik->...k", dP[..., _PAIR_A], F[..., _PAIR_B])
+            - np.einsum("...ik,...ik->...k", dP[..., _PAIR_B],
+                        F[..., _PAIR_A]))
 
 
 def poisson_bracket_values(state: CotangentState) -> np.ndarray:
@@ -569,15 +570,16 @@ def poisson_check(state: CotangentState) -> np.ndarray:
     exact structure constants at (m, l) = (0, 1); the momentum map is a Lie
     algebra anti-homomorphism, so every residual should vanish.
     """
-    fr = frame_jet(state.q, _HEIS)
-    vals = _bracket_values(fr, state.p)
-    c = fr.C
-    P = frame_momenta(fr, state.p, _HEIS)
-    res = np.empty(len(POISSON_PAIRS))
-    for k, (a1, b1) in enumerate(POISSON_PAIRS):
-        expected = -float(c[a1 - 1, b1 - 1, :] @ P)
-        res[k] = abs(vals[k] - expected)
-    return res
+    return _poisson_residuals(frame_jet(state.q, _HEIS), state.p)
+
+
+def _poisson_residuals(fr, p: np.ndarray) -> np.ndarray:
+    """`poisson_check` of the states (q, p), fr the frame jet of the points
+    q at (m, l) = (0, 1) and p their covectors, shape (..., 6)."""
+    P = frame_momenta(fr, p, _HEIS)
+    expected = -np.einsum("...kc,...c->...k", fr.C[..., _PAIR_A, _PAIR_B, :],
+                          P)
+    return np.abs(_bracket_values(fr, p) - expected)
 
 
 # --- circle / line recognition ----------------------------------------------

@@ -87,7 +87,12 @@ _TRIPLES = np.indices((7, 7, 7)).reshape(3, -1)
 
 def char_connection_tensor(q, params: ModelParams) -> np.ndarray:
     """D[..., a, b, c] = <D_{X_a} X_b, X_c>: Levi-Civita masked to same type."""
-    return levi_civita_tensor(q, params) * SAME_TYPE
+    return _char_connection(levi_civita_tensor(q, params))
+
+
+def _char_connection(gamma: np.ndarray) -> np.ndarray:
+    """`char_connection_tensor` from the Levi-Civita frame tensor gamma."""
+    return gamma * SAME_TYPE
 
 
 def faithful_torsion_tensor(q, params: ModelParams) -> np.ndarray:
@@ -150,7 +155,7 @@ def classify_structure(params: ModelParams, points) -> StructureClass:
     """
     fr = frame_jet(points, params)
     (summary,) = fr._chunked(
-        lambda sub: (_torsion_summary(torsion_D_tensor(sub, params)),))
+        lambda sub: (_torsion_summary(_reduced_torsion(sub.C)),))
     return _structure_class(summary, fr.q)
 
 
@@ -235,17 +240,20 @@ def ambrose_singer_check(q, params: ModelParams) -> np.ndarray:
     at a time (`FrameJet._chunked`); a chunk shares whatever the jet of q
     has already built.
     """
-    def body(fr):
-        S = _skew_completion(_reduced_torsion(fr.C))
-        nabT, nabR = _parallelism(fr, fr.gamma - S)
-        return (np.stack([
-            np.abs(S + np.einsum("...abc->...acb", S)).max(axis=(-3, -2, -1)),
-            np.abs(nabR, out=nabR).max(axis=(-5, -4, -3, -2, -1)),
-            np.abs(_skew_completion(nabT)).max(axis=(-4, -3, -2, -1)),
-        ], axis=-1),)
-
-    (res,) = frame_jet(q, params)._chunked(body)
+    (res,) = frame_jet(q, params)._chunked(lambda fr: (_as_residuals(fr),))
     return res
+
+
+def _as_residuals(fr) -> np.ndarray:
+    """`ambrose_singer_check` at the points of the jet fr, shape (..., 3):
+    the per-point kernel of its chunks, which keeps X R on fr."""
+    S = _skew_completion(_reduced_torsion(fr.C))
+    nabT, nabR = _parallelism(fr, fr.gamma - S)
+    return np.stack([
+        np.abs(S + np.einsum("...abc->...acb", S)).max(axis=(-3, -2, -1)),
+        np.abs(nabR, out=nabR).max(axis=(-5, -4, -3, -2, -1)),
+        np.abs(_skew_completion(nabT)).max(axis=(-4, -3, -2, -1)),
+    ], axis=-1)
 
 
 def _parallelism(fr, conn) -> tuple:
@@ -265,9 +273,15 @@ def parallelism_residuals(q, params: ModelParams) -> np.ndarray:
     nabla - S that does is `ambrose_singer_check`'s.  The points are
     evaluated in fixed chunks, as in `ambrose_singer_check`.
     """
-    def body(fr):
-        nabT, nabR = _parallelism(fr, char_connection_tensor(fr, params))
-        return (np.abs(nabT).max(axis=(-4, -3, -2, -1)),
-                np.abs(nabR, out=nabR).max(axis=(-5, -4, -3, -2, -1)))
+    (res,) = frame_jet(q, params)._chunked(
+        lambda fr: (_char_residuals(fr),))
+    return res
 
-    return np.stack(frame_jet(q, params)._chunked(body), axis=-1)
+
+def _char_residuals(fr) -> np.ndarray:
+    """`parallelism_residuals` at the points of the jet fr, shape (..., 2):
+    the per-point kernel of its chunks."""
+    nabT, nabR = _parallelism(fr, _char_connection(fr.gamma))
+    return np.stack([
+        np.abs(nabT).max(axis=(-4, -3, -2, -1)),
+        np.abs(nabR, out=nabR).max(axis=(-5, -4, -3, -2, -1))], axis=-1)

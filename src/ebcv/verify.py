@@ -47,21 +47,21 @@ from .frames import (
 )
 from .geodesics import (
     CotangentState,
+    _poisson_residuals,
     circle_check,
     closed_form_trajectory,
     frame_momenta,
     generic_rhs_momentum_chart,
     integrate,
-    poisson_check,
     printed_heisenberg_rhs,
 )
 from .homogeneous import (
+    _as_residuals,
+    _char_residuals,
     _cyclic_sums,
     _structure_class,
     _torsion_summary,
-    ambrose_singer_check,
     faithful_torsion_tensor,
-    parallelism_residuals,
     torsion_D_tensor,
 )
 from .killing import (
@@ -156,9 +156,9 @@ class _Ctx:
     """The samples of a report and their frame jets, each drawn once.
 
     Of a whole sample only its jets are kept, and they build no tensor:
-    `_chk_sample` reads them in one `FrameJet._chunked` pass, whose chunk
-    jets build their own.  Every sample point is in the (0, l) chart, where
-    K = 1, so the m = 0 records read the sample's points too, through its
+    `_chk_sample` reads them in record chunks, whose jets keep the tensors
+    that their kernels build.  Every sample point is in the (0, l) chart,
+    where K = 1, so the m = 0 records read the sample's points too, through its
     jet at (0, l), which is the sample's own jet at m = 0.  The Killing
     sample is the sample's first points: rows of that jet (`FrameJet._rows`),
     or at l = 0, where the Killing family is taken at l = 1, their jet at
@@ -235,9 +235,24 @@ def _claim(cid, worst, witness, tol, reference, holds, note, printed, oracle):
 
 
 # --------------------------------------------------------------------------
-# the sample: every record of its points from one chunked pass
+# the sample: kernels on the chunk pool, records in the calling thread
 # --------------------------------------------------------------------------
 
+
+#: Points per record chunk of `_chk_sample`: its records are judged in the
+#: calling thread on 32 points at a time, and its kernel runs on the chunk
+#: pool on `frames._CHUNK`-point pieces of them.  Fewer, larger chunks
+#: spend less of the pass on the records' small numpy calls, which hold the
+#: GIL; the kernels keep the temporaries of two pieces at a time.
+_RECORD_CHUNK = 32
+
+#: The sample's first rows that the head records read: the second Bianchi
+#: identity on 8 (nabla R), the parallelism of curvature and torsion on 12
+#: (X R at (0, l) too), and the m = 0 spot values on 20 (R at (0, l)).
+_ROWS_BIANCHI, _ROWS_PARALLEL, _ROWS_M0 = 8, 12, 20
+
+#: The tensors of a record chunk's jet at (m, l) that its kernel builds.
+_KEPT = ("F", "Om", "C", "dC", "gamma", "R")
 
 #: A record of the whole sample, one declaration of `_sample_records`.
 _Record = namedtuple(
@@ -252,14 +267,14 @@ def _sample_records(doc, l):
     """The records of the sample from the table document doc at l, one
     declaration each: the pass/fail records, then the printed claims, the
     printed frame tables last.  A record judges max |residual(t)| against
-    its fixed tolerance tol, t the tensors of a chunk with the points on
-    axis 0 (`_chk_sample`); with rows, t holds only the jets of the chunk's points
-    among the sample's first rows (`_head`).  quote(t, res) is one value
-    per point (0 by default), res the residual at t.  A pass/fail record's
-    details are details.  A printed claim is (holds, texts): details if it
-    holds, and if not, texts(worst, at) of the worst residual and the
-    quoted value at the witness gives the note, the printed text and the
-    oracle text."""
+    its fixed tolerance tol, t the tensors of a record chunk with the
+    points on axis 0 (`_chk_sample`); with rows, t holds only the chunk's
+    points among the sample's first rows (`_head`).  quote(t, res) is one
+    value per point (0 by default), res the residual at t.  A pass/fail
+    record's details are details.  A printed claim is (holds, texts):
+    details if it holds, and if not, texts(worst, at) of the worst residual
+    and the quoted value at the witness gives the note, the printed text
+    and the oracle text."""
     claims, curvature = doc["structure_claims"], doc["curvature_tables"]
     wit = claims["class_membership"]["t2_exclusion_witness"]
     mixed, as_eq = claims["mixed_torsion"], claims["as_equations"]
@@ -286,21 +301,20 @@ def _sample_records(doc, l):
                 + np.einsum("...cabd->...abcd", J))
 
     def symmetries(t):
+        # each residual reduced to its max per point (max is exact) before
+        # the next is built, so that one R-sized residual is held at a time
         R, perm = t.R, lambda spec: np.einsum(spec, t.R)
         return np.stack([
-            R + perm("...abcd->...bacd"), R + perm("...abcd->...abdc"),
-            R - perm("...abcd->...cdab"),
-            R + perm("...bdca->...abcd") + perm("...dacb->...abcd")], axis=1)
-
-    def bianchi(t):
-        nab = t.fr.nabla_R
-        return (nab + np.einsum("...abecd->...eabcd", nab)
-                + np.einsum("...beacd->...eabcd", nab))
+            _pmax(R + perm("...abcd->...bacd")),
+            _pmax(R + perm("...abcd->...abdc")),
+            _pmax(R - perm("...abcd->...cdab")),
+            _pmax(R + perm("...bdca->...abcd") + perm("...dacb->...abcd"))],
+            axis=1)
 
     def m0_spots(t):
         # the printed spot values of R and the Ricci diagonal, then the
         # Ricci matrix off its diagonal
-        R0, env0 = t.fr0.R, pt.point_env(t.q, t.fr0.params)
+        R0, env0 = t.R0, pt.point_env(t.q, t.fr0.params)
         ric0 = ricci_from_riemann(R0)
         spot = [R0[..., 0, 3, 0, 3] - pt.safe_eval(spots["1,4"], env0),
                 R0[..., 5, 6, 5, 6] - pt.safe_eval(spots["6,7"], env0)]
@@ -408,15 +422,14 @@ def _sample_records(doc, l):
                 lambda t: t.R - riemann_frame_bundle(t.q, t.params)),
         _Record("curvature-second-bianchi", TOL_TABLE,
                 "cyclic sum of the covariant curvature derivative vanishes",
-                bianchi, rows=8),
+                lambda t: t.bianchi, rows=_ROWS_BIANCHI),
         _Record("m0-curvature-table", TOL_TABLE,
                 "printed curvature spot values and Ricci diagonal at m = 0",
-                m0_spots, rows=20, details=at_m0),
+                m0_spots, rows=_ROWS_M0, details=at_m0),
         _Record("torsion-parallelism-canonical", TOL_TABLE,
                 "the canonical connection parallelizes curvature and torsion "
-                "at m = 0",
-                lambda t: ambrose_singer_check(t.fr0, t.fr0.params),
-                rows=12, details=at_m0),
+                "at m = 0", lambda t: t.canonical, rows=_ROWS_PARALLEL,
+                details=at_m0),
         # the printed claims, the operator definition of the torsion first
         _Record("torsion-definitions-agreement", TOL_TABLE,
                 "the two printed definitions of the connection torsion agree",
@@ -442,11 +455,12 @@ def _sample_records(doc, l):
         _Record("torsion-parallelism-characteristic", 1e-7,
                 "printed claim: the characteristic connection parallelizes "
                 "curvature and torsion",
-                lambda t: parallelism_residuals(t.fr, t.params),
+                lambda t: t.char,
                 ("holds trivially (l = 0)", lambda worst, at: (
                     char["note"], char["claim"],
                     f"{char['witness_torsion']}; {char['witness_curvature']}; "
-                    f"measured max residual {worst:.6e}")), rows=12),
+                    f"measured max residual {worst:.6e}")),
+                rows=_ROWS_PARALLEL),
         appendix("appendix-bracket-45", "4,5"),
         appendix("appendix-bracket-47", "4,7"),
         table("general-bracket-table", frame["general_brackets"], TOL_TABLE,
@@ -466,73 +480,153 @@ def _sample_records(doc, l):
     )
 
 
+def _bianchi_max(nab):
+    """Max |cyclic sum of the second Bianchi identity| per point of nabla R
+    (axis 0), the sum and its absolute value taken in one array."""
+    res = nab + np.einsum("...abecd->...eabcd", nab)
+    res += np.einsum("...beacd->...eabcd", nab)
+    return np.abs(res, out=res).reshape(len(res), -1).max(axis=1)
+
+
+def _sample_kernel(fr0, start):
+    """The kernel of the record chunk whose first point is the sample's
+    point start, fr0 the chunk's jet at (0, l) (the chunk's own jet at
+    m = 0): a function of one piece fr of the chunk's jet, which
+    `FrameJet._chunked` runs on the chunk pool.  It calls no public
+    function.  It returns, in this order: the piece's `_KEPT` tensors; its
+    Ambrose-Singer residuals; at m != 0, C and gamma at (0, l), and in a
+    head chunk (one that starts among the first `_ROWS_M0` points, the
+    largest head) R at (0, l) on the first `_ROWS_M0` points and the
+    canonical residuals on the first `_ROWS_PARALLEL`; in a head chunk, the
+    characteristic residuals on the first `_ROWS_PARALLEL` and the max
+    |second Bianchi sum| per point on the first `_ROWS_BIANCHI`.  A head
+    result has the piece's rows, zero past its head.  X R and nabla R stay
+    in the worker."""
+    def kernel(fr):
+        p0 = fr0._rows(fr.rows) if fr0.params != fr.params else fr
+        first, n = start + fr.rows.start, len(fr.q)
+
+        def rows(last):
+            # the piece's points among the sample's first last
+            return slice(0, min(max(last - first, 0), n))
+
+        def pad(jet, build, shape=()):
+            # build(jet) of some first rows of the piece, padded with zeros
+            # to the piece's rows in the memory layout of the result
+            if not len(jet.q):
+                return np.zeros((n,) + shape)
+            got = build(jet)
+            out = np.zeros_like(got, shape=(n,) + got.shape[1:])
+            out[:len(got)] = got
+            return out
+
+        # the work at (0, l) first, so that its X R is gone before that at
+        # (m, l) is built
+        at0 = [p0.C, p0.gamma] if p0 is not fr else []
+        if at0 and start < _ROWS_M0:
+            # R at (0, l) built once, on the jet that the canonical
+            # residuals read rows of
+            head0 = p0._rows(rows(_ROWS_M0))
+            at0 += [pad(head0, lambda h: h.R, (7,) * 4),
+                    pad(head0._rows(rows(_ROWS_PARALLEL)), _as_residuals,
+                        (3,))]
+        out = [getattr(fr, name) for name in _KEPT]
+        out += [_as_residuals(fr), *at0]
+        if start < _ROWS_M0:
+            out += [pad(fr._rows(rows(_ROWS_PARALLEL)), _char_residuals, (2,)),
+                    pad(fr._rows(rows(_ROWS_BIANCHI)),
+                        lambda h: _bianchi_max(h.nabla_R))]
+        return tuple(out)
+
+    return kernel
+
+
 def _head(t, n):
-    """The jets of the first n points (all, if fewer) of the chunk tensors
-    t, which share what t's jets have built (`FrameJet._rows`)."""
+    """The first n points (all, if fewer) of the record chunk t: its jets
+    as `FrameJet._rows`, which share what they have built, and its arrays
+    with the points on axis 0 by their rows; the rest (the parameters and
+    the point environment env) as they are."""
     rows = slice(0, n)
-    return SimpleNamespace(fr=t.fr._rows(rows), fr0=t.fr0._rows(rows),
-                           q=t.q[rows], params=t.params)
+    return SimpleNamespace(**{
+        key: (v._rows(rows) if isinstance(v, FrameJet)
+              else v[rows] if isinstance(v, np.ndarray) else v)
+        for key, v in vars(t).items()})
+
+
+def _sample_chunk(ctx, records, start):
+    """The max |residual| per point and the quoted value of each of the
+    records, and the `_torsion_summary`, of the record chunk of the sample
+    whose first point is start (`_chk_sample`).  Its kernel's pieces have
+    all ended before the first record reads the tensors they built, and
+    nothing of the chunk outlives the call."""
+    params = ctx.params
+    rows = slice(start, start + _RECORD_CHUNK)
+    fr = ctx.jet._rows(rows)
+    fr0 = fr if ctx.jet0 is ctx.jet else ctx.jet0._rows(rows)
+    # a non-finite tensor shows in the residuals that read it
+    with np.errstate(all="ignore"):
+        got = iter(fr._chunked(_sample_kernel(fr0, start)))
+        fr._keep(**{name: next(got) for name in _KEPT})
+        as_eq = next(got)
+        if fr0 is not fr:
+            fr0._keep(C=next(got), gamma=next(got))
+        R, T = fr.R, torsion_D_tensor(fr, params)
+        ric = ricci_from_riemann(R)
+        t = SimpleNamespace(
+            fr=fr, fr0=fr0, q=fr.q, params=params, F=fr.F, Om=fr.Om,
+            C=fr.C, gam=fr.gamma, R=R, T=T, env=pt.point_env(fr.q, params),
+            ric=ric, scal=scalar_from_ricci(ric), as_eq=as_eq)
+        if start < _ROWS_M0:
+            t.R0, t.canonical = ((next(got), next(got)) if fr0 is not fr
+                                 else (R, as_eq))
+            t.char, t.bianchi = next(got), next(got)
+        res = np.zeros((len(t.q), len(records)))
+        quoted = np.zeros_like(res)
+        for i, r in enumerate(records):
+            if r.rows is None:
+                at = t
+            elif start < r.rows:
+                at = _head(t, r.rows - start)
+            else:
+                continue
+            r_res = r.residual(at)
+            res[:len(at.q), i] = _pmax(r_res)
+            quoted[:len(at.q), i] = r.quote(at, r_res)
+        return res, quoted, _torsion_summary(T)
 
 
 def _chk_sample(ctx):
-    """Every record read from the points of the sample, from one
-    `FrameJet._chunked` pass over its jet.  Each chunk's jet builds F, Om,
-    dF, C, dC, gamma, R and X R once, and nabla R is built on the 8 points
-    of the second Bianchi identity alone.  The m = 0 records and tables
-    read the same rows of the sample's jet at (0, l), ctx.jet0, which at
-    m != 0 builds the frame and connection of every point, R of the first
-    20 and X R of the first 12.  Each record, printed tables included, is
-    one declaration (`_sample_records`): the body maps them to max
-    |residual| per point and their quoted values, a record with rows on
-    those of each chunk's points whose index in the sample is below rows,
-    and one loop after the pass judges them.  The chunks may run on two
-    threads at once, so the body keeps no state between them: a chunk's
-    place in the sample is its jet's rows.  A non-finite residual stops
-    the run: such (m, l) can be neither checked nor compared with a
-    printed table."""
+    """Every record read from the points of the sample.  The calling
+    thread walks the sample in `_RECORD_CHUNK`-point record chunks of its
+    jet.  Each chunk's kernel (`_sample_kernel`) runs on the chunk pool
+    over the chunk's 8-point pieces (`FrameJet._chunked`): it builds F,
+    Om, dF, C, dC, gamma, R and X R once, the Ambrose-Singer residuals of
+    every point and, on the sample's first points, the results of the
+    records with rows.  nabla R is built on the 8 points of the second
+    Bianchi identity alone.  The m = 0 records and tables read the same
+    rows of the sample's jet at (0, l), ctx.jet0, which at m != 0 builds
+    the frame and connection of every point, R of the first 20 and X R of
+    the first 12; at m = 0 the canonical record reads the Ambrose-Singer
+    residuals of its rows, the same call on the same jets.  Once the
+    pieces have ended, the chunk's records are judged in the calling
+    thread, on the tensors the kernel returned, kept on the chunk's jets.
+    Each record, printed tables included, is one declaration
+    (`_sample_records`): they are mapped to max |residual| per point and
+    their quoted values, a record with rows on those of each chunk's
+    points whose index in the sample is below rows, and one loop after the
+    pass judges them.  So no public function runs on a pool worker, nor
+    while pool work is in flight.  A non-finite residual stops the run:
+    such (m, l) can be neither checked nor compared with a printed
+    table."""
     params = ctx.params
     records = _sample_records(ctx.doc, params.l)
-    n_head = max(r.rows or 0 for r in records)
-
-    def body(fr):
-        start = fr.rows.start
-        fr0 = fr if ctx.jet0 is ctx.jet else ctx.jet0._rows(fr.rows)
-        # a non-finite tensor shows in the residuals that read it
-        with np.errstate(all="ignore"):
-            # the curvature and X R first, so that every record and the
-            # Ambrose-Singer check share them; the check next, while no
-            # other temporary is held: its peak is the body's largest.
-            # gamma at (0, l) before any head, so that the heads share it
-            gam, R = fr.gamma, fr.R
-            fr.xR
-            as_eq = ambrose_singer_check(fr, params)
-            fr0.gamma
-            T, ric = torsion_D_tensor(fr, params), ricci_from_riemann(R)
-            t = SimpleNamespace(
-                fr=fr, fr0=fr0, q=fr.q, params=params, F=fr.F, Om=fr.Om,
-                C=fr.C, gam=gam, R=R, T=T, env=pt.point_env(fr.q, params),
-                ric=ric, scal=scalar_from_ricci(ric), as_eq=as_eq)
-            if start < n_head:
-                # R at (0, l) too of the chunk's points in the head, so
-                # that every record with rows shares it
-                head = _head(t, n_head - start)
-                head.fr0.R
-            # each record's max |residual| per point and its quoted value
-            res = np.zeros((len(t.q), len(records)))
-            quoted = np.zeros_like(res)
-            for i, r in enumerate(records):
-                if r.rows is None:
-                    at = t
-                elif start < r.rows:
-                    at = _head(head, r.rows - start)
-                else:
-                    continue
-                r_res = r.residual(at)
-                res[:len(at.q), i] = _pmax(r_res)
-                quoted[:len(at.q), i] = r.quote(at, r_res)
-            return res, quoted, _torsion_summary(T)
-
-    res, quoted, tors = ctx.jet._chunked(body)
+    n = len(ctx.pts)
+    res, quoted = np.zeros((n, len(records))), np.zeros((n, len(records)))
+    tors = np.zeros((n, 5))
+    for start in range(0, n, _RECORD_CHUNK):
+        rows = slice(start, start + _RECORD_CHUNK)
+        res[rows], quoted[rows], tors[rows] = _sample_chunk(ctx, records,
+                                                            start)
     if not np.isfinite(res).all():
         raise DomainViolation(
             f"the curvature at (m, l) = ({params.m:g}, {params.l:g}) "
@@ -713,7 +807,7 @@ def _chk_geodesic_tables(ctx):
 
     n_poisson = min(ctx.samples, 100)
     qs2, ps2 = _heis_states(ctx.seed + 102, n_poisson)
-    res = [poisson_check(CotangentState(q, p)) for q, p in zip(qs2, ps2)]
+    res = _poisson_residuals(FrameJet(qs2, HEIS), ps2)
     out.append(
         _passfail(
             "geodesic-poisson-brackets", res, TOL_EXACT,

@@ -1,11 +1,13 @@
 """The verification registry: statuses, pinned records, and determinism."""
 
 import copy
+import functools
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -138,12 +140,25 @@ def _count_points(monkeypatch, owner, name):
                          ids=["general", "m0", "l0"])
 def test_verify_reads_each_sample_in_one_pass(monkeypatch, m, l):
     # every per-point record, the m = 0 records and tables and the torsion
-    # classification included, comes from one chunked pass over the
-    # sample, whatever module reads it; no public curvature entry point
-    # runs
+    # classification included, reads what the sample kernel built, and
+    # every sample point passes through that kernel exactly once, whatever
+    # module reads it; no public curvature entry point runs
     samples = 40
     public = []
-    chunked = _count_points(monkeypatch, ebcv.frames.FrameJet, "_chunked")
+    seen = []
+    kernel_of = ebcv.verify._sample_kernel
+
+    def counting_kernel_of(fr0, start):
+        kernel = kernel_of(fr0, start)
+
+        def counting(fr):
+            first = start + fr.rows.start
+            seen.extend(range(first, first + len(fr.q)))
+            return kernel(fr)
+
+        return counting
+
+    monkeypatch.setattr(ebcv.verify, "_sample_kernel", counting_kernel_of)
     riemann_frame = ebcv.curvature.riemann_frame
 
     def recording(*args, **kwargs):
@@ -155,7 +170,64 @@ def test_verify_reads_each_sample_in_one_pass(monkeypatch, m, l):
     rep = run_verify(m, l, samples=samples, seed=0)
     assert rep.counts["fail"] == 0
     assert not public
-    assert chunked.count(samples) == 1
+    assert sorted(seen) == list(range(samples))
+
+
+def _record_public_calls(monkeypatch):
+    """Wrap every public function of every loaded ebcv module at every
+    place where callers look it up (its module, the modules that imported
+    it and the package), as the benchmark tracer does; the list that comes
+    back gets the name and the thread of each call."""
+    calls = []
+    modules = {name: mod for name, mod in sys.modules.items()
+               if name == "ebcv" or name.startswith("ebcv.")}
+
+    def wrap(fn, name):
+        @functools.wraps(fn)
+        def recorded(*args, **kwargs):
+            calls.append((name, threading.current_thread().name))
+            return fn(*args, **kwargs)
+
+        return recorded
+
+    wrappers = {}
+    for modname, mod in modules.items():
+        for attr, obj in vars(mod).items():
+            if (modname != "ebcv" and not attr.startswith("_")
+                    and callable(obj) and not isinstance(obj, type)
+                    and getattr(obj, "__module__", None) == modname):
+                wrappers[id(obj)] = (obj, wrap(obj, f"{modname}.{attr}"))
+    for mod in modules.values():
+        for attr, obj in list(vars(mod).items()):
+            hit = wrappers.get(id(obj))
+            if hit is not None and hit[0] is obj:
+                monkeypatch.setattr(mod, attr, hit[1])
+    return calls
+
+
+def test_no_public_function_runs_on_a_chunk_worker(monkeypatch):
+    # the chunk pool runs private per-point kernels only: every public
+    # call, of a report or of an entry point that uses the pool, is made
+    # in the calling thread, so a tracer that hooks them sees no call on a
+    # worker
+    calls = _record_public_calls(monkeypatch)
+    for m, l in [(1.0, 1.0), (0.0, 1.0), (1.0, 0.0)]:
+        rep = ebcv.verify.run_verify(m, l, samples=40, seed=0)
+        assert rep.counts["fail"] == 0
+    params = ebcv.frames.ModelParams(1.0, 1.0)
+    pts = ebcv.frames.sample_domain_points(params, 40, 0)
+    for fn in (ebcv.curvature.riemann_frame, ebcv.curvature.ricci_frame,
+               ebcv.curvature.scalar_curvature,
+               ebcv.homogeneous.ambrose_singer_check,
+               ebcv.homogeneous.parallelism_residuals):
+        fn(pts, params)
+    ebcv.homogeneous.classify_structure(params, pts)
+    names = {name for name, _ in calls}
+    assert {"ebcv.verify.run_verify", "ebcv.curvature.riemann_frame_bundle",
+            "ebcv.homogeneous.classify_structure"} <= names
+    on_workers = sorted({name for name, thread in calls
+                         if thread.startswith("ebcv-chunk")})
+    assert not on_workers
 
 
 @pytest.mark.parametrize("m, l, again_R, again_x, all_C",
@@ -169,8 +241,8 @@ def test_r_is_built_once_per_sample_point(monkeypatch, m, l, again_R,
     # the 12 of them that the canonical connection reads get X R.  nabla R
     # is built on the 8 points of the second Bianchi identity alone.  C is
     # built once per point of the sample, and at m != 0 once more at
-    # (0, l); the rest is the 40-point Killing sample, 40 one-point
-    # Poisson states and the one point of the Heisenberg bracket
+    # (0, l); the rest is the 40-point Killing sample, the 40 Poisson
+    # states and the one point of the Heisenberg bracket
     samples = 40  # more than one curvature chunk
     jet = ebcv.frames.FrameJet
     riemann = _count_points(monkeypatch, jet, "R")
