@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import re
 import sys
 
@@ -394,7 +395,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with args.out or contextlib.nullcontext():
         try:
-            return args.func(args)
+            code = args.func(args)
+            sys.stdout.flush()
+            return code
+        except BrokenPipeError:
+            # the reader closed stdout (as `| head` can): output that cannot
+            # be written, as with an unwritable --out.  stdout goes to
+            # os.devnull, so that the interpreter's final flush cannot raise
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_DOMAIN
         except ModeMismatch as exc:
             print(f"invalid mode/parameter combination: {exc}",
                   file=sys.stderr)

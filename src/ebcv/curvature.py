@@ -145,8 +145,7 @@ def riemann_frame(q, params: ModelParams) -> np.ndarray:
     `FrameJet.R` of the points q, evaluated in fixed chunks, so only the
     output grows with their number.
     """
-    (riem,) = frame_jet(q, params)._chunked(lambda fr: (fr.R,))
-    return riem
+    return frame_jet(q, params)._chunked(lambda fr: {"R": fr.R})["R"]
 
 
 def ricci_from_riemann(riem: np.ndarray) -> np.ndarray:

@@ -124,21 +124,15 @@ _CHUNK = 8
 #: A piece's time is mostly spent in numpy loops that release the GIL.
 _WORKERS = 2
 
-_in_worker = threading.local()
-
-
-def _mark_worker():
-    _in_worker.yes = True
-
-
 #: The chunk pool.  It starts its threads on first use, so importing
 #: starts none.  It runs private per-point kernels only: no public
 #: function of `ebcv` runs on a pool worker, and none starts or ends while
 #: pool work it did not start is in flight, so a caller that hooks the
 #: public functions (a tracer, a profiler) sees every call in its own
-#: thread, between the pool's fork-join rounds.
-_POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="ebcv-chunk",
-                           initializer=_mark_worker)
+#: thread, between the pool's fork-join rounds.  `FrameJet._chunked`
+#: refuses to run on a worker, where waiting on the pool could deadlock.
+_POOL_PREFIX = "ebcv-chunk"
+_POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix=_POOL_PREFIX)
 
 
 def _pooled(body, jets):
@@ -223,45 +217,47 @@ class FrameJet:
             t.flags.writeable = False
             vars(self)[name] = t
 
-    def _chunked(self, body) -> tuple:
+    def _chunked(self, body) -> dict:
         """body over the points of this jet, in pieces of at most _CHUNK.
 
         body(sub) gets the jet of a piece of the flattened points (`_rows`)
-        and returns a tuple of arrays with one row per point.  body is a
-        private per-point kernel: it calls no public function of `ebcv`
-        (see `_POOL`).  The pieces run on the chunk pool (`_pooled`),
-        fork-join: every piece has ended when this returns.  They run in
-        the calling thread when there is one piece, or when the caller is a
-        pool worker, which must not wait on the pool.  Their results are
-        written, in piece order, into arrays in the memory layout of the
-        first piece's, which come back with this jet's batch shape.  A
-        single point of shape (7,) is passed through whole; an empty batch
-        runs one empty piece.
+        and returns a dict of named arrays with one row per point.  body is
+        a private per-point kernel: it calls no public function of `ebcv`
+        (see `_POOL`).  One piece runs in the calling thread; more run on
+        the chunk pool (`_pooled`), fork-join: every piece has ended when
+        this returns.  Each name's results are written, in piece order,
+        into an array in the memory layout of the first piece's, which
+        comes back under that name with this jet's batch shape.  A single
+        point of shape (7,) is passed through whole; an empty batch runs
+        one empty piece.  Raises RuntimeError on a pool worker, whose call
+        would wait on the pieces queued behind it.
         """
+        if threading.current_thread().name.startswith(_POOL_PREFIX):
+            raise RuntimeError(
+                "a chunked call on a chunk-pool worker: pool kernels must "
+                "not call the pooled entry points")
         batch = self.q.shape[:-1]
         if not batch:
             return body(self)
         n = self.q.size // 7
         starts = range(0, max(n, 1), _CHUNK)
         jets = (self._rows(slice(s, s + _CHUNK)) for s in starts)
-        if len(starts) > 1 and not getattr(_in_worker, "yes", False):
-            results = _pooled(body, jets)
-        else:
-            results = map(body, jets)
+        results = _pooled(body, jets) if len(starts) > 1 else map(body, jets)
         outs = None
         for start, got in zip(starts, results):
             rows = slice(start, start + _CHUNK)
             if outs is None:
                 # the chunk's memory layout, which sets the summation order
                 # of einsums that later read the output
-                outs = [np.empty_like(g, shape=(n,) + g.shape[1:])
-                        for g in got]
-            for k, out in enumerate(outs):
-                out[rows] = got[k]
+                outs = {name: np.empty_like(g, shape=(n,) + g.shape[1:])
+                        for name, g in got.items()}
+            for name, out in outs.items():
+                out[rows] = got[name]
             # freed before the wait for the next piece, so that a worker
             # does not build its next piece beside the last one's result
             del got
-        return tuple(out.reshape(batch + out.shape[1:]) for out in outs)
+        return {name: out.reshape(batch + out.shape[1:])
+                for name, out in outs.items()}
 
     @_kept
     def F(self) -> np.ndarray:

@@ -68,7 +68,6 @@ __all__ = [
     "integrate",
     "closed_form_trajectory",
     "POISSON_PAIRS",
-    "poisson_bracket_values",
     "poisson_check",
     "circle_check",
 ]
@@ -546,21 +545,14 @@ def closed_form_trajectory(s0: CotangentState, h: float, n: int) -> Trajectory:
 
 def _bracket_values(fr, p: np.ndarray) -> np.ndarray:
     """{P_A, P_B} for the six horizontal pairs, shape (..., 6), from the
-    frame jet fr and the covectors p."""
+    frame jet fr and the covectors p, by exact differentiation of the
+    momentum functions: with P_A = F[mu,A] p_mu,
+    {P_A, P_B} = sum_i (d_i P_A F[i,B] - d_i P_B F[i,A])."""
     F = fr.F
     dP = np.einsum("...ima,...m->...ia", fr.dF, p)  # d P_a / d x^i
     return (np.einsum("...ik,...ik->...k", dP[..., _PAIR_A], F[..., _PAIR_B])
             - np.einsum("...ik,...ik->...k", dP[..., _PAIR_B],
                         F[..., _PAIR_A]))
-
-
-def poisson_bracket_values(state: CotangentState) -> np.ndarray:
-    """{P_A, P_B} for the six horizontal pairs at (m, l) = (0, 1).
-
-    Exact differentiation of the momentum functions: with P_A = F[mu,A] p_mu,
-    {P_A, P_B} = sum_i (d_i P_A F[i,B] - d_i P_B F[i,A]).
-    """
-    return _bracket_values(frame_jet(state.q, _HEIS), state.p)
 
 
 def poisson_check(state: CotangentState) -> np.ndarray:

@@ -151,12 +151,15 @@ def classify_structure(params: ModelParams, points) -> StructureClass:
     "T2+T3" when only the c12 trace vanishes; a tensor that is exactly
     zero everywhere sampled is reported as "trivial".  The points are read
     in one chunked pass, each reduced to the five numbers of
-    `_torsion_summary`.
+    `_torsion_summary`.  Raises ValueError for an empty point set.
     """
     fr = frame_jet(points, params)
-    (summary,) = fr._chunked(
-        lambda sub: (_torsion_summary(_reduced_torsion(sub.C)),))
-    return _structure_class(summary, fr.q)
+    if not fr.q.size:
+        raise ValueError("the point set is empty: need at least one point "
+                         "to classify")
+    summary = fr._chunked(
+        lambda sub: {"summary": _torsion_summary(_reduced_torsion(sub.C))})
+    return _structure_class(summary["summary"], fr.q)
 
 
 def _torsion_summary(T: np.ndarray) -> np.ndarray:
@@ -240,8 +243,8 @@ def ambrose_singer_check(q, params: ModelParams) -> np.ndarray:
     at a time (`FrameJet._chunked`); a chunk shares whatever the jet of q
     has already built.
     """
-    (res,) = frame_jet(q, params)._chunked(lambda fr: (_as_residuals(fr),))
-    return res
+    return frame_jet(q, params)._chunked(
+        lambda fr: {"as_eq": _as_residuals(fr)})["as_eq"]
 
 
 def _as_residuals(fr) -> np.ndarray:
@@ -273,9 +276,8 @@ def parallelism_residuals(q, params: ModelParams) -> np.ndarray:
     nabla - S that does is `ambrose_singer_check`'s.  The points are
     evaluated in fixed chunks, as in `ambrose_singer_check`.
     """
-    (res,) = frame_jet(q, params)._chunked(
-        lambda fr: (_char_residuals(fr),))
-    return res
+    return frame_jet(q, params)._chunked(
+        lambda fr: {"char": _char_residuals(fr)})["char"]
 
 
 def _char_residuals(fr) -> np.ndarray:

@@ -26,7 +26,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import InsufficientSamples, MalformedFieldInput
-from .frames import ModelParams, _as_points, _check_frame_index, frame_jet
+from .frames import (J_TWIST, ModelParams, _as_points, _check_frame_index,
+                     frame_jet)
 
 __all__ = [
     "Poly",
@@ -560,8 +561,6 @@ def _frame_columns_poly(m: float, l: float) -> list:
     K = Poly.const(1.0) + m * (
         u[0] * u[0] + u[1] * u[1] + u[2] * u[2] + u[3] * u[3]
     )
-    from .frames import J_TWIST
-
     cols = []
     for i in range(3):
         col = [Poly.zero()] * 7
@@ -610,20 +609,14 @@ def coordinate_bracket(
         for nu in range(7):
             acc = acc + va[nu] * vb[mu].partial(nu) - vb[nu] * va[mu].partial(nu)
         bracket.append(acc)
-    # frame coefficients via the (polynomial) m=0 coframe rows
-    from .frames import J_TWIST
-
-    u = [Poly.var(W), Poly.var(X), Poly.var(Y), Poly.var(Z)]
+    # frame coefficients via the (polynomial) m=0 coframe rows: omega^i
+    # subtracts from d x^i the twist components of the columns X_4..X_7
+    cols = _frame_columns_poly(0.0, l)
     comps = []
     for i in range(3):
         acc = bracket[i]
         for a4 in range(4):
-            coeff = Poly.zero()
-            for b4 in range(4):
-                j = J_TWIST[i, a4, b4]
-                if j:
-                    coeff = coeff + j * u[b4]
-            acc = acc - (l / 2.0) * coeff * bracket[3 + a4]
+            acc = acc - cols[3 + a4][i] * bracket[3 + a4]
         comps.append(acc)
     for a4 in range(4):
         comps.append(bracket[3 + a4])

@@ -27,14 +27,12 @@ __all__ = [
     "load_tables",
     "safe_eval",
     "point_env",
-    "phase_env",
     "component_table_values",
     "sectional_table_values",
     "ricci_matrix_values",
     "scalar_values",
     "momenta_values",
     "sdot_values",
-    "known_discrepancies",
 ]
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
@@ -93,31 +91,21 @@ def safe_eval(expr: str, env: dict):
     return eval(code, {"__builtins__": {}}, env)  # noqa: S307 - AST-whitelisted
 
 
+def _coordinate_env(q) -> dict:
+    """The coordinate symbols r..z at points of shape (..., 7)."""
+    q = np.asarray(q, dtype=float)
+    return {name: q[..., i]
+            for i, name in enumerate(load_tables()["coordinate_order"])}
+
+
 def point_env(q, params: ModelParams) -> dict:
     """Evaluation symbols at configuration points of shape (..., 7)."""
-    q = np.asarray(q, dtype=float)
-    env = {
-        name: q[..., i]
-        for i, name in enumerate(load_tables()["coordinate_order"])
-    }
+    env = _coordinate_env(q)
     # numpy scalars, so that a printed expression overflows to inf as the
     # tensors do instead of raising
     env["m"] = np.float64(params.m)
     env["l"] = np.float64(params.l)
     env["K"] = k_factor(q, params)
-    return env
-
-
-def phase_env(q, p) -> dict:
-    """Symbols for momentum-function expressions: coordinates plus pr..pz."""
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    env = {
-        name: q[..., i]
-        for i, name in enumerate(load_tables()["coordinate_order"])
-    }
-    for i, name in enumerate(("pr", "ps", "pt", "pw", "px", "py", "pz")):
-        env[name] = p[..., i]
     return env
 
 
@@ -171,9 +159,13 @@ def scalar_values(q, params: ModelParams, which: str = "printed") -> np.ndarray:
 
 
 def momenta_values(q, p) -> np.ndarray:
-    """Evaluate the printed momentum functions, stacked as (..., 4)."""
+    """Evaluate the printed momentum functions at points q and covectors p
+    (symbols pr..pz), stacked as (..., 4)."""
     table = load_tables()["geodesic_tables"]["momenta"]["entries"]
-    env = phase_env(q, p)
+    env = _coordinate_env(q)
+    p = np.asarray(p, dtype=float)
+    for i, name in enumerate(("pr", "ps", "pt", "pw", "px", "py", "pz")):
+        env[name] = p[..., i]
     return np.stack(
         [np.asarray(safe_eval(table[name], env), dtype=float)
          for name in ("PW", "PX", "PY", "PZ")],
@@ -187,20 +179,8 @@ def sdot_values(q, P, which: str = "printed") -> np.ndarray:
     ``P`` holds the four momentum-function values on the last axis.
     """
     expr = load_tables()["geodesic_tables"]["sdot_line"][which]
-    q = np.asarray(q, dtype=float)
+    env = _coordinate_env(q)
     P = np.asarray(P, dtype=float)
-    env = {
-        name: q[..., i]
-        for i, name in enumerate(load_tables()["coordinate_order"])
-    }
     for i, name in enumerate(("PW", "PX", "PY", "PZ")):
         env[name] = P[..., i]
     return np.asarray(safe_eval(expr, env), dtype=float)
-
-
-def known_discrepancies(*path: str) -> dict:
-    """The known-discrepancy annotations stored at ``path`` in the document."""
-    node = load_tables()
-    for part in path:
-        node = node[part]
-    return node.get("known_discrepancies", {})

@@ -73,7 +73,7 @@ from .killing import (
     killing_residual,
     pde_residuals,
 )
-from .tolerances import TOL_EXACT, TOL_FD, TOL_RICCI, TOL_TABLE
+from .tolerances import FD_STEP, TOL_EXACT, TOL_FD, TOL_RICCI, TOL_TABLE
 
 __all__ = ["CheckResult", "VerifyReport", "run_verify"]
 
@@ -285,11 +285,11 @@ def _sample_records(doc, l):
     at_m0 = _AT_M0.format(l)
     eye = np.eye(7)
 
-    def fd_gap(t, h=1e-6):
+    def fd_gap(t):
         # C against an independent central difference of the frame columns
         dF = np.stack([(frame_matrix(t.q + dq, t.params)
-                        - frame_matrix(t.q - dq, t.params)) / (2 * h)
-                       for dq in h * eye], axis=1)
+                        - frame_matrix(t.q - dq, t.params)) / (2 * FD_STEP)
+                       for dq in FD_STEP * eye], axis=1)
         vec = (np.einsum("...ma,...mnb->...nab", t.F, dF)
                - np.einsum("...mb,...mna->...nab", t.F, dF))
         return t.C - np.einsum("...cn,...nab->...abc", t.Om, vec)
@@ -493,15 +493,16 @@ def _sample_kernel(fr0, start):
     point start, fr0 the chunk's jet at (0, l) (the chunk's own jet at
     m = 0): a function of one piece fr of the chunk's jet, which
     `FrameJet._chunked` runs on the chunk pool.  It calls no public
-    function.  It returns, in this order: the piece's `_KEPT` tensors; its
-    Ambrose-Singer residuals; at m != 0, C and gamma at (0, l), and in a
-    head chunk (one that starts among the first `_ROWS_M0` points, the
-    largest head) R at (0, l) on the first `_ROWS_M0` points and the
-    canonical residuals on the first `_ROWS_PARALLEL`; in a head chunk, the
-    characteristic residuals on the first `_ROWS_PARALLEL` and the max
-    |second Bianchi sum| per point on the first `_ROWS_BIANCHI`.  A head
-    result has the piece's rows, zero past its head.  X R and nabla R stay
-    in the worker."""
+    function.  It returns a dict of named arrays: the piece's `_KEPT`
+    tensors; as_eq, its Ambrose-Singer residuals; at m != 0, C0 and
+    gamma0, C and gamma at (0, l), and in a head chunk (one that starts
+    among the first `_ROWS_M0` points, the largest head) R0, R at (0, l)
+    on the first `_ROWS_M0` points, and canonical, the canonical residuals
+    on the first `_ROWS_PARALLEL`; in a head chunk, char, the
+    characteristic residuals on the first `_ROWS_PARALLEL`, and bianchi,
+    the max |second Bianchi sum| per point on the first `_ROWS_BIANCHI`.
+    A head result has the piece's rows, zero past its head.  X R and
+    nabla R stay in the worker."""
     def kernel(fr):
         p0 = fr0._rows(fr.rows) if fr0.params != fr.params else fr
         first, n = start + fr.rows.start, len(fr.q)
@@ -522,21 +523,23 @@ def _sample_kernel(fr0, start):
 
         # the work at (0, l) first, so that its X R is gone before that at
         # (m, l) is built
-        at0 = [p0.C, p0.gamma] if p0 is not fr else []
+        at0 = {"C0": p0.C, "gamma0": p0.gamma} if p0 is not fr else {}
         if at0 and start < _ROWS_M0:
             # R at (0, l) built once, on the jet that the canonical
             # residuals read rows of
             head0 = p0._rows(rows(_ROWS_M0))
-            at0 += [pad(head0, lambda h: h.R, (7,) * 4),
-                    pad(head0._rows(rows(_ROWS_PARALLEL)), _as_residuals,
-                        (3,))]
-        out = [getattr(fr, name) for name in _KEPT]
-        out += [_as_residuals(fr), *at0]
+            at0["R0"] = pad(head0, lambda h: h.R, (7,) * 4)
+            at0["canonical"] = pad(head0._rows(rows(_ROWS_PARALLEL)),
+                                   _as_residuals, (3,))
+        out = {name: getattr(fr, name) for name in _KEPT}
+        out["as_eq"] = _as_residuals(fr)
+        out.update(at0)
         if start < _ROWS_M0:
-            out += [pad(fr._rows(rows(_ROWS_PARALLEL)), _char_residuals, (2,)),
-                    pad(fr._rows(rows(_ROWS_BIANCHI)),
-                        lambda h: _bianchi_max(h.nabla_R))]
-        return tuple(out)
+            out["char"] = pad(fr._rows(rows(_ROWS_PARALLEL)),
+                              _char_residuals, (2,))
+            out["bianchi"] = pad(fr._rows(rows(_ROWS_BIANCHI)),
+                                 lambda h: _bianchi_max(h.nabla_R))
+        return out
 
     return kernel
 
@@ -557,29 +560,28 @@ def _sample_chunk(ctx, records, start):
     """The max |residual| per point and the quoted value of each of the
     records, and the `_torsion_summary`, of the record chunk of the sample
     whose first point is start (`_chk_sample`).  Its kernel's pieces have
-    all ended before the first record reads the tensors they built, and
-    nothing of the chunk outlives the call."""
+    all ended before the first record reads the tensors they built, the
+    kernel's outputs by their names, and nothing of the chunk outlives the
+    call."""
     params = ctx.params
     rows = slice(start, start + _RECORD_CHUNK)
     fr = ctx.jet._rows(rows)
     fr0 = fr if ctx.jet0 is ctx.jet else ctx.jet0._rows(rows)
     # a non-finite tensor shows in the residuals that read it
     with np.errstate(all="ignore"):
-        got = iter(fr._chunked(_sample_kernel(fr0, start)))
-        fr._keep(**{name: next(got) for name in _KEPT})
-        as_eq = next(got)
+        got = fr._chunked(_sample_kernel(fr0, start))
+        fr._keep(**{name: got.pop(name) for name in _KEPT})
         if fr0 is not fr:
-            fr0._keep(C=next(got), gamma=next(got))
+            fr0._keep(C=got.pop("C0"), gamma=got.pop("gamma0"))
+        elif start < _ROWS_M0:
+            # at m = 0 the head at (0, l) is the chunk's own
+            got.update(R0=fr.R, canonical=got["as_eq"])
         R, T = fr.R, torsion_D_tensor(fr, params)
         ric = ricci_from_riemann(R)
         t = SimpleNamespace(
             fr=fr, fr0=fr0, q=fr.q, params=params, F=fr.F, Om=fr.Om,
             C=fr.C, gam=fr.gamma, R=R, T=T, env=pt.point_env(fr.q, params),
-            ric=ric, scal=scalar_from_ricci(ric), as_eq=as_eq)
-        if start < _ROWS_M0:
-            t.R0, t.canonical = ((next(got), next(got)) if fr0 is not fr
-                                 else (R, as_eq))
-            t.char, t.bianchi = next(got), next(got)
+            ric=ric, scal=scalar_from_ricci(ric), **got)
         res = np.zeros((len(t.q), len(records)))
         quoted = np.zeros_like(res)
         for i, r in enumerate(records):
@@ -823,8 +825,12 @@ def _chk_geodesic_flow(ctx):
     rng = np.random.default_rng(ctx.seed + 103)
     q0 = np.zeros(7)
     p1 = rng.uniform(-1.0, 1.0, 7)
+    # the homothety q -> b q maps (m, l) to (m b^2, l b) and flow time by
+    # b^2, so the step shrinks with |l| and sqrt|m| to keep its size in the
+    # family's own units
+    h = 1e-3 / max(1.0, abs(ctx.params.l), np.sqrt(abs(ctx.params.m)))
     traj_r = integrate(CotangentState(q0, p1), ctx.params, mode="riemannian",
-                       h=1e-3, n=500)
+                       h=h, n=500)
     drift_r = float(np.abs(traj_r.H - traj_r.H[0]).max())
     out.append(_verdict(
         "geodesic-energy-conservation-riemannian", drift_r <= 1e-10,

@@ -1,11 +1,16 @@
 """Command-line behavior: formats, exit codes, determinism."""
 
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ebcv
 from ebcv.cli import CSV_HEADER, main
 from ebcv.geodesics import MAX_STEPS
 
@@ -109,6 +114,26 @@ def test_invalid_usage_exits_2_naming_the_flag(command, bad, capsys):
     err = capsys.readouterr().err
     assert f"argument {bad.split()[0].split('=')[0]}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    "killing --l 1 list",              # more than stdout's buffer
+    "verify --m 0 --l 1 --samples 5",
+    "classify --m 1 --l 1",            # flushed only at exit
+], ids=["killing", "verify", "classify"])
+def test_a_closed_stdout_exits_2_without_a_traceback(argv):
+    # the reader closes the pipe before anything is written, as `| head`
+    # can: the output cannot be written, as with an unwritable --out
+    src = str(pathlib.Path(ebcv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "ebcv.cli", *argv.split()],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.communicate(timeout=300)[1]
+    assert proc.returncode == 2, err
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_verify_pathological_exit_2(capsys):

@@ -311,10 +311,10 @@ def test_chunking_is_invisible(m, l):
     def values(q):
         # the jet's tensors through the chunk map, then the entry points
         tensors = FrameJet(q, p)._chunked(
-            lambda fr: (fr.gamma, fr.R, fr.nabla_R))
-        return dict(zip(keys, tensors + (
-            riemann_frame(q, p), ambrose_singer_check(q, p),
-            parallelism_residuals(q, p))))
+            lambda fr: {"gamma": fr.gamma, "R": fr.R, "nabla_R": fr.nabla_R})
+        return dict(tensors, riemann_frame=riemann_frame(q, p),
+                    as_check=ambrose_singer_check(q, p),
+                    characteristic=parallelism_residuals(q, p))
 
     alone = [values(q) for q in pts]
     want = {key: np.stack([v[key] for v in alone]) for key in keys}
@@ -360,7 +360,7 @@ def test_a_chunk_error_is_raised_in_the_caller():
     def body(fr):
         if fr.rows.start in (2 * _CHUNK, 4 * _CHUNK):
             raise _ChunkError(fr.rows.start)
-        return (fr.R,)
+        return {"R": fr.R}
 
     with pytest.raises(_ChunkError) as exc:
         jet._chunked(body)
@@ -382,34 +382,41 @@ def test_chunks_run_on_two_workers_under_the_callers_error_state():
         time.sleep(0.005)
         with lock:
             running[0] -= 1
-        return (np.full(len(fr.q), 1e308) * 10.0,)
+        return {"big": np.full(len(fr.q), 1e308) * 10.0}
 
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
             jet._chunked(body)
     with np.errstate(over="ignore"):
-        (out,) = jet._chunked(body)
+        out = jet._chunked(body)["big"]
     assert np.isinf(out).all()
     assert running[1] <= 2
     assert len(seen) == 2 and threading.current_thread().name not in seen
 
 
-def test_a_chunked_call_inside_a_body_finishes():
-    # a body's own chunked call runs in its worker, not on the pool, where
-    # it would wait for the workers that wait for it
+def test_a_chunked_call_inside_a_body_is_refused():
+    # a body's own chunked call would wait on the pool that runs the body:
+    # it raises in the worker, and the error reaches the caller
     p = ModelParams(1.0, 1.0)
     pts = sample_domain_points(p, 3 * _CHUNK, seed=4)
-    jet, got = FrameJet(pts, p), []
+    jet, got, want = FrameJet(pts, p), [], riemann_frame(pts, p)
 
     def body(fr):
-        return (riemann_frame(np.repeat(fr.q, 3, axis=0), p)[::3],)
+        return {"R": riemann_frame(pts, p)[fr.rows]}
 
-    caller = threading.Thread(target=lambda: got.extend(jet._chunked(body)),
-                              daemon=True)
+    def call():
+        try:
+            jet._chunked(body)
+        except RuntimeError as exc:
+            got.append(exc)
+
+    caller = threading.Thread(target=call, daemon=True)
     caller.start()
     caller.join(timeout=120)
     assert not caller.is_alive()
-    assert np.array_equal(got[0], riemann_frame(pts, p))
+    assert len(got) == 1 and "chunk-pool worker" in str(got[0])
+    # the pool still serves the next call
+    assert np.array_equal(riemann_frame(pts, p), want)
 
 
 def test_callers_on_more_threads_than_cores_share_the_pool():

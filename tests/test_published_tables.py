@@ -83,7 +83,7 @@ def test_safe_eval_rejects_non_whitelisted_syntax(expr):
 
 def test_general_bracket_table_matches_oracle_outside_annotations():
     doc = pt.load_tables()
-    ann = pt.known_discrepancies("frame_tables", "general_brackets")
+    ann = doc["frame_tables"]["general_brackets"]["known_discrepancies"]
     assert set(ann) == {"4,5", "4,7"}
     for params in PARAM_GRID:
         q = _pts(params)
@@ -100,7 +100,7 @@ def test_general_bracket_table_matches_oracle_outside_annotations():
 
 def test_annotated_bracket_components_disagree_where_documented():
     doc = pt.load_tables()
-    ann = pt.known_discrepancies("frame_tables", "general_brackets")
+    ann = doc["frame_tables"]["general_brackets"]["known_discrepancies"]
     # component (4,5)/X1 misprint carries a factor m: visible iff m != 0
     params = ModelParams(1.0, 1.0)
     q = _pts(params)
@@ -131,7 +131,8 @@ def test_annotated_bracket_components_disagree_where_documented():
 
 def test_connection_tables_match_oracle():
     doc = pt.load_tables()
-    assert pt.known_discrepancies("frame_tables", "general_connection") == {}
+    assert doc["frame_tables"]["general_connection"].get(
+        "known_discrepancies", {}) == {}
     for params in PARAM_GRID:
         q = _pts(params)
         table = pt.component_table_values(

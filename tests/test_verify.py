@@ -558,6 +558,14 @@ def test_energy_record_catches_a_planted_vertical_block(monkeypatch, eps,
     assert got["geodesic-energy-conservation"] == status
 
 
+@pytest.mark.parametrize("m, l", [(5.0, 1.0), (10.0, 1.0), (1.0, 50.0),
+                                  (0.0, 100.0), (1.0, 100.0)])
+def test_the_riemannian_step_follows_the_homothety(m, l):
+    # q -> b q maps (m, l) to (m b^2, l b) and flow time by b^2; a fixed
+    # step of 1e-3 drifted 3.9e-8 to 3.9e-6 here, against a bound of 1e-10
+    assert run_verify(m, l, samples=5, seed=0).exit_code == 0
+
+
 @pytest.mark.parametrize("l", [1e-6, 1e-9, 1e-13])
 def test_small_l_torsion_is_t3(l):
     # the cyclic sums scale with l, and so does the witness threshold; the
