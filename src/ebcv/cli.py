@@ -37,7 +37,7 @@ from .geodesics import (
 )
 from .killing import (KILLING_THRESHOLD, PolyVectorField, killing_basis_m0,
                       killing_residual)
-from .verify import run_verify
+from .verify import MAX_SAMPLES, run_verify
 
 CSV_HEADER = "u,r,s,t,w,x,y,z,pr,ps,pt,pw,px,py,pz,H"
 
@@ -291,10 +291,13 @@ def _checked(convert, ok, requirement):
     return parse
 
 
-_positive_int = _checked(int, lambda v: v >= 1, "must be at least 1")
 _nonnegative_int = _checked(int, lambda v: v >= 0, "must be at least 0")
 _step_count = _checked(
     int, lambda v: 1 <= v <= MAX_STEPS, f"must be between 1 and {MAX_STEPS}"
+)
+_sample_count = _checked(
+    int, lambda v: 1 <= v <= MAX_SAMPLES,
+    f"must be between 1 and {MAX_SAMPLES}"
 )
 _positive_float = _checked(
     float, lambda v: np.isfinite(v) and v > 0.0, "must be positive and finite"
@@ -335,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the verification registry")
     v.add_argument("--m", type=_finite_float, required=True)
     v.add_argument("--l", type=_finite_float, required=True)
-    v.add_argument("--samples", type=_positive_int, default=100)
+    v.add_argument("--samples", type=_sample_count, default=100)
     v.add_argument("--seed", type=_nonnegative_int, default=0)
     v.add_argument("--format", choices=("text", "json"), default="text")
     v.add_argument("--out", type=_output_file, default=None)

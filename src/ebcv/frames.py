@@ -383,7 +383,11 @@ class FrameJet:
         """xR[..., h, a, b, c, d] = X_{4+h} R_abcd, the frame derivatives of
         R along the horizontal frame (along X_1..X_3 they are zero): R's
         formula differentiated once more, X_e X_x gamma from d2C and the
-        products by the Leibniz rule."""
+        products by the Leibniz rule.  Zeros, without that formula, when dC
+        is exactly 0 at every point: C, and so R, is then constant.  That is
+        m = 0 and only there, as dC holds +-2m at every point."""
+        if not self.dC.any():
+            return np.zeros(self.K.shape + (4,) + (7,) * 4)
         C, gam, K = self.C, self.gamma, self.K
         xC, xgam = self._x_derivatives()
         # X_e X_x C = K (K d2C_ex) + (K 2m u_e) dC_x for horizontal e and
@@ -418,14 +422,39 @@ def _covariant(conn, A, xA) -> np.ndarray:
     the horizontal frame; A depends on u alone, so along X_1..X_3 they are
     zero.  From X_e A the terms conn[e, s, g] A[.., g in slot s, ..] are
     subtracted in place, one slot at a time.
+
+    Terms that are exactly zero are skipped: e, s and g run only over the
+    span (first to last index) where conn is nonzero at some point of the
+    batch, and where conn is 0 everywhere X_e A comes back alone.  A term
+    outside the spans is conn = 0 times a finite entry of A, an exact
+    zero, so the values are the dense contraction's.  Levi-Civita's gamma
+    keeps full spans at l != 0; nabla - S of
+    `homogeneous.ambrose_singer_check` spans the horizontal block, and
+    nothing at m = 0.  The spans are read from conn, not assumed, so a
+    wrong entry anywhere widens them.
     """
     slots = "abcd"[:A.ndim - conn.ndim + 3]
     out = np.zeros(conn.shape[:-2] + A.shape[conn.ndim - 3:])
     out[(..., slice(3, None)) + (slice(None),) * len(slots)] = xA
-    for s in slots:
-        out -= np.einsum(f"...e{s}g,...{slots.replace(s, 'g')}->...e{slots}",
-                         conn, A, optimize=True)
+    nonzero = (conn != 0).reshape(-1, 7, 7, 7).any(axis=0)
+    if not nonzero.any():
+        return out
+    e, s, g = (_span(nonzero.any(axis=other))
+               for other in ((1, 2), (0, 2), (0, 1)))
+    conn = conn[..., e, s, g]
+    for i, slot in enumerate(slots):
+        rest = (slice(None),) * (len(slots) - i - 1)
+        out[(..., e) + (slice(None),) * i + (s,) + rest] -= np.einsum(
+            f"...e{slot}g,...{slots.replace(slot, 'g')}->...e{slots}",
+            conn, A[(...,) + (slice(None),) * i + (g,) + rest],
+            optimize=True)
     return out
+
+
+def _span(mask) -> slice:
+    """The slice from the first to the last True entry of mask."""
+    hit = np.flatnonzero(mask)
+    return slice(hit[0], hit[-1] + 1)
 
 
 def _koszul(C: np.ndarray) -> np.ndarray:

@@ -41,9 +41,12 @@ candidate built from the reduced torsion,
 parallelizes R and S (Ambrose and Singer 1958; Tricerri and Vanhecke 1983),
 and are computed so: max |nabla~ R| and max |nabla~ S|, from X R on the jet
 and `frames._covariant`.  For every (m, l), nabla - S equals nabla on the
-all-horizontal block (e, a, g >= 4) and is exactly 0 elsewhere.  The
-contraction (nabla - S).R stays dense all the same: it is what lets the
-check see a wrong S.
+all-horizontal block (e, a, g >= 4) and is exactly 0 elsewhere.
+`_covariant` skips exact zeros by reading them from the connection it is
+given: it contracts only over the spans of e, a and g where nabla - S is
+nonzero at some point of the chunk, the horizontal block here, and at
+m = 0 over nothing.  The spans are not assumed, so a wrong S, nonzero
+outside the block, widens them and the check still sees it.
 
 At m = 0 the metric is a left-invariant nilpotent-group metric, the
 candidate coincides with the full Levi-Civita frame tensor (the difference

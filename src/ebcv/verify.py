@@ -79,6 +79,12 @@ __all__ = ["CheckResult", "VerifyReport", "run_verify"]
 
 HEIS = ModelParams(0.0, 1.0)
 
+#: the most samples `run_verify` accepts.  A report's peak RSS grows by
+#: ~0.6 KB and its run by ~1 ms per sample beyond a ~48 MB floor: at the
+#: cap `ebcv verify --m 1 --l 1` peaked at 107 MB after 98 s (2-vCPU
+#: x86-64 host); 10^8 samples would need ~60 GB.
+MAX_SAMPLES = 100_000
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -939,7 +945,8 @@ def run_verify(
 
     Raises DomainViolation for a subnormal l, when no acceptable sample
     points exist for the requested parameters or their curvature overflows
-    float64, and ValueError for a non-finite m or l or for samples < 1.
+    float64, and ValueError for a non-finite m or l or for samples outside
+    1 to MAX_SAMPLES, before any work.
     """
     if not (np.isfinite(m) and np.isfinite(l)):
         raise ValueError(f"m and l must be finite, got m={m!r}, l={l!r}")
@@ -951,6 +958,9 @@ def run_verify(
             f"|l| >= {np.finfo(float).tiny:g} or l = 0")
     if samples < 1:
         raise ValueError("need samples >= 1")
+    if samples > MAX_SAMPLES:
+        raise ValueError(
+            f"{samples} samples exceed MAX_SAMPLES = {MAX_SAMPLES}")
     start = time.perf_counter()
     ctx = _Ctx(m, l, samples, seed)
     checks = []

@@ -13,6 +13,7 @@ import pytest
 import ebcv
 from ebcv.cli import CSV_HEADER, main
 from ebcv.geodesics import MAX_STEPS
+from ebcv.verify import MAX_SAMPLES
 
 ORIGIN14 = ["0"] * 14
 
@@ -84,6 +85,7 @@ BASE_ARGV = {
     "command, bad",
     [
         ("verify", "--samples=0"),
+        ("verify", f"--samples={MAX_SAMPLES + 1}"),
         ("verify", "--seed=-1"),
         ("geodesic", "--h=0"),
         ("geodesic", "--h=-1e-3"),

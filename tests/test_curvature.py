@@ -274,26 +274,38 @@ def test_nabla_riemann_second_bianchi():
 
 
 def test_nabla_riemann_matches_fd():
-    p = ModelParams(0.6, 1.2)
-    pts = sample_domain_points(p, 2, seed=43)
-    nab = FrameJet(pts, p).nabla_R
-    gfr = levi_civita_tensor(pts, p)
+    # at m = 0, X R is zeros without its formula (dC is exactly 0)
     from ebcv.frames import frame_matrix
 
-    F = frame_matrix(pts, p)
-    for k in range(pts.shape[0]):
-        # the bundle route keeps the reference independent of Cartan's
-        dR = oracles.fd_gradient(lambda qq: riemann_frame_bundle(qq, p),
-                                 pts[k], h=1e-5)
-        frame_dir = np.einsum("me,mabcd->eabcd", F[k], dR)
-        R = riemann_frame_bundle(pts[k], p)
-        corr = (
-            np.einsum("eaf,fbcd->eabcd", gfr[k], R)
-            + np.einsum("ebf,afcd->eabcd", gfr[k], R)
-            + np.einsum("ecf,abfd->eabcd", gfr[k], R)
-            + np.einsum("edf,abcf->eabcd", gfr[k], R)
-        )
-        np.testing.assert_allclose(nab[k], frame_dir - corr, atol=1e-5)
+    for p in (ModelParams(0.6, 1.2), ModelParams(0.0, 1.0),
+              ModelParams(0.0, -2.5)):
+        pts = sample_domain_points(p, 2, seed=43)
+        nab = FrameJet(pts, p).nabla_R
+        gfr = levi_civita_tensor(pts, p)
+        F = frame_matrix(pts, p)
+        for k in range(pts.shape[0]):
+            # the bundle route keeps the reference independent of Cartan's
+            dR = oracles.fd_gradient(lambda qq: riemann_frame_bundle(qq, p),
+                                     pts[k], h=1e-5)
+            frame_dir = np.einsum("me,mabcd->eabcd", F[k], dR)
+            R = riemann_frame_bundle(pts[k], p)
+            corr = (
+                np.einsum("eaf,fbcd->eabcd", gfr[k], R)
+                + np.einsum("ebf,afcd->eabcd", gfr[k], R)
+                + np.einsum("ecf,abfd->eabcd", gfr[k], R)
+                + np.einsum("edf,abcf->eabcd", gfr[k], R)
+            )
+            np.testing.assert_allclose(nab[k], frame_dir - corr, atol=1e-5,
+                                       err_msg=str(p))
+
+
+def test_x_riemann_keeps_its_formula_at_a_tiny_m():
+    # X R is zeros without its formula only where dC is exactly 0; at
+    # m = 1e-12 dC holds +-2e-12, and X R is built in full
+    p = ModelParams(1e-12, 1.0)
+    fr = FrameJet(sample_domain_points(p, 3, seed=8), p)
+    assert fr.dC.any()
+    assert fr.xR.any()
 
 
 # --- evaluation in fixed point chunks -------------------------------------------
@@ -326,6 +338,28 @@ def test_chunking_is_invisible(m, l):
             assert np.array_equal(value, expect), (shape, key)
     # a single point takes no loop and keeps its shape
     assert alone[7]["riemann_frame"].shape == (7, 7, 7, 7)
+
+
+@pytest.mark.parametrize("m,l", [(1.0, 1.0), (1.0, 0.0), (-0.5, 1.0),
+                                 (0.0, 1.0)])
+def test_a_piece_holding_the_origin_gives_each_point_its_own_values(m, l):
+    # at u = 0, nabla - S is 0 for every m (and gamma too at l = 0), so the
+    # covariant derivatives of the origin alone contract over no span; in
+    # a piece with other points they contract over the spans of those
+    p = ModelParams(m, l)
+    points = sample_domain_points(p, 5, seed=12)
+    points[3, 3:] = 0.0  # a point off the origin with u = 0
+    pts = np.vstack([np.zeros(7), points])
+
+    def values(q):
+        fr = FrameJet(q, p)
+        return {"nabla_R": fr.nabla_R, "as_check": ambrose_singer_check(fr, p),
+                "characteristic": parallelism_residuals(fr, p)}
+
+    together = values(pts)
+    for k, q in enumerate(pts):
+        for key, value in values(q).items():
+            assert np.array_equal(together[key][k], value), (k, key)
 
 
 def test_a_jet_chunk_shares_the_tensors_already_built():

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import ebcv.homogeneous
 import oracles
 from ebcv.curvature import scalar_curvature
 from ebcv.frames import (
     _CHUNK,
     FrameJet,
     ModelParams,
+    _covariant,
     levi_civita_tensor,
     sample_domain_points,
 )
@@ -21,6 +23,7 @@ from ebcv.killing import frame_unit_field
 from ebcv.homogeneous import (
     P_SIGNS,
     _cyclic_sums,
+    _reduced_torsion,
     _skew_completion,
     ambrose_singer_check,
     char_connection_tensor,
@@ -407,6 +410,76 @@ def test_canonical_connection_is_levi_civita_on_the_horizontal_block(m, l):
         assert not conn.any()
         assert not fr.xR.any()
         assert not ambrose_singer_check(fr, p)[:, 1:].any()
+
+
+def _dense_covariant(conn, A, xA):
+    # X_e A minus each slot's connection term, every index over all seven
+    # frame fields, subtracted in the order of `_covariant`
+    terms = {
+        3: ["...eaf,...fbc->...eabc", "...ebf,...afc->...eabc",
+            "...ecf,...abf->...eabc"],
+        4: ["...eaf,...fbcd->...eabcd", "...ebf,...afcd->...eabcd",
+            "...ecf,...abfd->...eabcd", "...edf,...abcf->...eabcd"],
+    }[A.ndim - conn.ndim + 3]
+    out = np.zeros(conn.shape[:-2] + A.shape[conn.ndim - 3:])
+    out[(..., slice(3, None)) + (slice(None),) * len(terms)] = xA
+    for term in terms:
+        out -= np.einsum(term, conn, A, optimize=True)
+    return out
+
+
+@pytest.mark.parametrize("connection", ["gamma", "characteristic",
+                                        "canonical", "random", "planted"])
+@pytest.mark.parametrize("m, l", [(1.0, 1.0), (0.0, 1.0), (1.0, 0.0),
+                                  (-0.5, 2.0)])
+def test_covariant_matches_the_dense_contraction(m, l, connection):
+    # `_covariant` contracts over the spans where conn is nonzero: full for
+    # gamma (at l != 0) and a random conn, the horizontal block for
+    # nabla - S (nothing at m = 0), and wider again for nabla - S with one
+    # entry planted outside the block at one point
+    p = ModelParams(m, l)
+    fr = FrameJet(sample_domain_points(p, 8, seed=21), p)
+    canonical = fr.gamma - _skew_completion(_reduced_torsion(fr.C))
+    planted = canonical.copy()
+    planted[5, 0, 4, 1] = 0.25
+    conn = {
+        "gamma": fr.gamma,
+        "characteristic": char_connection_tensor(fr, p),
+        "canonical": canonical,
+        "random": np.random.default_rng(4).standard_normal(fr.gamma.shape),
+        "planted": planted,
+    }[connection]
+    T = _reduced_torsion(fr.C)
+    xT = fr.K[:, None, None, None, None] * _reduced_torsion(fr.dC)
+    for A, xA in ((fr.R, fr.xR), (T, xT)):
+        assert_array_equal(_covariant(conn, A, xA),
+                           _dense_covariant(conn, A, xA))
+
+
+@pytest.mark.parametrize("l", [1.0, -2.5])
+def test_a_structure_tensor_wrong_in_one_mixed_slot_moves_residual_ii(
+        l, monkeypatch):
+    # S[4, 0, 5] (a vertical and a horizontal index in its last two slots)
+    # planted at one point: nabla - S is nonzero outside the horizontal
+    # block there, and residual (ii), exactly 0 at m = 0, moves at that
+    # point alone, although the point shares its chunk with five others
+    p = ModelParams(0.0, l)
+    pts = sample_domain_points(p, 6, seed=3)
+    want = ambrose_singer_check(pts, p)
+    skew = ebcv.homogeneous._skew_completion
+
+    def planted(T):
+        S = skew(T)
+        if S.ndim == 4:  # the candidate S of the chunk, not nabla~ S
+            S[2, 4, 0, 5] += 1e-3
+        return S
+
+    monkeypatch.setattr(ebcv.homogeneous, "_skew_completion", planted)
+    got = ambrose_singer_check(pts, p)
+    assert not want[:, 1].any()
+    assert got[2, 1] > 0.0
+    others = np.arange(6) != 2
+    assert_array_equal(got[others], want[others])
 
 
 def test_torsion_parallelism_residuals():

@@ -589,9 +589,16 @@ def test_pathological_parameters_raise():
         run_verify(-80.0, 1.0, samples=20, seed=3)
 
 
-def test_samples_validation():
+def test_samples_validation(monkeypatch):
+    def no_run(*args):
+        raise AssertionError("a report was started")
+
+    # refused before the report draws its samples
+    monkeypatch.setattr(ebcv.verify, "_Ctx", no_run)
     with pytest.raises(ValueError):
         run_verify(0.0, 1.0, samples=0, seed=0)
+    with pytest.raises(ValueError, match="MAX_SAMPLES"):
+        run_verify(0.0, 1.0, samples=ebcv.verify.MAX_SAMPLES + 1, seed=0)
 
 
 def test_non_finite_parameters_raise_value_error():
