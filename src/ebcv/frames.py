@@ -411,34 +411,36 @@ class FrameJet:
     def nabla_R(self) -> np.ndarray:
         """(nabla_{X_e} R)[..., e, a, b, c, d]: `_covariant` of R under the
         Levi-Civita connection gamma."""
-        return _covariant(self.gamma, self.R, self.xR)
+        return _covariant(self.gamma, lambda: self.R, self.xR)
 
 
 def _covariant(conn, A, xA) -> np.ndarray:
     """(D_{X_e} A)[..., e, a, b, c(, d)] of a frame 3- or 4-tensor A under
     the metric connection D with <D_{X_e} X_a, X_g> = conn[..., e, a, g].
 
-    xA[..., h, a, ...] = X_{4+h} A holds the frame derivatives of A along
-    the horizontal frame; A depends on u alone, so along X_1..X_3 they are
-    zero.  From X_e A the terms conn[e, s, g] A[.., g in slot s, ..] are
-    subtracted in place, one slot at a time.
+    A() builds A; xA[..., h, a, ...] = X_{4+h} A holds the frame
+    derivatives of A along the horizontal frame; A depends on u alone, so
+    along X_1..X_3 they are zero.  From X_e A the terms
+    conn[e, s, g] A[.., g in slot s, ..] are subtracted in place, one slot
+    at a time.
 
     Terms that are exactly zero are skipped: e, s and g run only over the
     span (first to last index) where conn is nonzero at some point of the
-    batch, and where conn is 0 everywhere X_e A comes back alone.  A term
-    outside the spans is conn = 0 times a finite entry of A, an exact
-    zero, so the values are the dense contraction's.  Levi-Civita's gamma
-    keeps full spans at l != 0; nabla - S of
+    batch, and where conn is 0 everywhere X_e A comes back alone, without
+    a call of A().  A term outside the spans is conn = 0 times a finite
+    entry of A, an exact zero, so the values are the dense contraction's.
+    Levi-Civita's gamma keeps full spans at l != 0; nabla - S of
     `homogeneous.ambrose_singer_check` spans the horizontal block, and
     nothing at m = 0.  The spans are read from conn, not assumed, so a
     wrong entry anywhere widens them.
     """
-    slots = "abcd"[:A.ndim - conn.ndim + 3]
-    out = np.zeros(conn.shape[:-2] + A.shape[conn.ndim - 3:])
+    slots = "abcd"[:xA.ndim - conn.ndim + 2]
+    out = np.zeros(conn.shape[:-2] + xA.shape[conn.ndim - 2:])
     out[(..., slice(3, None)) + (slice(None),) * len(slots)] = xA
     nonzero = (conn != 0).reshape(-1, 7, 7, 7).any(axis=0)
     if not nonzero.any():
         return out
+    A = A()
     e, s, g = (_span(nonzero.any(axis=other))
                for other in ((1, 2), (0, 2), (0, 1)))
     conn = conn[..., e, s, g]

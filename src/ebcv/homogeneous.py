@@ -265,10 +265,13 @@ def _as_residuals(fr) -> np.ndarray:
 def _parallelism(fr, conn) -> tuple:
     """(D'_e T)[..., e, a, b, c] and (D'_e R)[..., e, a, b, c, d] at the
     points of jet fr, for the reduced torsion T, the curvature R and the
-    metric connection <D'_{X_e} X_a, X_g> = conn[..., e, a, g]."""
+    metric connection <D'_{X_e} X_a, X_g> = conn[..., e, a, g].  R is
+    read only where conn has a nonzero entry (`_covariant`): at m = 0
+    nabla - S is 0, and the jet builds no R."""
     T = _reduced_torsion(fr.C)
     xT = fr.K[..., None, None, None, None] * _reduced_torsion(fr.dC)
-    return _covariant(conn, T, xT), _covariant(conn, fr.R, fr.xR)
+    return (_covariant(conn, lambda: T, xT),
+            _covariant(conn, lambda: fr.R, fr.xR))
 
 
 def parallelism_residuals(q, params: ModelParams) -> np.ndarray:

@@ -412,6 +412,22 @@ def test_canonical_connection_is_levi_civita_on_the_horizontal_block(m, l):
         assert not ambrose_singer_check(fr, p)[:, 1:].any()
 
 
+@pytest.mark.parametrize("l", [1.0, -0.5])
+def test_the_ambrose_singer_check_at_m_0_builds_no_curvature(l):
+    # nabla - S is 0 at m = 0, so the kernel never reads R: a single point
+    # runs on the jet itself, and a batch through `_as_residuals`
+    p = ModelParams(0.0, l)
+    pts = sample_domain_points(p, 12, seed=19)
+    for q, check in ((pts[0], ambrose_singer_check),
+                     (pts, lambda jet, p: ebcv.homogeneous._as_residuals(jet))):
+        jet, built = FrameJet(q, p), FrameJet(q, p)
+        got = check(jet, p)
+        assert "R" not in vars(jet)
+        built.R  # noqa: B018 - the values with R built first
+        assert_array_equal(got, check(built, p))
+        assert not got[..., 1:].any()
+
+
 def _dense_covariant(conn, A, xA):
     # X_e A minus each slot's connection term, every index over all seven
     # frame fields, subtracted in the order of `_covariant`
@@ -452,7 +468,7 @@ def test_covariant_matches_the_dense_contraction(m, l, connection):
     T = _reduced_torsion(fr.C)
     xT = fr.K[:, None, None, None, None] * _reduced_torsion(fr.dC)
     for A, xA in ((fr.R, fr.xR), (T, xT)):
-        assert_array_equal(_covariant(conn, A, xA),
+        assert_array_equal(_covariant(conn, lambda: A, xA),
                            _dense_covariant(conn, A, xA))
 
 
